@@ -224,10 +224,11 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
 
     Every dual vertex satisfies u1, u2, pi <= max_i P_i (each positive
     coordinate sits in a tight x-column row whose slack is bounded by s),
-    so bounding u1 by `m_u` is exact; the caller still verifies tightness.
+    so bounding u1 by any `m_u >= max P` is exact: a u1_j above
+    max_i (s_i - beta d_ij)+ can be lowered without losing feasibility or
+    objective.
     """
     ni, nj = instance.num_areas, instance.num_nodes
-    p_max = float(instance.unmet_penalty.max(initial=0.0))
     model = milp.Model("subproblem-duality", maximize=True)
     s = model.add_vars(ni, "s", lb=0.0, ub=instance.unmet_penalty)
     v = model.add_vars(ni, "v", lb=0.0, ub=instance.unmet_penalty)
@@ -267,7 +268,7 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
         -(instance.eligibility * instance.capacity[None, :]).ravel(),
     ])
     model.set_objective(ids, coeffs)
-    return model, dict(s=s, v=v, u1=u1, u2=u2, U=uu, pi=pi, g=g, z=z), p_max
+    return model, dict(s=s, v=v, u1=u1, u2=u2, U=uu, pi=pi, g=g, z=z)
 
 
 def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
@@ -275,38 +276,21 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
                              time_limit: float | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost for a plan, via the dual MILP."""
     start = time.perf_counter()
-    m_u = float(instance.unmet_penalty.max(initial=0.0))
-    result = None
-    blocks = None
-    for attempt in range(5):
-        model, blocks, _ = _build_duality_model(instance, plan, m_u)
-        result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-        if result.status not in ("optimal", "limit") or result.values is None:
-            milp.ensure_optimal(result, "duality subproblem")
-        u1_val = result.value(blocks["u1"])
-        tight = np.any(u1_val >= m_u - 1e-6 * max(1.0, m_u))
-        if not tight:
-            break
-        # the dual-vertex bound says this cannot move the optimum; verify by
-        # re-solving with a 10x larger box and keep the enlarged solve
-        enlarged = 10.0 * max(m_u, 1.0)
-        model2, blocks2, _ = _build_duality_model(instance, plan, enlarged)
-        result2 = milp.solve(model2, mip_gap=mip_gap, time_limit=time_limit)
-        if result2.status in ("optimal", "limit") and result2.values is not None:
-            moved = abs(result2.objective - result.objective) > 1e-7 * max(1.0, abs(result.objective))
-            result, blocks, m_u = result2, blocks2, enlarged
-            if not moved:
-                break
-        else:  # pragma: no cover - enlargement should never hurt feasibility
-            break
-    exact = result.status == "optimal"
+    # any box at or above max P is exact (see _build_duality_model); the width
+    # only decides which of tied worst-case vertices HiGHS returns, so changing
+    # it changes which vertex CCG adds and with it the trace
+    m_u = 10.0 * max(float(instance.unmet_penalty.max(initial=0.0)), 1.0)
+    model, blocks = _build_duality_model(instance, plan, m_u)
+    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
+    if result.status not in ("optimal", "limit") or result.values is None:
+        milp.ensure_optimal(result, "duality subproblem")
     scenario = _scenario_from_bits(instance, result.value(blocks["g"]), result.value(blocks["z"]))
     certificate = {name: result.value(blocks[name]) for name in ("s", "u1", "u2", "pi", "U", "v")}
     return SubproblemSolution(
         worst_scenario=scenario,
         value=result.objective,
         bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        exact=exact,
+        exact=result.status == "optimal",
         certificate=certificate,
         wall_seconds=time.perf_counter() - start,
     )
@@ -428,6 +412,13 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
 
 
+def worst_case_oracle(oracle: str):
+    """The subproblem solver registered under `oracle` in `_ORACLES`."""
+    if oracle not in _ORACLES:
+        raise ValueError(f"unknown oracle {oracle!r}; choose from {sorted(_ORACLES)}")
+    return _ORACLES[oracle]
+
+
 def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEFAULT_EPS, *,
             max_iterations: int = DEFAULT_MAX_ITERATIONS, mip_gap: float | None = None,
             time_limit: float | None = None, integral_procurement: bool = True) -> CcgResult:
@@ -445,9 +436,7 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
         raise ValueError("eps must be positive")
     if max_iterations < 1:
         raise ValueError("need at least one iteration")
-    if oracle not in _ORACLES:
-        raise ValueError(f"unknown oracle {oracle!r}; choose from {sorted(_ORACLES)}")
-    subproblem = _ORACLES[oracle]
+    subproblem = worst_case_oracle(oracle)
     gap_setting = mip_gap if mip_gap is not None else min(milp.DEFAULT_MIP_GAP, eps / 10.0)
 
     start = time.perf_counter()

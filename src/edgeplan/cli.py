@@ -18,13 +18,12 @@ import os
 import platform
 import subprocess
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
 
-from . import __version__, adr, baselines, ccg, core, evaluation, topology
+from . import __version__, adr, ccg, core, evaluation, topology
 from .milp import (
     BackendError,
     InfeasibleModelError,
@@ -36,8 +35,6 @@ EXIT_OK = 0
 EXIT_NONCONVERGED = 2
 EXIT_BAD_INPUT = 3
 EXIT_BACKEND = 4
-
-SOLVE_METHODS = evaluation.SWEEP_METHODS
 
 
 class CliError(Exception):
@@ -130,8 +127,8 @@ def _parse_values(raw: str) -> list[float]:
 def _parse_methods(raw: str) -> tuple[str, ...]:
     methods = tuple(p for chunk in raw.split(",") for p in chunk.split())
     for m in methods:
-        if m not in SOLVE_METHODS:
-            raise CliError(f"unknown method {m!r}; choose from {SOLVE_METHODS}")
+        if m not in evaluation.METHODS:
+            raise CliError(f"unknown method {m!r}; choose from {evaluation.METHODS}")
     if not methods:
         raise CliError("--methods is empty")
     return methods
@@ -152,62 +149,21 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _solve_dispatch(instance, args):
-    """Run one method; returns (plan, objective, extras, trace_csv, converged)."""
-    method = args.method
-    if method in ("ccg-duality", "ccg-kkt"):
-        res = ccg.run_ccg(instance, oracle=method.split("-")[1], eps=args.eps,
-                          max_iterations=args.max_iterations, mip_gap=args.gap,
-                          time_limit=args.time_limit)
-        last = res.state.trace[-1]
-        extras = {"converged": res.converged, "iterations": last.iteration,
-                  "gap": _json_safe(last.gap), "lower_bound": res.state.lower_bound,
-                  "message": res.message, "wall_seconds": res.wall_seconds}
-        return res.plan, res.objective, extras, ccg.trace_to_csv(res.state), res.converged
-    if method == "adr":
-        res = adr.solve_adr(instance, mip_gap=args.gap, time_limit=args.time_limit)
-        extras = {"status": res.status, "worst_recourse": res.phi,
-                  "wall_seconds": res.wall_seconds}
-        return res.plan, res.objective, extras, None, True
-    if method == "extensive":
-        res = ccg.solve_extensive_form(instance, mip_gap=args.gap,
-                                       time_limit=args.time_limit)
-        extras = {"num_vertices": res.num_vertices, "wall_seconds": res.wall_seconds}
-        return res.plan, res.objective, extras, None, True
-    if method == "det":
-        res = baselines.solve_deterministic(instance, mip_gap=args.gap,
-                                            time_limit=args.time_limit)
-        return res.plan, res.objective, {"wall_seconds": res.wall_seconds}, None, True
-    if method == "so":
-        training = baselines.make_training_scenarios(instance, args.scenarios, args.seed)
-        res = baselines.solve_stochastic(instance, training, mip_gap=args.gap,
-                                         time_limit=args.time_limit)
-        extras = {"training_scenarios": args.scenarios, "wall_seconds": res.wall_seconds}
-        return res.plan, res.objective, extras, None, True
-    start = time.perf_counter()
-    plan = baselines.heuristic_placement(instance)
-    nominal = core.Scenario(instance.nominal_demand,
-                            np.zeros(instance.num_nodes, dtype=np.int8))
-    out = evaluation.solve_recourse(instance, plan, nominal)
-    objective = core.provisioning_cost(instance, plan) + out.second_stage_cost
-    extras = {"objective_kind": "nominal-scenario total",
-              "wall_seconds": time.perf_counter() - start}
-    return plan, objective, extras, None, True
-
-
 def cmd_solve(args) -> int:
     instance = core.load_instance(args.instance)
-    plan, objective, extras, trace_csv, converged = _solve_dispatch(instance, args)
+    res = evaluation.plan_with_method(
+        instance, args.method, eps=args.eps, max_iterations=args.max_iterations,
+        mip_gap=args.gap, time_limit=args.time_limit, num_training=args.scenarios,
+        seed=args.seed)
     written = ["plan.json"]
-    core.save_plan(plan, os.path.join(args.out, "plan.json"),
-                   method=args.method, objective=objective, **extras)
-    if trace_csv is not None:
-        core.atomic_write_text(os.path.join(args.out, "trace.csv"), trace_csv)
+    core.save_plan(res.plan, os.path.join(args.out, "plan.json"),
+                   method=args.method, objective=res.objective, **_json_safe(res.extras))
+    if res.trace is not None:
+        core.atomic_write_text(os.path.join(args.out, "trace.csv"), res.trace)
         written.append("trace.csv")
     _finish(args.out, "solve", args, written)
-    if not converged:
-        raise CliError(extras.get("message", "did not converge"),
-                       EXIT_NONCONVERGED, kind="NonconvergenceError")
+    if not res.converged:
+        raise CliError(res.extras["message"], EXIT_NONCONVERGED, kind="NonconvergenceError")
     return EXIT_OK
 
 
@@ -275,7 +231,8 @@ def cmd_sweep(args) -> int:
     core.atomic_write_text(os.path.join(args.out, "sweep.csv"),
                            evaluation.sweep_to_csv(rows))
     _finish(args.out, "sweep", args, ["sweep.csv"])
-    if rows and all(r["error"] for r in rows):
+    # a nonconverged cell still has a plan and numbers, so it does not count
+    if rows and all(r["error"] and math.isnan(r["objective"]) for r in rows):
         raise CliError(f"every sweep cell failed; first error: {rows[0]['error']}",
                        EXIT_BAD_INPUT, kind="SweepFailed")
     return EXIT_OK
@@ -339,7 +296,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="solve one instance with one method")
     s.add_argument("--instance", required=True)
-    s.add_argument("--method", required=True, choices=SOLVE_METHODS)
+    s.add_argument("--method", required=True, choices=evaluation.METHODS)
     s.add_argument("--eps", type=float, default=1e-6, help="relative gap target")
     s.add_argument("--gap", type=float, default=None, help="solver MIP gap")
     s.add_argument("--time-limit", type=float, default=None, help="per-solve seconds")
@@ -359,7 +316,7 @@ def build_parser() -> _Parser:
                    help="failure budget for test draws (default: instance K)")
     e.add_argument("--psi", type=float, default=1.0, help="evaluation penalty scale")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--oracle", choices=("duality", "kkt"), default="duality")
+    e.add_argument("--oracle", choices=tuple(ccg._ORACLES), default="duality")
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_evaluate)
 

@@ -9,11 +9,12 @@ freeze their arrays after validation and are safe to share across workers.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -168,17 +169,25 @@ class ProblemInstance:
 
     def replace(self, **changes) -> "ProblemInstance":
         """A copy with the given fields swapped (arrays revalidated)."""
-        fields = {
-            "price": self.price, "capacity": self.capacity,
-            "placement_cost": self.placement_cost, "storage_cost": self.storage_cost,
-            "initial_placement": self.initial_placement, "delay": self.delay,
-            "beta": self.beta, "unmet_penalty": self.unmet_penalty,
-            "budget": self.budget, "nominal_demand": self.nominal_demand,
-            "demand_deviation": self.demand_deviation, "uncertainty": self.uncertainty,
-            "dmax": self.dmax, "eligibility": self.eligibility,
-        }
-        fields.update(changes)
-        return ProblemInstance(**fields)
+        return dataclasses.replace(self, **changes)
+
+    def subset(self, areas: int | None = None, nodes: int | None = None) -> "ProblemInstance":
+        """The first `areas` areas and first `nodes` nodes, with gamma and
+        the failure budget clamped to the smaller sizes."""
+        ni = self.num_areas if areas is None else int(areas)
+        nj = self.num_nodes if nodes is None else int(nodes)
+        if not (1 <= ni <= self.num_areas and 1 <= nj <= self.num_nodes):
+            raise InstanceError(f"subset {ni}x{nj} does not fit in "
+                                f"{self.num_areas}x{self.num_nodes}")
+        u = self.uncertainty
+        return self.replace(
+            price=self.price[:nj], capacity=self.capacity[:nj],
+            placement_cost=self.placement_cost[:nj], storage_cost=self.storage_cost[:nj],
+            initial_placement=self.initial_placement[:nj], delay=self.delay[:ni, :nj],
+            unmet_penalty=self.unmet_penalty[:ni], nominal_demand=self.nominal_demand[:ni],
+            demand_deviation=self.demand_deviation[:ni], eligibility=self.eligibility[:ni, :nj],
+            uncertainty=dataclasses.replace(u, gamma=min(u.gamma, ni),
+                                            failure_budget=min(u.failure_budget, nj)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import milp, topology
+from . import ccg, milp, topology
 from .adr import AffinePolicy, evaluate_policy, solve_adr
 from .baselines import (
     heuristic_placement,
@@ -23,12 +23,7 @@ from .baselines import (
     solve_deterministic,
     solve_stochastic,
 )
-from .ccg import (
-    run_ccg,
-    solve_extensive_form,
-    solve_subproblem_duality,
-    solve_subproblem_kkt,
-)
+from .ccg import DEFAULT_EPS, DEFAULT_MAX_ITERATIONS, run_ccg, solve_extensive_form, trace_to_csv
 from .core import (
     FirstStagePlan,
     ProblemInstance,
@@ -41,7 +36,8 @@ from .core import (
 
 DISTRIBUTIONS = ("lognormal", "normal", "uniform")
 SWEEP_AXES = ("K", "gamma", "beta", "psi", "alpha", "budget", "dmax", "I", "J")
-SWEEP_METHODS = ("ccg-duality", "ccg-kkt", "adr", "extensive", "det", "so", "heu")
+# planners, in the order the CLI lists them
+METHODS = ("ccg-duality", "ccg-kkt", "adr", "extensive", "det", "so", "heu")
 
 
 @dataclass(frozen=True)
@@ -151,10 +147,7 @@ def certify_worst_case(instance: ProblemInstance, plan: FirstStagePlan, *,
     """Exact worst-case total cost of a plan over the uncertainty set."""
     scaled = instance if psi == 1.0 else \
         instance.replace(unmet_penalty=psi * instance.unmet_penalty)
-    solvers = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
-    if oracle not in solvers:
-        raise ValueError(f"unknown oracle {oracle!r}")
-    sub = solvers[oracle](scaled, plan, mip_gap=mip_gap, time_limit=time_limit)
+    sub = ccg.worst_case_oracle(oracle)(scaled, plan, mip_gap=mip_gap, time_limit=time_limit)
     return provisioning_cost(instance, plan) + sub.value
 
 
@@ -247,26 +240,7 @@ def _sized_family(base: ProblemInstance, axis: str, values, generator_seed):
         v = int(v)
         if v < 1:
             raise ValueError(f"axis {axis} needs positive sizes, got {v}")
-        u = parent.uncertainty
-        if axis == "I":
-            return ProblemInstance(
-                price=parent.price, capacity=parent.capacity,
-                placement_cost=parent.placement_cost, storage_cost=parent.storage_cost,
-                initial_placement=parent.initial_placement, delay=parent.delay[:v, :],
-                beta=parent.beta, unmet_penalty=parent.unmet_penalty[:v],
-                budget=parent.budget, nominal_demand=parent.nominal_demand[:v],
-                demand_deviation=parent.demand_deviation[:v],
-                uncertainty=UncertaintyModel(min(u.gamma, v), u.failure_budget),
-                dmax=parent.dmax, eligibility=parent.eligibility[:v, :])
-        return ProblemInstance(
-            price=parent.price[:v], capacity=parent.capacity[:v],
-            placement_cost=parent.placement_cost[:v], storage_cost=parent.storage_cost[:v],
-            initial_placement=parent.initial_placement[:v], delay=parent.delay[:, :v],
-            beta=parent.beta, unmet_penalty=parent.unmet_penalty,
-            budget=parent.budget, nominal_demand=parent.nominal_demand,
-            demand_deviation=parent.demand_deviation,
-            uncertainty=UncertaintyModel(u.gamma, min(u.failure_budget, v)),
-            dmax=parent.dmax, eligibility=parent.eligibility[:, :v])
+        return parent.subset(areas=v) if axis == "I" else parent.subset(nodes=v)
 
     return cut
 
@@ -300,33 +274,61 @@ def _derive_instance(base: ProblemInstance, axis: str, value, sized_cut,
     return sized_cut(value), 1.0
 
 
-def _plan_with_method(instance: ProblemInstance, method: str, *, eps, mip_gap,
-                      time_limit, num_training, seed) -> tuple[FirstStagePlan, float]:
+@dataclass(frozen=True)
+class PlanResult:
+    """One planner's answer; `extras` is its plan.json metadata and
+    `trace` the per-iteration CSV of CCG methods (None otherwise)."""
+
+    plan: FirstStagePlan
+    objective: float
+    converged: bool
+    extras: dict
+    trace: str | None = None
+
+
+def plan_with_method(instance: ProblemInstance, method: str, *, eps: float = DEFAULT_EPS,
+                     max_iterations: int = DEFAULT_MAX_ITERATIONS,
+                     mip_gap: float | None = None, time_limit: float | None = None,
+                     num_training: int = 100, seed: int = 0) -> PlanResult:
+    """Run one of `METHODS` on an instance."""
     if method in ("ccg-duality", "ccg-kkt"):
         res = run_ccg(instance, oracle=method.split("-")[1], eps=eps,
-                      mip_gap=mip_gap, time_limit=time_limit)
-        return res.plan, res.objective
+                      max_iterations=max_iterations, mip_gap=mip_gap, time_limit=time_limit)
+        last = res.state.trace[-1]
+        extras = {"converged": res.converged, "iterations": last.iteration, "gap": last.gap,
+                  "lower_bound": res.state.lower_bound, "message": res.message,
+                  "wall_seconds": res.wall_seconds}
+        return PlanResult(res.plan, res.objective, res.converged, extras,
+                          trace_to_csv(res.state))
     if method == "adr":
         res = solve_adr(instance, mip_gap=mip_gap, time_limit=time_limit)
-        return res.plan, res.objective
+        extras = {"status": res.status, "worst_recourse": res.phi,
+                  "wall_seconds": res.wall_seconds}
+        return PlanResult(res.plan, res.objective, True, extras)
     if method == "extensive":
         res = solve_extensive_form(instance, mip_gap=mip_gap, time_limit=time_limit)
-        return res.plan, res.objective
+        extras = {"num_vertices": res.num_vertices, "wall_seconds": res.wall_seconds}
+        return PlanResult(res.plan, res.objective, True, extras)
     if method == "det":
         res = solve_deterministic(instance, mip_gap=mip_gap, time_limit=time_limit)
-        return res.plan, res.objective
+        return PlanResult(res.plan, res.objective, True, {"wall_seconds": res.wall_seconds})
     if method == "so":
         training = make_training_scenarios(instance, num_training, seed)
         res = solve_stochastic(instance, training, mip_gap=mip_gap, time_limit=time_limit)
-        return res.plan, res.objective
+        extras = {"training_scenarios": num_training, "wall_seconds": res.wall_seconds}
+        return PlanResult(res.plan, res.objective, True, extras)
     if method == "heu":
+        start = time.perf_counter()
         plan = heuristic_placement(instance)
         nominal = Scenario(instance.nominal_demand,
                            np.zeros(instance.num_nodes, dtype=np.int8))
         out = solve_recourse(instance, plan, nominal)
         # greedy plans carry no solver objective; report the nominal-scenario total
-        return plan, provisioning_cost(instance, plan) + out.second_stage_cost
-    raise ValueError(f"unknown method {method!r}; choose from {SWEEP_METHODS}")
+        extras = {"objective_kind": "nominal-scenario total",
+                  "wall_seconds": time.perf_counter() - start}
+        return PlanResult(plan, provisioning_cost(instance, plan) + out.second_stage_cost,
+                          True, extras)
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
 def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("ccg-duality",),
@@ -346,8 +348,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     if not values:
         raise ValueError("no sweep values given")
     for m in methods:
-        if m not in SWEEP_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {SWEEP_METHODS}")
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
     sized_cut = _sized_family(instance, axis, values, generator_seed) \
         if axis in ("I", "J") else None
 
@@ -363,9 +365,10 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
         for method in methods:
             start = time.perf_counter()
             try:
-                plan, objective = _plan_with_method(
+                res = plan_with_method(
                     inst_v, method, eps=eps, mip_gap=mip_gap, time_limit=time_limit,
                     num_training=num_training_scenarios, seed=seed)
+                plan = res.plan
                 certified = certify_worst_case(inst_v, plan, psi=eval_psi,
                                                mip_gap=mip_gap, time_limit=time_limit)
                 avg = worst = math.nan
@@ -377,11 +380,13 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
                     report = monte_carlo(inst_v, plan, scenarios, psi=eval_psi,
                                          method=method, certify=False)
                     avg, worst = report.average_cost, report.worst_cost
+                # a nonconverged plan keeps its numbers; the error says why
                 rows.append(_sweep_row(
-                    axis, value, method, objective=objective,
+                    axis, value, method, objective=res.objective,
                     provisioning=provisioning_cost(inst_v, plan), average_cost=avg,
                     worst_cost=worst, certified_worst=certified,
-                    wall_seconds=time.perf_counter() - start))
+                    wall_seconds=time.perf_counter() - start,
+                    error="" if res.converged else res.extras["message"]))
             except Exception as exc:
                 rows.append(_sweep_row(axis, value, method, error=str(exc),
                                        wall_seconds=time.perf_counter() - start))

@@ -35,7 +35,6 @@ EQ = "=="
 DEFAULT_MIP_GAP = 1e-6
 
 BACKEND_ENV = "EDGEPLAN_BACKEND"
-THREADS_ENV = "EDGEPLAN_THREADS"
 DEFAULT_BACKEND = "scipy-highs"
 
 
@@ -262,18 +261,6 @@ class SolveResult:
         return self.values[ids.ravel()].reshape(ids.shape)
 
 
-def solver_threads() -> int:
-    """Thread cap requested via the environment (the scipy backend is single-threaded)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise BackendError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise BackendError(f"{THREADS_ENV} must be >= 1, got {n}")
-    return n
-
-
 def _status_from_scipy(code: int, message: str) -> str:
     if code == 0:
         return "optimal"
@@ -434,7 +421,6 @@ def solve(model: Model, *, mip_gap: float | None = None, time_limit: float | Non
     `mip_gap` is the relative optimality gap demanded from MIP solves
     (default 1e-6); `time_limit` is in seconds.
     """
-    solver_threads()  # validate the env var early; scipy's HiGHS runs single-threaded
     name = backend if backend is not None else selected_backend()
     if name not in _BACKENDS:
         raise BackendError(f"unknown backend {name!r}; known: {sorted(_BACKENDS)}")

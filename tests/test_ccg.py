@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgeplan import ccg
+from edgeplan import ccg, milp
 from edgeplan.ccg import (
     run_ccg,
     solve_extensive_form,
@@ -130,6 +130,25 @@ def test_subproblem_oracles_agree_with_brute_force():
         for sub in (dual, kkt):
             attained = solve_recourse(inst, plan, sub.worst_scenario).second_stage_cost
             assert attained == pytest.approx(sub.value, abs=1e-6)
+
+
+def test_duality_box_at_max_penalty_is_exact():
+    # u1 <= max P loses nothing: a 10x larger box gives the same optimum
+    rng = np.random.default_rng(7)
+    tight = 0
+    for trial in range(20):
+        inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        plan = random_plan(rng, inst)
+        p_max = float(inst.unmet_penalty.max())
+        objectives = []
+        for m_u in (p_max, 10.0 * max(p_max, 1.0)):
+            model, blocks = ccg._build_duality_model(inst, plan, m_u)
+            result = milp.ensure_optimal(milp.solve(model))
+            objectives.append(result.objective)
+            if m_u == p_max:
+                tight += bool(np.any(result.value(blocks["u1"]) >= p_max - 1e-6))
+        assert objectives[1] == pytest.approx(objectives[0], rel=1e-9, abs=1e-9), f"trial {trial}"
+    assert tight > 0  # some trials put u1 on the box, where the bound matters
 
 
 def test_run_ccg_nominal_example():

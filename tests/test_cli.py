@@ -230,6 +230,17 @@ def test_sweep_exits_3_when_every_cell_fails(tmp_path, capsys):
     assert (out / "sweep.csv").exists()  # rows with errors still land on disk
 
 
+def test_sweep_nonconverged_cells_do_not_fail_the_run(tmp_path):
+    gen = _gen(tmp_path, "gen", areas=6, nodes=6, seed=0)
+    out = tmp_path / "sweep"
+    rc = cli.main(["sweep", "--instance", str(gen / "instance.json"),
+                   "--axis", "K", "--values", "2", "--methods", "ccg-duality",
+                   "--eps", "1e-9", "--gap", "0.3", "--scenarios", "0", "--out", str(out)])
+    assert rc == 0
+    row = (out / "sweep.csv").read_text().strip().splitlines()[1].split(",")
+    assert row[3] != "" and row[-1].startswith("stalled")
+
+
 def test_audit_prints_table(tmp_path, capsys):
     assert cli.main(["audit"]) == 0
     stdout = capsys.readouterr().out

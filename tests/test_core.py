@@ -150,6 +150,25 @@ def test_replace_rederives_eligibility():
     assert inst.eligibility[0, 0] == 1
 
 
+def test_subset_takes_prefixes_and_clamps_budgets():
+    inst = random_instance(np.random.default_rng(5), 3, 4, gamma=3, k=4)
+    inst = inst.replace(uncertainty=UncertaintyModel(3, 4, deviation_ratio=0.5))
+    small = inst.subset(areas=2, nodes=3)
+    assert (small.num_areas, small.num_nodes) == (2, 3)
+    np.testing.assert_array_equal(small.delay, inst.delay[:2, :3])
+    np.testing.assert_array_equal(small.eligibility, inst.eligibility[:2, :3])
+    np.testing.assert_array_equal(small.price, inst.price[:3])
+    np.testing.assert_array_equal(small.nominal_demand, inst.nominal_demand[:2])
+    assert small.uncertainty == UncertaintyModel(2, 3, deviation_ratio=0.5)
+    areas_only = inst.subset(areas=1)
+    assert (areas_only.num_areas, areas_only.num_nodes) == (1, 4)
+    assert areas_only.uncertainty.failure_budget == 4
+    assert inst.subset().uncertainty == inst.uncertainty
+    for bad in (dict(areas=0), dict(areas=4), dict(nodes=5)):
+        with pytest.raises(InstanceError):
+            inst.subset(**bad)
+
+
 def test_instance_json_roundtrip(tmp_path):
     inst = random_instance(np.random.default_rng(2), 3, 4)
     path = tmp_path / "inst.json"

@@ -10,17 +10,20 @@ from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
 from edgeplan.core import FirstStagePlan, Scenario, UncertaintyModel
 from edgeplan.evaluation import (
+    METHODS,
     EvaluationConfig,
     certify_worst_case,
     generate_test_scenarios,
     monte_carlo,
     normalize_axis,
+    plan_with_method,
     report_summary,
     report_to_csv,
     sensitivity_sweep,
     solve_recourse,
     sweep_to_csv,
 )
+from edgeplan.topology import generate_instance
 from helpers import random_instance, random_plan, tiny_instance, unit_example, vertex_scenarios
 
 
@@ -292,6 +295,29 @@ def test_sweep_records_per_cell_errors():
     assert rows[0]["error"] == ""
     assert rows[1]["error"] != ""
     assert math.isnan(rows[1]["objective"])
+
+
+def test_sweep_reports_nonconverged_cell():
+    # a loose solver gap with a tiny eps makes CCG stall on a repeated vertex
+    inst = generate_instance(6, 6, seed=0)
+    rows = sensitivity_sweep(inst, "K", [2], methods=("ccg-duality",), eps=1e-9,
+                             mip_gap=0.3, num_test_scenarios=0)
+    (row,) = rows
+    assert row["error"].startswith("stalled")
+    assert math.isfinite(row["objective"])
+    # the stalled run's objective is still a valid upper bound
+    assert row["certified_worst"] <= row["objective"] * (1 + 1e-6)
+
+
+def test_plan_with_method_covers_every_method():
+    inst = random_instance(np.random.default_rng(173), 2, 2, gamma=1, k=1)
+    for method in METHODS:
+        res = plan_with_method(inst, method, eps=1e-6, num_training=5)
+        assert res.converged and math.isfinite(res.objective), method
+        assert (res.trace is not None) == method.startswith("ccg-"), method
+        assert "wall_seconds" in res.extras
+    with pytest.raises(ValueError):
+        plan_with_method(inst, "simplex")
 
 
 def test_sweep_psi_modes():

@@ -142,14 +142,6 @@ def test_lp_export_roundtrips_names(tmp_path):
     assert path.read_text() == text
 
 
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv(milp.THREADS_ENV, "0")
-    with pytest.raises(milp.BackendError):
-        milp.solver_threads()
-    monkeypatch.setenv(milp.THREADS_ENV, "2")
-    assert milp.solver_threads() == 2
-
-
 def test_unknown_backend_rejected(monkeypatch):
     monkeypatch.setenv(milp.BACKEND_ENV, "gurobi")
     m = milp.Model("b")
