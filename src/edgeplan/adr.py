@@ -97,23 +97,23 @@ class _RobustRows:
         self.nj = num_nodes
         self.duals: dict[str, dict[str, list]] = {}
 
-    def add(self, family: str, tag: str, const, c_exprs, w_exprs) -> None:
+    def add(self, family: str, const, c_exprs, w_exprs) -> None:
         # const + max_g c.g + max_z w.z <= 0, with both maxima dualized
         m = self.model
-        mu = m.add_var(f"mu_{tag}", lb=0.0)
-        eta = m.add_vars(self.ni, f"eta_{tag}", lb=0.0)
-        v = m.add_var(f"v_{tag}", lb=0.0)
-        sigma = m.add_vars(self.nj, f"sg_{tag}", lb=0.0)
+        mu = m.add_var(lb=0.0)
+        eta = m.add_vars(self.ni, lb=0.0)
+        v = m.add_var(lb=0.0)
+        sigma = m.add_vars(self.nj, lb=0.0)
         ids, coeffs, scalar = const
         row_ids = ids + [mu] + list(eta) + [v] + list(sigma)
         row_coeffs = coeffs + [self.gamma] + [1.0] * self.ni + [self.kappa] + [1.0] * self.nj
-        m.add_constr(row_ids, row_coeffs, milp.LE, -scalar, f"rob_{tag}")
+        m.add_constr(row_ids, row_coeffs, milp.LE, -scalar)
         for e, (c_ids, c_coeffs, c_scalar) in enumerate(c_exprs):
             m.add_constr([mu, eta[e]] + c_ids, [1.0, 1.0] + [-c for c in c_coeffs],
-                         milp.GE, c_scalar, f"dg_{tag}_{e}")
+                         milp.GE, c_scalar)
         for l, (w_ids, w_coeffs, w_scalar) in enumerate(w_exprs):
             m.add_constr([v, sigma[l]] + w_ids, [1.0, 1.0] + [-c for c in w_coeffs],
-                         milp.GE, w_scalar, f"dz_{tag}_{l}")
+                         milp.GE, w_scalar)
         rec = self.duals.setdefault(family, {"mu": [], "eta": [], "v": [], "sigma": []})
         rec["mu"].append(mu)
         rec["eta"].append(list(eta))
@@ -132,14 +132,14 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
 
     model = milp.Model("adr")
     t, y = _build_first_stage(model, instance, integral_procurement)
-    phi = model.add_var("phi", lb=0.0)
+    phi = model.add_var(lb=0.0)
     free = -np.inf
-    a_v = model.add_vars((ni, nj, ni), "A", lb=free)
-    b_v = model.add_vars((ni, nj, nj), "B", lb=free)
-    d_v = model.add_vars((ni, nj), "D", lb=free)
-    e_v = model.add_vars((ni, ni), "E", lb=free)
-    f_v = model.add_vars((ni, nj), "F", lb=free)
-    g_v = model.add_vars(ni, "G", lb=free)
+    a_v = model.add_vars((ni, nj, ni), lb=free)
+    b_v = model.add_vars((ni, nj, nj), lb=free)
+    d_v = model.add_vars((ni, nj), lb=free)
+    e_v = model.add_vars((ni, ni), lb=free)
+    f_v = model.add_vars((ni, nj), lb=free)
+    g_v = model.add_vars(ni, lb=free)
     rows = _RobustRows(model, instance.uncertainty, ni, nj)
 
     def x0(i, j):
@@ -173,7 +173,7 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
         _extend(ex, f_v[:, l], pen)
         _extend(ex, b_v[:, :, l].ravel(), beta_d.ravel())
         w_exprs.append(ex)
-    rows.add("epigraph", "ep", const, c_exprs, w_exprs)
+    rows.add("epigraph", const, c_exprs, w_exprs)
 
     # demand cover: lam_i - sum_j x_ij - q_i <= 0
     for i in range(ni):
@@ -195,11 +195,11 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
             _extend(ex, b_v[i, :, l], -1.0)
             _extend(ex, [f_v[i, l]], -1.0)
             w_exprs.append(ex)
-        rows.add("cover", f"cov{i}", const, c_exprs, w_exprs)
+        rows.add("cover", const, c_exprs, w_exprs)
 
     # procurement: sum_i x_ij <= y_j, and capacity: sum_i x_ij <= C_j t_j (1 - z_j)
     for j in range(nj):
-        for family, tag in (("procurement", f"pr{j}"), ("capacity", f"cp{j}")):
+        for family in ("procurement", "capacity"):
             const = _expr()
             _extend(const, d_v[:, j], 1.0)
             for i in range(ni):
@@ -221,7 +221,7 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
                     # the failed node's capacity row gains C_j t_j z_j
                     _extend(ex, [t[j]], cap[j])
                 w_exprs.append(ex)
-            rows.add(family, tag, const, c_exprs, w_exprs)
+            rows.add(family, const, c_exprs, w_exprs)
 
     # box x_ij <= a_ij C_j and sign constraints x_ij >= 0
     for i in range(ni):
@@ -232,7 +232,7 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
                 _extend(const, a_v[i, j, :], sign * lb)
                 c_exprs = [_expr([a_v[i, j, e]], [sign * lt[e]]) for e in range(ni)]
                 w_exprs = [_expr([b_v[i, j, l]], [sign]) for l in range(nj)]
-                rows.add(family, f"{'bx' if sign > 0 else 'xn'}{i}_{j}", const, c_exprs, w_exprs)
+                rows.add(family, const, c_exprs, w_exprs)
 
     # q_i >= 0
     for i in range(ni):
@@ -240,7 +240,7 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
         _extend(const, e_v[i, :], -lb)
         c_exprs = [_expr([e_v[i, e]], [-lt[e]]) for e in range(ni)]
         w_exprs = [_expr([f_v[i, l]], [-1.0]) for l in range(nj)]
-        rows.add("q_nonneg", f"qn{i}", const, c_exprs, w_exprs)
+        rows.add("q_nonneg", const, c_exprs, w_exprs)
 
     obj_ids = np.concatenate([y, t, [phi]])
     obj_coeffs = np.concatenate([instance.price, instance.node_cost, [1.0]])

@@ -88,7 +88,7 @@ def _solve_weighted(instance: ProblemInstance, scenarios, weights, mip_gap, time
     obj_ids = [list(y), list(t)]
     obj_coeffs = [list(instance.price), list(instance.node_cost)]
     for n, scenario in enumerate(scenarios):
-        x, q = _add_recourse_block(model, instance, scenario, t, y, None, f"_{n}")
+        x, q = _add_recourse_block(model, instance, scenario, t, y, None)
         w = float(weights[n])
         obj_ids.append(list(q))
         obj_coeffs.append(list(w * instance.unmet_penalty))

@@ -119,22 +119,21 @@ def _gap_and_convergence(lb: float, ub: float, eps: float) -> tuple[float, bool]
 def _build_first_stage(model: milp.Model, instance: ProblemInstance,
                        integral_procurement: bool) -> tuple[np.ndarray, np.ndarray]:
     j = instance.num_nodes
-    t = model.add_vars(j, "t", kind=milp.BINARY)
+    t = model.add_vars(j, kind=milp.BINARY)
     y_kind = milp.INTEGER if integral_procurement else milp.CONTINUOUS
-    y = model.add_vars(j, "y", kind=y_kind, lb=0.0, ub=instance.capacity)
+    y = model.add_vars(j, kind=y_kind, lb=0.0, ub=instance.capacity)
     # budget: p.y + h.t <= B
     model.add_constr(np.concatenate([y, t]),
                      np.concatenate([instance.price, instance.node_cost]),
-                     milp.LE, instance.budget, "budget")
+                     milp.LE, instance.budget)
     # coupling: y_j <= C_j t_j
     for jj in range(j):
-        model.add_constr([y[jj], t[jj]], [1.0, -instance.capacity[jj]], milp.LE, 0.0,
-                         f"couple_{jj}")
+        model.add_constr([y[jj], t[jj]], [1.0, -instance.capacity[jj]], milp.LE, 0.0)
     return t, y
 
 
 def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: Scenario,
-                        t: np.ndarray, y: np.ndarray, eta: int | None, tag: str,
+                        t: np.ndarray, y: np.ndarray, eta: int | None,
                         weight: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Allocation block for one scenario; links eta (epigraph) when given.
 
@@ -143,27 +142,25 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     """
     ni, nj = instance.num_areas, instance.num_nodes
     cap_ub = instance.eligibility * instance.capacity[None, :]
-    x = model.add_vars((ni, nj), f"x{tag}", lb=0.0, ub=cap_ub)
-    q = model.add_vars(ni, f"q{tag}", lb=0.0)
+    x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
+    q = model.add_vars(ni, lb=0.0)
     z = scenario.failures
     for jj in range(nj):
         # allocation cannot exceed procurement at the node
-        model.add_constr(np.append(x[:, jj], y[jj]), np.append(np.ones(ni), -1.0),
-                         milp.LE, 0.0, f"proc{tag}_{jj}")
+        model.add_constr(np.append(x[:, jj], y[jj]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
         # failed nodes carry nothing; survivors at most placed capacity
         model.add_constr(np.append(x[:, jj], t[jj]),
                          np.append(np.ones(ni), -instance.capacity[jj] * (1.0 - z[jj])),
-                         milp.LE, 0.0, f"cap{tag}_{jj}")
+                         milp.LE, 0.0)
     for ii in range(ni):
         # demand is served or dropped
-        model.add_constr(np.append(x[ii, :], q[ii]), np.ones(nj + 1),
-                         milp.GE, scenario.demand[ii], f"cover{tag}_{ii}")
+        model.add_constr(np.append(x[ii, :], q[ii]), np.ones(nj + 1), milp.GE, scenario.demand[ii])
     if eta is not None:
         # eta >= second-stage cost of this vertex
         ids = np.concatenate([[eta], q, x.ravel()])
         coeffs = np.concatenate([[1.0], -weight * instance.unmet_penalty,
                                  -weight * instance.beta * instance.delay.ravel()])
-        model.add_constr(ids, coeffs, milp.GE, 0.0, f"eta{tag}")
+        model.add_constr(ids, coeffs, milp.GE, 0.0)
     return x, q
 
 
@@ -180,9 +177,9 @@ def _build_master_model(instance: ProblemInstance, pool: list[Scenario],
                         integral_procurement: bool) -> tuple[milp.Model, np.ndarray, np.ndarray, int]:
     model = milp.Model("ccg-master")
     t, y = _build_first_stage(model, instance, integral_procurement)
-    eta = model.add_var("eta", lb=0.0)
-    for l, scenario in enumerate(pool):
-        _add_recourse_block(model, instance, scenario, t, y, eta, f"_{l}")
+    eta = model.add_var(lb=0.0)
+    for scenario in pool:
+        _add_recourse_block(model, instance, scenario, t, y, eta)
     ids = np.concatenate([y, t, [eta]])
     coeffs = np.concatenate([instance.price, instance.node_cost, [1.0]])
     model.set_objective(ids, coeffs)
@@ -230,32 +227,32 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
     """
     ni, nj = instance.num_areas, instance.num_nodes
     model = milp.Model("subproblem-duality", maximize=True)
-    s = model.add_vars(ni, "s", lb=0.0, ub=instance.unmet_penalty)
-    v = model.add_vars(ni, "v", lb=0.0, ub=instance.unmet_penalty)
-    u1 = model.add_vars(nj, "u1", lb=0.0, ub=m_u)
-    u2 = model.add_vars(nj, "u2", lb=0.0)
-    uu = model.add_vars(nj, "U", lb=0.0, ub=m_u)
-    pi = model.add_vars((ni, nj), "pi", lb=0.0)
-    g = model.add_vars(ni, "g", kind=milp.BINARY)
-    z = model.add_vars(nj, "z", kind=milp.BINARY)
+    s = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
+    v = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
+    u1 = model.add_vars(nj, lb=0.0, ub=m_u)
+    u2 = model.add_vars(nj, lb=0.0)
+    uu = model.add_vars(nj, lb=0.0, ub=m_u)
+    pi = model.add_vars((ni, nj), lb=0.0)
+    g = model.add_vars(ni, kind=milp.BINARY)
+    z = model.add_vars(nj, kind=milp.BINARY)
 
     for ii in range(ni):
         for jj in range(nj):
             model.add_constr([s[ii], u1[jj], u2[jj], pi[ii, jj]], [1.0, -1.0, -1.0, -1.0],
-                             milp.LE, instance.beta * instance.delay[ii, jj], f"dual_{ii}_{jj}")
+                             milp.LE, instance.beta * instance.delay[ii, jj])
     for ii in range(ni):
         # v_i = s_i g_i
         big = instance.unmet_penalty[ii]
-        model.add_constr([v[ii], s[ii]], [1.0, -1.0], milp.LE, 0.0, f"vs_{ii}")
-        model.add_constr([v[ii], g[ii]], [1.0, -big], milp.LE, 0.0, f"vg_{ii}")
-        model.add_constr([v[ii], s[ii], g[ii]], [1.0, -1.0, -big], milp.GE, -big, f"vlb_{ii}")
+        model.add_constr([v[ii], s[ii]], [1.0, -1.0], milp.LE, 0.0)
+        model.add_constr([v[ii], g[ii]], [1.0, -big], milp.LE, 0.0)
+        model.add_constr([v[ii], s[ii], g[ii]], [1.0, -1.0, -big], milp.GE, -big)
     for jj in range(nj):
         # U_j = z_j u1_j
-        model.add_constr([uu[jj], u1[jj]], [1.0, -1.0], milp.LE, 0.0, f"Uu_{jj}")
-        model.add_constr([uu[jj], z[jj]], [1.0, -m_u], milp.LE, 0.0, f"Uz_{jj}")
-        model.add_constr([uu[jj], u1[jj], z[jj]], [1.0, -1.0, -m_u], milp.GE, -m_u, f"Ulb_{jj}")
-    model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma, "gamma")
-    model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget, "kappa")
+        model.add_constr([uu[jj], u1[jj]], [1.0, -1.0], milp.LE, 0.0)
+        model.add_constr([uu[jj], z[jj]], [1.0, -m_u], milp.LE, 0.0)
+        model.add_constr([uu[jj], u1[jj], z[jj]], [1.0, -1.0, -m_u], milp.GE, -m_u)
+    model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
+    model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
     cap_t = instance.capacity * plan.placement
     ids = np.concatenate([s, v, uu, u1, u2, pi.ravel()])
@@ -320,72 +317,65 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     cap_t = cap * plan.placement
 
     model = milp.Model("subproblem-kkt", maximize=True)
-    x = model.add_vars((ni, nj), "x", lb=0.0, ub=acap)
-    q = model.add_vars(ni, "q", lb=0.0, ub=demand_top)
-    s = model.add_vars(ni, "s", lb=0.0, ub=instance.unmet_penalty)
-    u1 = model.add_vars(nj, "u1", lb=0.0, ub=p_max)
-    u2 = model.add_vars(nj, "u2", lb=0.0, ub=p_max)
-    pi = model.add_vars((ni, nj), "pi", lb=0.0, ub=p_max)
-    g = model.add_vars(ni, "g", kind=milp.BINARY)
-    z = model.add_vars(nj, "z", kind=milp.BINARY)
-    b1 = model.add_vars((ni, nj), "b1", kind=milp.BINARY)  # x > 0 forces tight stationarity
-    b2 = model.add_vars(ni, "b2", kind=milp.BINARY)        # q > 0 forces s = P
-    b3 = model.add_vars(nj, "b3", kind=milp.BINARY)        # u1 > 0 forces tight capacity
-    b4 = model.add_vars(nj, "b4", kind=milp.BINARY)        # u2 > 0 forces tight procurement
-    b5 = model.add_vars(ni, "b5", kind=milp.BINARY)        # s > 0 forces tight cover
-    b6 = model.add_vars((ni, nj), "b6", kind=milp.BINARY)  # pi > 0 forces x at its box cap
+    x = model.add_vars((ni, nj), lb=0.0, ub=acap)
+    q = model.add_vars(ni, lb=0.0, ub=demand_top)
+    s = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
+    u1 = model.add_vars(nj, lb=0.0, ub=p_max)
+    u2 = model.add_vars(nj, lb=0.0, ub=p_max)
+    pi = model.add_vars((ni, nj), lb=0.0, ub=p_max)
+    g = model.add_vars(ni, kind=milp.BINARY)
+    z = model.add_vars(nj, kind=milp.BINARY)
+    b1 = model.add_vars((ni, nj), kind=milp.BINARY)  # x > 0 forces tight stationarity
+    b2 = model.add_vars(ni, kind=milp.BINARY)        # q > 0 forces s = P
+    b3 = model.add_vars(nj, kind=milp.BINARY)        # u1 > 0 forces tight capacity
+    b4 = model.add_vars(nj, kind=milp.BINARY)        # u2 > 0 forces tight procurement
+    b5 = model.add_vars(ni, kind=milp.BINARY)        # s > 0 forces tight cover
+    b6 = model.add_vars((ni, nj), kind=milp.BINARY)  # pi > 0 forces x at its box cap
 
-    model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma, "gamma")
-    model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget, "kappa")
+    model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
+    model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
     for jj in range(nj):
         # primal: sum_i x_ij <= y_j and <= C_j t_j (1 - z_j)
-        model.add_constr(x[:, jj], np.ones(ni), milp.LE, plan.procurement[jj], f"proc_{jj}")
+        model.add_constr(x[:, jj], np.ones(ni), milp.LE, plan.procurement[jj])
         model.add_constr(np.append(x[:, jj], z[jj]), np.append(np.ones(ni), cap_t[jj]),
-                         milp.LE, cap_t[jj], f"cap_{jj}")
+                         milp.LE, cap_t[jj])
         # capacity slack <= C_j (1-b3); u1 <= p_max b3
         model.add_constr(np.concatenate([x[:, jj], [z[jj], b3[jj]]]),
                          np.concatenate([-np.ones(ni), [-cap_t[jj], cap[jj]]]),
-                         milp.LE, cap[jj] - cap_t[jj], f"cs_cap_{jj}")
-        model.add_constr([u1[jj], b3[jj]], [1.0, -p_max], milp.LE, 0.0, f"cs_u1_{jj}")
+                         milp.LE, cap[jj] - cap_t[jj])
+        model.add_constr([u1[jj], b3[jj]], [1.0, -p_max], milp.LE, 0.0)
         # procurement slack <= y_j (1-b4); u2 <= p_max b4
         model.add_constr(np.append(x[:, jj], b4[jj]),
-                         np.append(-np.ones(ni), plan.procurement[jj]),
-                         milp.LE, 0.0, f"cs_proc_{jj}")
-        model.add_constr([u2[jj], b4[jj]], [1.0, -p_max], milp.LE, 0.0, f"cs_u2_{jj}")
+                         np.append(-np.ones(ni), plan.procurement[jj]), milp.LE, 0.0)
+        model.add_constr([u2[jj], b4[jj]], [1.0, -p_max], milp.LE, 0.0)
     for ii in range(ni):
         # primal cover: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i
         model.add_constr(np.concatenate([x[ii, :], [q[ii], g[ii]]]),
                          np.concatenate([np.ones(nj), [1.0, -lam_tilde[ii]]]),
-                         milp.GE, lam_bar[ii], f"cover_{ii}")
+                         milp.GE, lam_bar[ii])
         # cover slack <= M5 (1-b5); s <= P_i b5
         m5 = demand_top[ii] + float(acap[ii, :].sum())
         model.add_constr(np.concatenate([x[ii, :], [q[ii], g[ii], b5[ii]]]),
                          np.concatenate([np.ones(nj), [1.0, -lam_tilde[ii], m5]]),
-                         milp.LE, lam_bar[ii] + m5, f"cs_cover_{ii}")
-        model.add_constr([s[ii], b5[ii]], [1.0, -instance.unmet_penalty[ii]],
-                         milp.LE, 0.0, f"cs_s_{ii}")
+                         milp.LE, lam_bar[ii] + m5)
+        model.add_constr([s[ii], b5[ii]], [1.0, -instance.unmet_penalty[ii]], milp.LE, 0.0)
         # q > 0 forces the q-column tight (s_i = P_i): P_i - s_i <= P_i (1-b2)
-        model.add_constr([s[ii], b2[ii]], [1.0, -instance.unmet_penalty[ii]],
-                         milp.GE, 0.0, f"cs_sP_{ii}")
-        model.add_constr([q[ii], b2[ii]], [1.0, -demand_top[ii]], milp.LE, 0.0, f"cs_q_{ii}")
+        model.add_constr([s[ii], b2[ii]], [1.0, -instance.unmet_penalty[ii]], milp.GE, 0.0)
+        model.add_constr([q[ii], b2[ii]], [1.0, -demand_top[ii]], milp.LE, 0.0)
     for ii in range(ni):
         for jj in range(nj):
             beta_d = instance.beta * instance.delay[ii, jj]
             # stationarity of x_ij: 0 <= beta d + u1 + u2 + pi - s <= M1 (1-b1)
             m1 = beta_d + 3.0 * p_max
             model.add_constr([u1[jj], u2[jj], pi[ii, jj], s[ii]], [1.0, 1.0, 1.0, -1.0],
-                             milp.GE, -beta_d, f"stat_{ii}_{jj}")
+                             milp.GE, -beta_d)
             model.add_constr([u1[jj], u2[jj], pi[ii, jj], s[ii], b1[ii, jj]],
-                             [1.0, 1.0, 1.0, -1.0, m1],
-                             milp.LE, m1 - beta_d, f"cs_stat_{ii}_{jj}")
-            model.add_constr([x[ii, jj], b1[ii, jj]], [1.0, -acap[ii, jj]], milp.LE, 0.0,
-                             f"cs_x_{ii}_{jj}")
+                             [1.0, 1.0, 1.0, -1.0, m1], milp.LE, m1 - beta_d)
+            model.add_constr([x[ii, jj], b1[ii, jj]], [1.0, -acap[ii, jj]], milp.LE, 0.0)
             # pi > 0 forces x at the box cap: a C - x <= a C (1-b6); pi <= p_max b6
-            model.add_constr([x[ii, jj], b6[ii, jj]], [1.0, -acap[ii, jj]], milp.GE, 0.0,
-                             f"cs_box_{ii}_{jj}")
-            model.add_constr([pi[ii, jj], b6[ii, jj]], [1.0, -p_max], milp.LE, 0.0,
-                             f"cs_pi_{ii}_{jj}")
+            model.add_constr([x[ii, jj], b6[ii, jj]], [1.0, -acap[ii, jj]], milp.GE, 0.0)
+            model.add_constr([pi[ii, jj], b6[ii, jj]], [1.0, -p_max], milp.LE, 0.0)
 
     ids = np.concatenate([q, x.ravel()])
     coeffs = np.concatenate([instance.unmet_penalty, instance.beta * instance.delay.ravel()])

@@ -32,6 +32,7 @@ from .core import (
     UncertaintyModel,
     provisioning_cost,
     sample_failures,
+    second_stage_cost,
 )
 
 DISTRIBUTIONS = ("lognormal", "normal", "uniform")
@@ -82,15 +83,14 @@ def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan, scenario: Sc
     """
     ni, nj = instance.num_areas, instance.num_nodes
     model = milp.Model("recourse")
-    x = model.add_vars((ni, nj), "x", lb=0.0,
-                       ub=instance.eligibility * instance.capacity[None, :])
-    q = model.add_vars(ni, "q", lb=0.0)
+    x = model.add_vars((ni, nj), lb=0.0, ub=instance.eligibility * instance.capacity[None, :])
+    q = model.add_vars(ni, lb=0.0)
     alive = plan.procurement * plan.placement * (1 - scenario.failures)
     for j in range(nj):
-        model.add_constr(x[:, j], np.ones(ni), milp.LE, float(alive[j]), f"cap_{j}")
+        model.add_constr(x[:, j], np.ones(ni), milp.LE, float(alive[j]))
     for i in range(ni):
         model.add_constr(np.append(x[i, :], q[i]), np.ones(nj + 1), milp.GE,
-                         float(scenario.demand[i]), f"cover_{i}")
+                         float(scenario.demand[i]))
     model.set_objective(np.concatenate([q, x.ravel()]),
                         np.concatenate([psi * instance.unmet_penalty,
                                         instance.beta * instance.delay.ravel()]))
@@ -170,8 +170,7 @@ def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
             recourse[r] = out.second_stage_cost
         else:
             out = evaluate_policy(instance, policy, scenario)
-            recourse[r] = float(psi * instance.unmet_penalty @ out.unmet
-                                + instance.beta * (instance.delay * out.allocation).sum())
+            recourse[r] = second_stage_cost(instance, out.allocation, out.unmet, psi=psi)
         unmet[r] = out.unmet.sum()
     totals = prov + recourse
     certified = certify_worst_case(instance, plan, psi=psi, oracle=oracle) \

@@ -8,7 +8,7 @@ import pytest
 
 from edgeplan import cli
 from edgeplan.ccg import run_ccg
-from edgeplan.core import save_instance
+from edgeplan.core import FirstStagePlan, load_instance, save_instance, save_plan
 from helpers import random_instance
 
 
@@ -184,6 +184,26 @@ def test_evaluate_requires_a_plan(tmp_path, capsys):
                    "--out", str(tmp_path / "eval")])
     assert rc == 3
     assert "plan" in _stderr_doc(capsys)["message"]
+
+
+def test_evaluate_rejects_plans_that_break_the_instance(tmp_path, capsys):
+    gen = _gen(tmp_path, "gen", areas=4, nodes=4, budget=5)
+    inst = str(gen / "instance.json")
+    cap = load_instance(inst).capacity
+    over_budget = FirstStagePlan(np.ones(4, dtype=np.int8), cap)
+    uncoupled = FirstStagePlan(np.zeros(4, dtype=np.int8), np.array([3.0, 0.0, 0.0, 0.0]))
+    for name, plan, reason in (("over_budget", over_budget, "exceeds budget"),
+                               ("uncoupled", uncoupled, "exceeds placed capacity")):
+        path = tmp_path / f"{name}.json"
+        save_plan(plan, str(path), method=name, objective=0.0)
+        out = tmp_path / f"eval_{name}"
+        capsys.readouterr()
+        rc = cli.main(["evaluate", "--instance", inst, "--plan", str(path),
+                       "--scenarios", "5", "--out", str(out)])
+        assert rc == 3
+        doc = _stderr_doc(capsys)
+        assert doc["error"] == "InstanceError" and reason in doc["message"]
+        assert not (out / "manifest.json").exists()
 
 
 def test_sweep_writes_rows(tmp_path):
