@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from . import milp
-from .ccg import _add_recourse_block, _build_first_stage, _extract_plan
+from .ccg import _add_recourse_block, _build_first_stage, _extract_plan, _recourse_cost
 from .core import (
     FirstStagePlan,
     ProblemInstance,
@@ -85,15 +85,12 @@ def _solve_weighted(instance: ProblemInstance, scenarios, weights, mip_gap, time
     """
     model = milp.Model("stochastic")
     t, y = _build_first_stage(model, instance, integral_procurement)
-    obj_ids = [list(y), list(t)]
-    obj_coeffs = [list(instance.price), list(instance.node_cost)]
-    for n, scenario in enumerate(scenarios):
+    obj_ids, obj_coeffs = [y, t], [instance.price, instance.node_cost]
+    for scenario, w in zip(scenarios, weights):
         x, q = _add_recourse_block(model, instance, scenario, t, y, None)
-        w = float(weights[n])
-        obj_ids.append(list(q))
-        obj_coeffs.append(list(w * instance.unmet_penalty))
-        obj_ids.append(list(x.ravel()))
-        obj_coeffs.append(list(w * instance.beta * instance.delay.ravel()))
+        ids, coeffs = _recourse_cost(instance, x, q, weight=float(w))
+        obj_ids.append(ids)
+        obj_coeffs.append(coeffs)
     model.set_objective(np.concatenate(obj_ids), np.concatenate(obj_coeffs))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "stochastic extensive form")

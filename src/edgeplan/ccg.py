@@ -93,7 +93,6 @@ class CcgResult:
     converged: bool
     oracle: str
     message: str
-    final_master_plan: FirstStagePlan
     wall_seconds: float
 
 
@@ -127,40 +126,43 @@ def _build_first_stage(model: milp.Model, instance: ProblemInstance,
                      np.concatenate([instance.price, instance.node_cost]),
                      milp.LE, instance.budget)
     # coupling: y_j <= C_j t_j
-    for jj in range(j):
-        model.add_constr([y[jj], t[jj]], [1.0, -instance.capacity[jj]], milp.LE, 0.0)
+    model.add_constr(np.stack([y, t], axis=1),
+                     np.stack([np.ones(j), -instance.capacity], axis=1), milp.LE, 0.0)
     return t, y
 
 
-def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: Scenario,
-                        t: np.ndarray, y: np.ndarray, eta: int | None,
-                        weight: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Allocation block for one scenario; links eta (epigraph) when given.
+def _recourse_cost(instance: ProblemInstance, x: np.ndarray, q: np.ndarray, *,
+                   weight: float = 1.0, psi: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, coeffs) of the second-stage cost weight * (psi P.q + beta d.x)."""
+    return (np.concatenate([q, x.ravel()]),
+            np.concatenate([weight * psi * instance.unmet_penalty,
+                            weight * instance.beta * instance.delay.ravel()]))
 
-    Returns the (x, q) id blocks so callers can place them in an objective
-    (stochastic extensive forms) instead of an epigraph row.
+
+def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: Scenario,
+                        t: np.ndarray, y: np.ndarray, eta: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Allocation LP of one scenario against the plan columns t, y.
+
+    Links eta (epigraph) when given.  Returns the (x, q) id blocks so
+    callers can price them in an objective instead (stochastic extensive
+    forms, and the recourse LP of a fixed plan).
     """
     ni, nj = instance.num_areas, instance.num_nodes
     cap_ub = instance.eligibility * instance.capacity[None, :]
     x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
     q = model.add_vars(ni, lb=0.0)
-    z = scenario.failures
-    for jj in range(nj):
-        # allocation cannot exceed procurement at the node
-        model.add_constr(np.append(x[:, jj], y[jj]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
-        # failed nodes carry nothing; survivors at most placed capacity
-        model.add_constr(np.append(x[:, jj], t[jj]),
-                         np.append(np.ones(ni), -instance.capacity[jj] * (1.0 - z[jj])),
-                         milp.LE, 0.0)
-    for ii in range(ni):
-        # demand is served or dropped
-        model.add_constr(np.append(x[ii, :], q[ii]), np.ones(nj + 1), milp.GE, scenario.demand[ii])
+    # two rows per node j over x[:, j]: within procurement y_j, then within
+    # placed capacity C_j t_j (zero on a failed node)
+    plan_ids = np.column_stack([y, t]).ravel()
+    plan_coeffs = np.column_stack([-np.ones(nj), -instance.capacity * (1.0 - scenario.failures)])
+    model.add_constr(np.column_stack([np.repeat(x.T, 2, axis=0), plan_ids]),
+                     np.column_stack([np.ones((2 * nj, ni)), plan_coeffs.ravel()]), milp.LE, 0.0)
+    # demand is served or dropped
+    model.add_constr(np.column_stack([x, q]), 1.0, milp.GE, scenario.demand)
     if eta is not None:
         # eta >= second-stage cost of this vertex
-        ids = np.concatenate([[eta], q, x.ravel()])
-        coeffs = np.concatenate([[1.0], -weight * instance.unmet_penalty,
-                                 -weight * instance.beta * instance.delay.ravel()])
-        model.add_constr(ids, coeffs, milp.GE, 0.0)
+        ids, coeffs = _recourse_cost(instance, x, q)
+        model.add_constr(np.append(eta, ids), np.append(1.0, -coeffs), milp.GE, 0.0)
     return x, q
 
 
@@ -209,6 +211,23 @@ def _scenario_from_bits(instance: ProblemInstance, g_val: np.ndarray, z_val: np.
     return Scenario(demand_from_g(instance, g), z)
 
 
+def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
+                       g: np.ndarray, z: np.ndarray, certificate: dict, what: str,
+                       start: float) -> SubproblemSolution:
+    """An oracle's answer: the worst vertex from its g/z bits, and the values of
+    the `certificate` id blocks.  A limit with an incumbent is a degraded answer."""
+    if result.status not in ("optimal", "limit") or result.values is None:
+        milp.ensure_optimal(result, what)
+    return SubproblemSolution(
+        worst_scenario=_scenario_from_bits(instance, result.value(g), result.value(z)),
+        value=result.objective,
+        bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
+        exact=result.status == "optimal",
+        certificate={name: result.value(ids) for name, ids in certificate.items()},
+        wall_seconds=time.perf_counter() - start,
+    )
+
+
 def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: float):
     """Dual of the inner allocation LP with the worst-case selectors.
 
@@ -236,10 +255,10 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
 
-    for ii in range(ni):
-        for jj in range(nj):
-            model.add_constr([s[ii], u1[jj], u2[jj], pi[ii, jj]], [1.0, -1.0, -1.0, -1.0],
-                             milp.LE, instance.beta * instance.delay[ii, jj])
+    # column of x_ij, one row per (i, j) in row-major order
+    model.add_constr(np.column_stack([np.repeat(s, nj), np.tile(u1, ni), np.tile(u2, ni),
+                                      pi.ravel()]),
+                     [1.0, -1.0, -1.0, -1.0], milp.LE, instance.beta * instance.delay.ravel())
     for ii in range(ni):
         # v_i = s_i g_i
         big = instance.unmet_penalty[ii]
@@ -279,18 +298,9 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
     m_u = 10.0 * max(float(instance.unmet_penalty.max(initial=0.0)), 1.0)
     model, blocks = _build_duality_model(instance, plan, m_u)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    if result.status not in ("optimal", "limit") or result.values is None:
-        milp.ensure_optimal(result, "duality subproblem")
-    scenario = _scenario_from_bits(instance, result.value(blocks["g"]), result.value(blocks["z"]))
-    certificate = {name: result.value(blocks[name]) for name in ("s", "u1", "u2", "pi", "U", "v")}
-    return SubproblemSolution(
-        worst_scenario=scenario,
-        value=result.objective,
-        bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        exact=result.status == "optimal",
-        certificate=certificate,
-        wall_seconds=time.perf_counter() - start,
-    )
+    certificate = {name: blocks[name] for name in ("s", "u1", "u2", "pi", "U", "v")}
+    return _worst_case_answer(instance, result, blocks["g"], blocks["z"], certificate,
+                              "duality subproblem", start)
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +387,11 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
             model.add_constr([x[ii, jj], b6[ii, jj]], [1.0, -acap[ii, jj]], milp.GE, 0.0)
             model.add_constr([pi[ii, jj], b6[ii, jj]], [1.0, -p_max], milp.LE, 0.0)
 
-    ids = np.concatenate([q, x.ravel()])
-    coeffs = np.concatenate([instance.unmet_penalty, instance.beta * instance.delay.ravel()])
-    model.set_objective(ids, coeffs)
+    model.set_objective(*_recourse_cost(instance, x, q))
 
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    if result.status not in ("optimal", "limit") or result.values is None:
-        milp.ensure_optimal(result, "KKT subproblem")
-    scenario = _scenario_from_bits(instance, result.value(g), result.value(z))
-    certificate = {
-        "x": result.value(x), "q": result.value(q), "s": result.value(s),
-        "u1": result.value(u1), "u2": result.value(u2), "pi": result.value(pi),
-    }
-    return SubproblemSolution(
-        worst_scenario=scenario,
-        value=result.objective,
-        bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        exact=result.status == "optimal",
-        certificate=certificate,
-        wall_seconds=time.perf_counter() - start,
-    )
+    return _worst_case_answer(instance, result, g, z,
+                              dict(x=x, q=q, s=s, u1=u1, u2=u2, pi=pi), "KKT subproblem", start)
 
 
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
@@ -478,7 +473,6 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
         converged=converged,
         oracle=oracle,
         message=message,
-        final_master_plan=plan,
         wall_seconds=time.perf_counter() - start,
     )
 

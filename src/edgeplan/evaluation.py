@@ -78,22 +78,15 @@ def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan, scenario: Sc
                    *, psi: float = 1.0) -> RecourseOutcome:
     """Optimal allocation for a fixed plan and realized scenario.
 
-    Always feasible (x=0, q=lambda); the scenario may lie outside the
-    planning uncertainty set.
+    The master's allocation block with the plan's columns fixed.  Always
+    feasible (x=0, q=lambda); the scenario may lie outside the planning
+    uncertainty set.
     """
-    ni, nj = instance.num_areas, instance.num_nodes
     model = milp.Model("recourse")
-    x = model.add_vars((ni, nj), lb=0.0, ub=instance.eligibility * instance.capacity[None, :])
-    q = model.add_vars(ni, lb=0.0)
-    alive = plan.procurement * plan.placement * (1 - scenario.failures)
-    for j in range(nj):
-        model.add_constr(x[:, j], np.ones(ni), milp.LE, float(alive[j]))
-    for i in range(ni):
-        model.add_constr(np.append(x[i, :], q[i]), np.ones(nj + 1), milp.GE,
-                         float(scenario.demand[i]))
-    model.set_objective(np.concatenate([q, x.ravel()]),
-                        np.concatenate([psi * instance.unmet_penalty,
-                                        instance.beta * instance.delay.ravel()]))
+    t = model.add_vars(instance.num_nodes, lb=plan.placement, ub=plan.placement)
+    y = model.add_vars(instance.num_nodes, lb=plan.procurement, ub=plan.procurement)
+    x, q = ccg._add_recourse_block(model, instance, scenario, t, y, None)
+    model.set_objective(*ccg._recourse_cost(instance, x, q, psi=psi))
     result = milp.solve(model)
     milp.ensure_optimal(result, "recourse LP")
     return RecourseOutcome(allocation=result.value(x), unmet=result.value(q),

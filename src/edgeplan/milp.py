@@ -2,7 +2,8 @@
 
 Every optimization module in the package builds its model through this
 layer.  Variables are dense integer ids in creation order, with bounds and
-integrality stored per `add_vars` block; rows are `lo <= a.x <= hi`.  Each
+integrality stored per `add_vars` block; rows are `lo <= a.x <= hi`, added
+one at a time or as a block of equal-length rows (a 2-D id array).  Each
 solve assembles one sparse matrix and makes one `scipy.optimize.milp` call,
 for LPs and MILPs alike.  Models are solved from scratch each time (no
 incremental API), and results carry primal values and bounds only: no dual
@@ -11,6 +12,7 @@ values are reported.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -71,6 +73,7 @@ class Model:
         self._integer: list[np.ndarray] = []
         self._row_ids: list[np.ndarray] = []
         self._row_coeffs: list[np.ndarray] = []
+        self._row_shapes: list[tuple[int, int]] = []  # (rows, length) per add_constr
         self._row_lo: list[float] = []
         self._row_hi: list[float] = []
         self._obj = (np.empty(0, dtype=np.int64), np.empty(0))
@@ -106,19 +109,30 @@ class Model:
         self._integer.append(np.full(lb_arr.size, kind != CONTINUOUS, dtype=np.int64))
         return np.arange(start, self.num_vars, dtype=np.int64).reshape(shape)
 
-    def add_constr(self, ids, coeffs, sense: str, rhs: float) -> int:
+    def add_constr(self, ids, coeffs, sense: str, rhs) -> None:
+        """Add the row `coeffs.x[ids] <sense> rhs`, or a block of rows.
+
+        A 2-D `ids` adds one row per line, in order: `coeffs` broadcasts
+        against the block and `rhs` against the row count.
+        """
         if sense not in (LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.ndim == 2:
+            shape, coeffs = ids.shape, np.broadcast_to(coeffs, ids.shape)
+            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape[:1]).tolist()
+        else:
+            shape, rhs = (1, ids.size), [float(rhs)]
         ids, coeffs = _checked_terms(ids, coeffs, self.num_vars, "constraint")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("non-finite constraint coefficient")
-        if not np.isfinite(rhs):
+        if not all(map(math.isfinite, rhs)):
             raise ValueError("non-finite right-hand side")
         self._row_ids.append(ids)
         self._row_coeffs.append(coeffs)
-        self._row_lo.append(-np.inf if sense == LE else float(rhs))
-        self._row_hi.append(float(rhs) if sense == LE else np.inf)
-        return len(self._row_lo) - 1
+        self._row_shapes.append(shape)
+        self._row_lo.extend(rhs if sense == GE else [-np.inf] * shape[0])
+        self._row_hi.extend(rhs if sense == LE else [np.inf] * shape[0])
 
     def set_objective(self, ids, coeffs) -> None:
         """Replace the objective; coefficients of a repeated id are summed."""
@@ -186,7 +200,8 @@ def solve(model: Model, *, mip_gap: float | None = None,
     integrality = np.concatenate(model._integer)
     constraints = ()
     if m:
-        sizes = np.fromiter((ids.size for ids in model._row_ids), dtype=np.int64, count=m)
+        shapes = np.array(model._row_shapes, dtype=np.int64)
+        sizes = np.repeat(shapes[:, 1], shapes[:, 0])
         a = sparse.coo_matrix(
             (np.concatenate(model._row_coeffs),
              (np.repeat(np.arange(m, dtype=np.int64), sizes), np.concatenate(model._row_ids))),

@@ -74,6 +74,15 @@ def test_recourse_failed_node_strands_stock():
     assert out.second_stage_cost == pytest.approx(2.5, abs=1e-8)
 
 
+def test_recourse_caps_node_at_placed_capacity():
+    # procurement above C t (a plan `evaluate` refuses) serves at most C, as in the master
+    inst = tiny_instance(delay=[[1.0], [1.0]], unmet_penalty=[0.5, 0.5],
+                         nominal_demand=[6.0, 6.0], demand_deviation=[0.0, 0.0])
+    out = solve_recourse(inst, _plan([1], [12.0]), _nominal(inst))
+    assert out.allocation.sum() == pytest.approx(8.0)
+    assert out.second_stage_cost == pytest.approx(0.8 + 0.5 * 4.0, abs=1e-8)
+
+
 def test_recourse_monotone_in_demand():
     rng = np.random.default_rng(83)
     inst = random_instance(rng, 3, 3, gamma=1, k=1)

@@ -93,9 +93,51 @@ def test_set_objective_sums_repeated_ids():
 
 def test_constraint_references_checked():
     m = milp.Model("refs")
-    m.add_var()
+    x = m.add_vars(2)
     with pytest.raises(ValueError):
         m.add_constr([5], [1.0], milp.LE, 1.0)
+    with pytest.raises(ValueError):
+        m.add_constr([[x[0], x[1]], [x[1], 5]], 1.0, milp.LE, 1.0)
+    with pytest.raises(ValueError):
+        m.add_constr(np.stack([x, x]), 1.0, milp.LE, [1.0, 2.0, 3.0])
+    assert m.num_constraints == 0
+
+
+def test_non_finite_rows_rejected():
+    m = milp.Model("finite")
+    x = m.add_vars(2)
+    block = np.stack([x, x])
+    with pytest.raises(ValueError, match="coefficient"):
+        m.add_constr(x, [1.0, np.nan], milp.LE, 1.0)
+    with pytest.raises(ValueError, match="right-hand side"):
+        m.add_constr(x, [1.0, 1.0], milp.GE, np.inf)
+    with pytest.raises(ValueError, match="coefficient"):
+        m.add_constr(block, [[1.0, 1.0], [np.inf, 1.0]], milp.LE, 1.0)
+    with pytest.raises(ValueError, match="right-hand side"):
+        m.add_constr(block, 1.0, milp.LE, [1.0, np.nan])
+    assert m.num_constraints == 0
+
+
+def test_block_rows_match_single_rows():
+    rng = np.random.default_rng(5)
+    ids = np.array([[0, 1, 2], [2, 3, 0], [1, 3, 2]])
+    coeffs = rng.uniform(0.5, 2.0, ids.shape)
+    rhs = rng.uniform(4.0, 6.0, 3)
+    cost = rng.uniform(1.0, 2.0, 4)
+    optima = []
+    for blocked in (False, True):
+        m = milp.Model("block")
+        x = m.add_vars(4, ub=10.0)
+        if blocked:
+            m.add_constr(x[ids], coeffs, milp.GE, rhs)
+        else:
+            for row in range(3):
+                m.add_constr(x[ids[row]], coeffs[row], milp.GE, rhs[row])
+        m.add_constr(x[:2], np.ones(2), milp.LE, 7.0)
+        m.set_objective(x, cost)
+        assert m.num_constraints == 4
+        optima.append(milp.solve(m).objective)
+    assert optima[0] == optima[1]
 
 
 def test_mip_gap_is_honored_loosely():
