@@ -23,7 +23,14 @@ from .core import (
 from .ccg import run_ccg, solve_extensive_form, solve_master, solve_subproblem_duality, solve_subproblem_kkt
 from .adr import solve_adr
 from .baselines import heuristic_placement, solve_deterministic, solve_stochastic
-from .evaluation import certify_worst_case, generate_test_scenarios, monte_carlo, sensitivity_sweep, solve_recourse
+from .evaluation import (
+    certify_worst_case,
+    generate_test_scenarios,
+    monte_carlo,
+    sensitivity_sweep,
+    solve_recourse,
+    solve_recourse_batch,
+)
 
 __version__ = "0.1.0"
 
@@ -51,5 +58,6 @@ __all__ = [
     "monte_carlo",
     "sensitivity_sweep",
     "solve_recourse",
+    "solve_recourse_batch",
     "__version__",
 ]

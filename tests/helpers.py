@@ -10,7 +10,7 @@ from edgeplan.core import (
     enumerate_vertices,
     provisioning_cost,
 )
-from edgeplan.evaluation import solve_recourse
+from edgeplan.evaluation import solve_recourse_batch
 
 
 def tiny_instance(gamma=0, k=0, **overrides):
@@ -82,8 +82,8 @@ def vertex_scenarios(instance):
 
 def brute_force_worst(instance, plan, psi=1.0):
     """Max over enumerated vertices of the recourse LP optimum (no provisioning)."""
-    return max(solve_recourse(instance, plan, s, psi=psi).second_stage_cost
-               for s in vertex_scenarios(instance))
+    return max(out.second_stage_cost
+               for out in solve_recourse_batch(instance, plan, vertex_scenarios(instance), psi=psi))
 
 
 def exhaustive_two_stage(instance, scenarios):
@@ -103,7 +103,7 @@ def exhaustive_two_stage(instance, scenarios):
                                   np.array(y_vals, dtype=float))
             if provisioning_cost(instance, plan) > instance.budget + 1e-9:
                 continue
-            worst = max(solve_recourse(instance, plan, s).second_stage_cost
-                        for s in scenarios)
+            worst = max(out.second_stage_cost
+                        for out in solve_recourse_batch(instance, plan, scenarios))
             best = min(best, provisioning_cost(instance, plan) + worst)
     return best

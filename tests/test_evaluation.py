@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from edgeplan import evaluation
+from edgeplan import evaluation, milp
+from edgeplan.adr import AffinePolicy, evaluate_policy
 from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
-from edgeplan.core import FirstStagePlan, Scenario, UncertaintyModel
+from edgeplan.core import FirstStagePlan, Scenario, UncertaintyModel, second_stage_cost
 from edgeplan.evaluation import (
     METHODS,
     EvaluationConfig,
@@ -21,6 +23,7 @@ from edgeplan.evaluation import (
     report_to_csv,
     sensitivity_sweep,
     solve_recourse,
+    solve_recourse_batch,
     sweep_to_csv,
 )
 from edgeplan.topology import generate_instance
@@ -91,6 +94,112 @@ def test_recourse_monotone_in_demand():
     costs = [solve_recourse(inst, plan, Scenario(scale * inst.nominal_demand, z)).second_stage_cost
              for scale in (0.5, 1.0, 1.5, 2.0)]
     assert all(a <= b + 1e-9 for a, b in zip(costs, costs[1:]))
+
+
+def _dense_recourse(instance, plan, scenario, psi):
+    """Recourse cost from a dense-array LP written without `edgeplan.milp`.
+
+    Columns are x (area-major) then q; rows are node capacities, then demand
+    cover written as -sum_j x_ij - q_i <= -lambda_i.
+    """
+    ni, nj = instance.num_areas, instance.num_nodes
+    c = np.concatenate([instance.beta * instance.delay.ravel(), psi * instance.unmet_penalty])
+    a = np.zeros((nj + ni, ni * nj + ni))
+    for j in range(nj):
+        a[j, j:ni * nj:nj] = 1.0
+    for i in range(ni):
+        a[nj + i, i * nj:(i + 1) * nj] = -1.0
+        a[nj + i, ni * nj + i] = -1.0
+    alive = np.minimum(plan.procurement, instance.capacity * plan.placement) \
+        * (1 - scenario.failures)
+    b = np.concatenate([alive, -scenario.demand])
+    upper = np.concatenate([(instance.eligibility * instance.capacity[None, :]).ravel(),
+                            np.full(ni, np.inf)])
+    res = linprog(c, A_ub=a, b_ub=b, bounds=np.column_stack([np.zeros_like(upper), upper]),
+                  method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 3, None])
+@pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
+def test_recourse_batch_matches_dense_reference(monkeypatch, per_chunk, psi):
+    # 7 scenarios, all-failed and zero-demand ones among them: chunks of 1,
+    # of 2 and of 3 (both with a remainder), or one chunk
+    rng = np.random.default_rng(131)
+    ni, nj = 3, 4
+    eligibility = (rng.random((ni, nj)) < 0.7).astype(int)
+    inst = random_instance(rng, ni, nj, gamma=ni, k=nj, eligibility=eligibility)
+    plan = random_plan(rng, inst)
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=4, seed=131))
+    scenarios += [Scenario(inst.nominal_demand + inst.demand_deviation, np.ones(nj, dtype=np.int8)),
+                  Scenario(np.zeros(ni), np.zeros(nj, dtype=np.int8)),
+                  Scenario(np.zeros(ni), np.ones(nj, dtype=np.int8))]
+    if per_chunk is not None:
+        monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", 2 * nj + per_chunk * (ni * nj + ni))
+    solves = []
+    real_solve = milp.solve
+
+    def counted_solve(model, **kwargs):
+        solves.append(model.name)
+        return real_solve(model, **kwargs)
+
+    monkeypatch.setattr(milp, "solve", counted_solve)
+    outs = solve_recourse_batch(inst, plan, scenarios, psi=psi)
+    assert len(outs) == len(scenarios)
+    assert solves == ["recourse"] * math.ceil(len(scenarios) / (per_chunk or len(scenarios)))
+    alive = np.minimum(plan.procurement, inst.capacity * plan.placement)
+    box = inst.eligibility * inst.capacity[None, :]
+    tol = 1e-7
+    for out, s in zip(outs, scenarios):
+        # the LP can be degenerate: check the allocation's feasibility, not its value
+        x, q = out.allocation, out.unmet
+        assert np.all(x >= -tol) and np.all(x <= box + tol) and np.all(q >= -tol)
+        assert np.all(x.sum(axis=0) <= alive * (1 - s.failures) + tol)
+        assert np.all(x.sum(axis=1) + q >= s.demand - tol)
+        assert out.second_stage_cost == pytest.approx(second_stage_cost(inst, x, q, psi=psi),
+                                                      rel=1e-9, abs=1e-12)
+        ref = _dense_recourse(inst, plan, s, psi)
+        assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):
+    inst = tiny_instance()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no model for an empty batch")
+
+    monkeypatch.setattr(milp, "Model", refuse)
+    monkeypatch.setattr(milp, "solve", refuse)
+    assert solve_recourse_batch(inst, _plan([1], [5.0]), []) == []
+
+
+def test_monte_carlo_of_no_scenarios_is_nan():
+    inst = tiny_instance()
+    policy = AffinePolicy(A=np.zeros((1, 1, 1)), B=np.zeros((1, 1, 1)), D=np.zeros((1, 1)),
+                          E=np.zeros((1, 1)), F=np.zeros((1, 1)), G=np.zeros(1))
+    for pol in (None, policy):
+        rep = monte_carlo(inst, _plan([1], [5.0]), [], policy=pol, certify=False)
+        assert rep.recourse_costs.shape == (0,) and rep.unmet_totals.shape == (0,)
+        assert math.isnan(rep.average_cost) and math.isnan(rep.worst_cost)
+
+
+@pytest.mark.parametrize("psi", [1.0, 1.7])
+def test_monte_carlo_policy_replay_matches_per_scenario(psi):
+    rng = np.random.default_rng(137)
+    ni, nj = 3, 4
+    inst = random_instance(rng, ni, nj, gamma=2, k=2)
+    policy = AffinePolicy(A=rng.uniform(0, 1, (ni, nj, ni)), B=rng.uniform(0, 1, (ni, nj, nj)),
+                          D=rng.uniform(0, 1, (ni, nj)), E=rng.uniform(0, 1, (ni, ni)),
+                          F=rng.uniform(0, 1, (ni, nj)), G=rng.uniform(0, 1, ni))
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=40, seed=3))
+    rep = monte_carlo(inst, random_plan(rng, inst), scenarios, psi=psi, policy=policy,
+                      certify=False)
+    for r, s in enumerate(scenarios):
+        out = evaluate_policy(inst, policy, s)
+        cost = second_stage_cost(inst, out.allocation, out.unmet, psi=psi)
+        assert rep.recourse_costs[r] == pytest.approx(cost, rel=1e-12)
+        assert rep.unmet_totals[r] == pytest.approx(out.unmet.sum(), rel=1e-12)
 
 
 # -- scenario generation ----------------------------------------------------
