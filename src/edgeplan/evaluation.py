@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from . import ccg, milp, topology
-from .adr import AffinePolicy, solve_adr
+from .adr import AffinePolicy, evaluate_policy, solve_adr
 from .baselines import (
     heuristic_placement,
     make_training_scenarios,
@@ -32,6 +32,7 @@ from .core import (
     UncertaintyModel,
     provisioning_cost,
     sample_failures,
+    second_stage_cost,
 )
 
 DISTRIBUTIONS = ("lognormal", "normal", "uniform")
@@ -73,10 +74,12 @@ class EvaluationReport:
     certified_worst: float
 
 
-# Column budget of one batched recourse LP.  scipy's HiGHS wrapper loops in
-# Python over every column, so peak memory grows about 1 KB per column: at
-# 20x20, 3,000 columns (7 scenarios) cost under 1 MB, 20,000 cost 21 MB.
-_CHUNK_COLUMNS = 3000
+# Column budget of one batched recourse LP: a chunk holds at least one
+# scenario and closes at the first block that brings it to this many
+# columns.  scipy's HiGHS wrapper loops in Python over every column, so peak
+# memory grows about 1 KB per column: at 20x20 a chunk holds 7 scenarios
+# (2,980 columns, under 1 MB), while a 20,000-column chunk cost 21 MB.
+_CHUNK_COLUMNS = 2900
 
 
 def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
@@ -91,15 +94,17 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenar
     planning uncertainty set.
     """
     scenarios = list(scenarios)
-    ni, nj = instance.num_areas, instance.num_nodes
-    chunk = max(1, (_CHUNK_COLUMNS - 2 * nj) // (ni * nj + ni))
+    nj = instance.num_nodes
     outcomes = []
-    for start in range(0, len(scenarios), chunk):
+    start = 0
+    while start < len(scenarios):
         model = milp.Model("recourse")
         t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
         y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
-        blocks = [ccg._add_recourse_block(model, instance, scenario, t, y, None)
-                  for scenario in scenarios[start:start + chunk]]
+        blocks = []
+        while start < len(scenarios) and (not blocks or model.num_vars < _CHUNK_COLUMNS):
+            blocks.append(ccg._add_recourse_block(model, instance, scenarios[start], t, y, None))
+            start += 1
         costs = [ccg._recourse_cost(instance, x, q, psi=psi) for x, q in blocks]
         model.set_objective(*map(np.concatenate, zip(*costs)))
         result = milp.ensure_optimal(milp.solve(model), "recourse LP")
@@ -182,17 +187,11 @@ def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
     if policy is None:
         outs = solve_recourse_batch(instance, plan, scenarios, psi=psi)
         recourse = np.array([out.second_stage_cost for out in outs])
-        unmet = np.array([out.unmet.sum() for out in outs])
     else:
-        # the affine maps of every scenario at once: lam is (R, I), z is (R, J)
-        lam = np.array([s.demand for s in scenarios], dtype=float).reshape(-1, instance.num_areas)
-        z = np.array([s.failures for s in scenarios], dtype=float).reshape(-1, instance.num_nodes)
-        x = (np.einsum("ijk,rk->rij", policy.A, lam) + np.einsum("ijl,rl->rij", policy.B, z)
-             + policy.D)
-        q = lam @ policy.E.T + z @ policy.F.T + policy.G
-        recourse = psi * (q @ instance.unmet_penalty) \
-            + instance.beta * np.sum(instance.delay * x, axis=(1, 2))
-        unmet = q.sum(axis=1)
+        outs = [evaluate_policy(instance, policy, s) for s in scenarios]
+        recourse = np.array([second_stage_cost(instance, out.allocation, out.unmet, psi=psi)
+                             for out in outs])
+    unmet = np.array([out.unmet.sum() for out in outs])
     totals = prov + recourse
     certified = certify_worst_case(instance, plan, psi=psi, oracle=oracle) \
         if certify else math.nan

@@ -121,9 +121,11 @@ def _dense_recourse(instance, plan, scenario, psi):
     return float(res.fun)
 
 
-@pytest.mark.parametrize("per_chunk", [1, 2, 3, None])
+# (column budget, solves): at 3x4 the plan takes 8 columns and each scenario
+# 15, so these budgets close chunks of 1, 2 and 3 scenarios, or take all 7
+@pytest.mark.parametrize("budget,num_solves", [(1, 7), (30, 4), (45, 3), (None, 1)])
 @pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
-def test_recourse_batch_matches_dense_reference(monkeypatch, per_chunk, psi):
+def test_recourse_batch_matches_dense_reference(monkeypatch, budget, num_solves, psi):
     # 7 scenarios, all-failed and zero-demand ones among them: chunks of 1,
     # of 2 and of 3 (both with a remainder), or one chunk
     rng = np.random.default_rng(131)
@@ -135,19 +137,21 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, per_chunk, psi):
     scenarios += [Scenario(inst.nominal_demand + inst.demand_deviation, np.ones(nj, dtype=np.int8)),
                   Scenario(np.zeros(ni), np.zeros(nj, dtype=np.int8)),
                   Scenario(np.zeros(ni), np.ones(nj, dtype=np.int8))]
-    if per_chunk is not None:
-        monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", 2 * nj + per_chunk * (ni * nj + ni))
+    if budget is not None:
+        monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", budget)
     solves = []
     real_solve = milp.solve
 
     def counted_solve(model, **kwargs):
-        solves.append(model.name)
+        solves.append((model.name, model.num_vars))
         return real_solve(model, **kwargs)
 
     monkeypatch.setattr(milp, "solve", counted_solve)
     outs = solve_recourse_batch(inst, plan, scenarios, psi=psi)
     assert len(outs) == len(scenarios)
-    assert solves == ["recourse"] * math.ceil(len(scenarios) / (per_chunk or len(scenarios)))
+    assert [name for name, _ in solves] == ["recourse"] * num_solves
+    # every chunk but the last closed on reaching the budget
+    assert all(cols >= evaluation._CHUNK_COLUMNS for _, cols in solves[:-1])
     alive = np.minimum(plan.procurement, inst.capacity * plan.placement)
     box = inst.eligibility * inst.capacity[None, :]
     tol = 1e-7
