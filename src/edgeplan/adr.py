@@ -19,11 +19,19 @@ I+J dual-feasibility rows and I+J+2 dual variables.  The result is an
 upper bound on the exact two-stage optimum, tight when one of the two
 budgets is at most one and the other is zero (the uncertainty set is
 then a simplex, where affine policies are lossless).
+
+The robust rows come in five families: the cost epigraph, demand cover
+per area, procurement and capacity per node (interleaved pairs), box and
+sign per allocation x_ij (interleaved pairs), and q >= 0 per area.  A
+family of R rows gives its constant part as id/coefficient arrays of
+shape (R, k), its demand part as (R, I, k) and its failure part as
+(R, J, k); `_add_robust_rows` adds the family's duals as one block and
+its aggregated, demand dual-feasibility and failure dual-feasibility
+rows as one block each.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -59,7 +67,6 @@ class AdrSolution:
     policy: AffinePolicy
     objective: float
     phi: float
-    duals: dict
     status: str
     wall_seconds: float
 
@@ -76,49 +83,34 @@ def evaluate_policy(instance: ProblemInstance, policy: AffinePolicy,
                            second_stage_cost=second_stage_cost(instance, x, q))
 
 
-def _expr(ids=(), coeffs=(), const=0.0):
-    return list(ids), list(coeffs), const
+def _add_robust_rows(model: milp.Model, uncertainty: UncertaintyModel,
+                     const, demand, failure) -> None:
+    """Add one family of R robust rows `const + max_g c.g + max_z w.z <= 0`.
 
-
-def _extend(expr, ids, coeffs):
-    expr[0].extend(int(v) for v in np.atleast_1d(ids))
-    expr[1].extend(np.broadcast_to(coeffs, np.atleast_1d(ids).shape).tolist())
-
-
-class _RobustRows:
-    """Adds one dualized robust row per call and records the dual ids."""
-
-    def __init__(self, model: milp.Model, uncertainty: UncertaintyModel,
-                 num_areas: int, num_nodes: int):
-        self.model = model
-        self.gamma = float(uncertainty.gamma)
-        self.kappa = float(uncertainty.failure_budget)
-        self.ni = num_areas
-        self.nj = num_nodes
-        self.duals: dict[str, dict[str, list]] = {}
-
-    def add(self, family: str, const, c_exprs, w_exprs) -> None:
-        # const + max_g c.g + max_z w.z <= 0, with both maxima dualized
-        m = self.model
-        mu = m.add_var(lb=0.0)
-        eta = m.add_vars(self.ni, lb=0.0)
-        v = m.add_var(lb=0.0)
-        sigma = m.add_vars(self.nj, lb=0.0)
-        ids, coeffs, scalar = const
-        row_ids = ids + [mu] + list(eta) + [v] + list(sigma)
-        row_coeffs = coeffs + [self.gamma] + [1.0] * self.ni + [self.kappa] + [1.0] * self.nj
-        m.add_constr(row_ids, row_coeffs, milp.LE, -scalar)
-        for e, (c_ids, c_coeffs, c_scalar) in enumerate(c_exprs):
-            m.add_constr([mu, eta[e]] + c_ids, [1.0, 1.0] + [-c for c in c_coeffs],
-                         milp.GE, c_scalar)
-        for l, (w_ids, w_coeffs, w_scalar) in enumerate(w_exprs):
-            m.add_constr([v, sigma[l]] + w_ids, [1.0, 1.0] + [-c for c in w_coeffs],
-                         milp.GE, w_scalar)
-        rec = self.duals.setdefault(family, {"mu": [], "eta": [], "v": [], "sigma": []})
-        rec["mu"].append(mu)
-        rec["eta"].append(list(eta))
-        rec["v"].append(v)
-        rec["sigma"].append(list(sigma))
+    Each part is (ids, coeffs, scalar), coeffs broadcasting against ids and
+    the scalar against the part's rows: `const` has ids (R, k) and scalar
+    (R,); c_e = coeffs.x[ids] + scalar with ids (R, I, k) and scalar (R, I);
+    w_l likewise with ids (R, J, k).  Row r gets the dual columns
+    [mu, eta (I), v, sigma (J)], contiguous and in row order.
+    """
+    c_ids, d_ids, f_ids = const[0], demand[0], failure[0]
+    r, ni, nj = len(c_ids), d_ids.shape[1], f_ids.shape[1]
+    duals = model.add_vars((r, ni + nj + 2), lb=0.0)
+    weights = np.concatenate([[float(uncertainty.gamma)], np.ones(ni),
+                              [float(uncertainty.failure_budget)], np.ones(nj)])
+    model.add_constr(np.hstack([c_ids, duals]),
+                     np.hstack([np.broadcast_to(const[1], c_ids.shape),
+                                np.broadcast_to(weights, duals.shape)]),
+                     milp.LE, -np.broadcast_to(const[2], r))
+    # dual feasibility: mu + eta_e >= c_e and v + sigma_l >= w_l
+    for lead, dual, (ids, coeffs, scalar) in ((duals[:, 0], duals[:, 1:ni + 1], demand),
+                                              (duals[:, ni + 1], duals[:, ni + 2:], failure)):
+        n, k = ids.shape[1:]
+        block = np.concatenate([np.broadcast_to(lead[:, None, None], (r, n, 1)),
+                                dual[:, :, None], ids], axis=2)
+        signed = np.concatenate([np.ones((r, n, 2)), -np.broadcast_to(coeffs, ids.shape)], axis=2)
+        model.add_constr(block.reshape(r * n, k + 2), signed.reshape(r * n, k + 2), milp.GE,
+                         np.broadcast_to(scalar, (r, n)).ravel())
 
 
 def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool = True
@@ -140,113 +132,66 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
     e_v = model.add_vars((ni, ni), lb=free)
     f_v = model.add_vars((ni, nj), lb=free)
     g_v = model.add_vars(ni, lb=free)
-    rows = _RobustRows(model, instance.uncertainty, ni, nj)
+    u = instance.uncertainty
 
-    def x0(i, j):
-        # intercept of x_ij at nominal demand: D_ij + sum_k A_ijk lam_bar_k
-        ex = _expr([d_v[i, j]], [1.0])
-        _extend(ex, a_v[i, j, :], lb)
-        return ex
-
-    def q0(i):
-        ex = _expr([g_v[i]], [1.0])
-        _extend(ex, e_v[i, :], lb)
-        return ex
+    def pairs(a):
+        # two robust rows per entry, interleaved
+        return np.repeat(a, 2, axis=0)
 
     # worst-case cost epigraph: P.q + beta d.x <= phi
-    const = _expr([phi], [-1.0])
-    _extend(const, g_v, pen)
-    for i in range(ni):
-        _extend(const, e_v[i, :], pen[i] * lb)
-        _extend(const, d_v[i, :], beta_d[i, :])
-        for j in range(nj):
-            _extend(const, a_v[i, j, :], beta_d[i, j] * lb)
-    c_exprs = []
-    for e in range(ni):
-        ex = _expr()
-        _extend(ex, e_v[:, e], pen * lt[e])
-        _extend(ex, a_v[:, :, e].ravel(), (beta_d * lt[e]).ravel())
-        c_exprs.append(ex)
-    w_exprs = []
-    for l in range(nj):
-        ex = _expr()
-        _extend(ex, f_v[:, l], pen)
-        _extend(ex, b_v[:, :, l].ravel(), beta_d.ravel())
-        w_exprs.append(ex)
-    rows.add("epigraph", const, c_exprs, w_exprs)
+    const = (np.concatenate([[phi], g_v, e_v.ravel(), d_v.ravel(), a_v.ravel()])[None],
+             np.concatenate([[-1.0], pen, np.outer(pen, lb).ravel(), beta_d.ravel(),
+                             (beta_d[:, :, None] * lb).ravel()]), 0.0)
+    demand = (np.hstack([e_v.T, a_v.transpose(2, 0, 1).reshape(ni, -1)])[None],
+              np.hstack([np.outer(lt, pen), (lt[:, None, None] * beta_d).reshape(ni, -1)]), 0.0)
+    failure = (np.hstack([f_v.T, b_v.transpose(2, 0, 1).reshape(nj, -1)])[None],
+               np.concatenate([pen, beta_d.ravel()]), 0.0)
+    _add_robust_rows(model, u, const, demand, failure)
 
     # demand cover: lam_i - sum_j x_ij - q_i <= 0
-    for i in range(ni):
-        const = _expr(const=lb[i])
-        _extend(const, d_v[i, :], -1.0)
-        _extend(const, [g_v[i]], -1.0)
-        _extend(const, e_v[i, :], -lb)
-        for j in range(nj):
-            _extend(const, a_v[i, j, :], -lb)
-        c_exprs = []
-        for e in range(ni):
-            ex = _expr(const=lt[i] if e == i else 0.0)
-            _extend(ex, a_v[i, :, e], -lt[e])
-            _extend(ex, [e_v[i, e]], -lt[e])
-            c_exprs.append(ex)
-        w_exprs = []
-        for l in range(nj):
-            ex = _expr()
-            _extend(ex, b_v[i, :, l], -1.0)
-            _extend(ex, [f_v[i, l]], -1.0)
-            w_exprs.append(ex)
-        rows.add("cover", const, c_exprs, w_exprs)
+    const = (np.hstack([d_v, g_v[:, None], e_v, a_v.reshape(ni, -1)]),
+             np.concatenate([-np.ones(nj + 1), np.tile(-lb, nj + 1)]), lb)
+    demand = (np.concatenate([a_v.transpose(0, 2, 1), e_v[:, :, None]], axis=2),
+              -lt[:, None], np.diag(lt))
+    failure = (np.concatenate([b_v.transpose(0, 2, 1), f_v[:, :, None]], axis=2), -1.0, 0.0)
+    _add_robust_rows(model, u, const, demand, failure)
 
-    # procurement: sum_i x_ij <= y_j, and capacity: sum_i x_ij <= C_j t_j (1 - z_j)
-    for j in range(nj):
-        for family in ("procurement", "capacity"):
-            const = _expr()
-            _extend(const, d_v[:, j], 1.0)
-            for i in range(ni):
-                _extend(const, a_v[i, j, :], lb)
-            if family == "procurement":
-                _extend(const, [y[j]], -1.0)
-            else:
-                _extend(const, [t[j]], -cap[j])
-            c_exprs = []
-            for e in range(ni):
-                ex = _expr()
-                _extend(ex, a_v[:, j, e], lt[e])
-                c_exprs.append(ex)
-            w_exprs = []
-            for l in range(nj):
-                ex = _expr()
-                _extend(ex, b_v[:, j, l], 1.0)
-                if family == "capacity" and l == j:
-                    # the failed node's capacity row gains C_j t_j z_j
-                    _extend(ex, [t[j]], cap[j])
-                w_exprs.append(ex)
-            rows.add(family, const, c_exprs, w_exprs)
+    # per node j, procurement sum_i x_ij <= y_j, then capacity
+    # sum_i x_ij <= C_j t_j (1 - z_j)
+    served = np.hstack([d_v.T, a_v.transpose(1, 0, 2).reshape(nj, -1)])
+    const = (np.column_stack([pairs(served), np.column_stack([y, t]).ravel()]),
+             np.column_stack([np.tile(np.concatenate([np.ones(ni), np.tile(lb, ni)]), (2 * nj, 1)),
+                              np.column_stack([-np.ones(nj), -cap]).ravel()]), 0.0)
+    demand = (pairs(a_v.transpose(1, 2, 0)), lt[:, None], 0.0)
+    # the failed node's capacity row gains C_j t_j z_j; every other failure
+    # row carries t_j with a zero coefficient (HiGHS drops zeros on load)
+    on_failure = np.zeros((nj, 2, nj))
+    on_failure[:, 1] = np.diag(cap)
+    failure = (np.concatenate([pairs(b_v.transpose(1, 2, 0)),
+                               np.tile(pairs(t)[:, None, None], (1, nj, 1))], axis=2),
+               np.concatenate([np.ones((2 * nj, nj, ni)), on_failure.reshape(2 * nj, nj, 1)],
+                              axis=2), 0.0)
+    _add_robust_rows(model, u, const, demand, failure)
 
-    # box x_ij <= a_ij C_j and sign constraints x_ij >= 0
-    for i in range(ni):
-        for j in range(nj):
-            for family, sign, shift in (("box", 1.0, -acap[i, j]), ("x_nonneg", -1.0, 0.0)):
-                const = _expr(const=shift)
-                _extend(const, [d_v[i, j]], sign)
-                _extend(const, a_v[i, j, :], sign * lb)
-                c_exprs = [_expr([a_v[i, j, e]], [sign * lt[e]]) for e in range(ni)]
-                w_exprs = [_expr([b_v[i, j, l]], [sign]) for l in range(nj)]
-                rows.add(family, const, c_exprs, w_exprs)
+    # per (i, j), box x_ij <= a_ij C_j, then sign x_ij >= 0
+    sign = np.tile([1.0, -1.0], ni * nj)
+    const = (pairs(np.concatenate([d_v[:, :, None], a_v], axis=2).reshape(ni * nj, -1)),
+             sign[:, None] * np.concatenate([[1.0], lb]),
+             np.column_stack([-acap.ravel(), np.zeros(ni * nj)]).ravel())
+    demand = (pairs(a_v.reshape(ni * nj, ni))[:, :, None], sign[:, None, None] * lt[:, None], 0.0)
+    failure = (pairs(b_v.reshape(ni * nj, nj))[:, :, None], sign[:, None, None], 0.0)
+    _add_robust_rows(model, u, const, demand, failure)
 
     # q_i >= 0
-    for i in range(ni):
-        const = _expr([g_v[i]], [-1.0])
-        _extend(const, e_v[i, :], -lb)
-        c_exprs = [_expr([e_v[i, e]], [-lt[e]]) for e in range(ni)]
-        w_exprs = [_expr([f_v[i, l]], [-1.0]) for l in range(nj)]
-        rows.add("q_nonneg", const, c_exprs, w_exprs)
+    const = (np.hstack([g_v[:, None], e_v]), -np.concatenate([[1.0], lb]), 0.0)
+    _add_robust_rows(model, u, const, (e_v[:, :, None], -lt[:, None], 0.0),
+                     (f_v[:, :, None], -1.0, 0.0))
 
     obj_ids = np.concatenate([y, t, [phi]])
     obj_coeffs = np.concatenate([instance.price, instance.node_cost, [1.0]])
     model.set_objective(obj_ids, obj_coeffs)
     index = {"t": t, "y": y, "phi": phi, "A": a_v, "B": b_v, "D": d_v,
-             "E": e_v, "F": f_v, "G": g_v, "duals": rows.duals}
+             "E": e_v, "F": f_v, "G": g_v}
     return model, index
 
 
@@ -263,17 +208,8 @@ def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
     policy = AffinePolicy(
         A=result.value(index["A"]), B=result.value(index["B"]), D=result.value(index["D"]),
         E=result.value(index["E"]), F=result.value(index["F"]), G=result.value(index["G"]))
-    duals = {
-        family: {
-            "mu": np.array([result.values[i] for i in rec["mu"]]),
-            "eta": np.array([[result.values[i] for i in row] for row in rec["eta"]]),
-            "v": np.array([result.values[i] for i in rec["v"]]),
-            "sigma": np.array([[result.values[i] for i in row] for row in rec["sigma"]]),
-        }
-        for family, rec in index["duals"].items()
-    }
     return AdrSolution(plan=plan, policy=policy, objective=result.objective,
-                       phi=float(result.values[index["phi"]]), duals=duals,
+                       phi=float(result.values[index["phi"]]),
                        status=result.status, wall_seconds=time.perf_counter() - start)
 
 
@@ -335,27 +271,3 @@ def audit_model_size(num_areas: int, num_nodes: int) -> SizeAudit:
                      reference_constraints=ref_c, reference_variables=ref_v,
                      built_constraints=model.num_constraints,
                      built_variables=model.num_vars)
-
-
-def policy_to_json(policy: AffinePolicy) -> str:
-    ni, nj = policy.D.shape
-    payload = {
-        "num_areas": ni, "num_nodes": nj,
-        "A": policy.A.tolist(), "B": policy.B.tolist(), "D": policy.D.tolist(),
-        "E": policy.E.tolist(), "F": policy.F.tolist(), "G": policy.G.tolist(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def policy_from_json(text: str) -> AffinePolicy:
-    raw = json.loads(text)
-    ni, nj = int(raw["num_areas"]), int(raw["num_nodes"])
-    def arr(key, shape):
-        a = np.asarray(raw[key], dtype=float)
-        if a.shape != shape:
-            raise ValueError(f"policy field {key} has shape {a.shape}, expected {shape}")
-        a.setflags(write=False)
-        return a
-    return AffinePolicy(A=arr("A", (ni, nj, ni)), B=arr("B", (ni, nj, nj)),
-                        D=arr("D", (ni, nj)), E=arr("E", (ni, ni)),
-                        F=arr("F", (ni, nj)), G=arr("G", (ni,)))

@@ -320,16 +320,16 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     start = time.perf_counter()
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
-    cap = instance.capacity
+    cap, proc, pen = instance.capacity, plan.procurement, instance.unmet_penalty
     acap = instance.eligibility * cap[None, :]
-    p_max = float(instance.unmet_penalty.max(initial=0.0))
+    p_max = float(pen.max(initial=0.0))
     demand_top = lam_bar + lam_tilde
     cap_t = cap * plan.placement
 
     model = milp.Model("subproblem-kkt", maximize=True)
     x = model.add_vars((ni, nj), lb=0.0, ub=acap)
     q = model.add_vars(ni, lb=0.0, ub=demand_top)
-    s = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
+    s = model.add_vars(ni, lb=0.0, ub=pen)
     u1 = model.add_vars(nj, lb=0.0, ub=p_max)
     u2 = model.add_vars(nj, lb=0.0, ub=p_max)
     pi = model.add_vars((ni, nj), lb=0.0, ub=p_max)
@@ -345,47 +345,49 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
-    for jj in range(nj):
-        # primal: sum_i x_ij <= y_j and <= C_j t_j (1 - z_j)
-        model.add_constr(x[:, jj], np.ones(ni), milp.LE, plan.procurement[jj])
-        model.add_constr(np.append(x[:, jj], z[jj]), np.append(np.ones(ni), cap_t[jj]),
-                         milp.LE, cap_t[jj])
-        # capacity slack <= C_j (1-b3); u1 <= p_max b3
-        model.add_constr(np.concatenate([x[:, jj], [z[jj], b3[jj]]]),
-                         np.concatenate([-np.ones(ni), [-cap_t[jj], cap[jj]]]),
-                         milp.LE, cap[jj] - cap_t[jj])
-        model.add_constr([u1[jj], b3[jj]], [1.0, -p_max], milp.LE, 0.0)
-        # procurement slack <= y_j (1-b4); u2 <= p_max b4
-        model.add_constr(np.append(x[:, jj], b4[jj]),
-                         np.append(-np.ones(ni), plan.procurement[jj]), milp.LE, 0.0)
-        model.add_constr([u2[jj], b4[jj]], [1.0, -p_max], milp.LE, 0.0)
-    for ii in range(ni):
-        # primal cover: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i
-        model.add_constr(np.concatenate([x[ii, :], [q[ii], g[ii]]]),
-                         np.concatenate([np.ones(nj), [1.0, -lam_tilde[ii]]]),
-                         milp.GE, lam_bar[ii])
-        # cover slack <= M5 (1-b5); s <= P_i b5
-        m5 = demand_top[ii] + float(acap[ii, :].sum())
-        model.add_constr(np.concatenate([x[ii, :], [q[ii], g[ii], b5[ii]]]),
-                         np.concatenate([np.ones(nj), [1.0, -lam_tilde[ii], m5]]),
-                         milp.LE, lam_bar[ii] + m5)
-        model.add_constr([s[ii], b5[ii]], [1.0, -instance.unmet_penalty[ii]], milp.LE, 0.0)
-        # q > 0 forces the q-column tight (s_i = P_i): P_i - s_i <= P_i (1-b2)
-        model.add_constr([s[ii], b2[ii]], [1.0, -instance.unmet_penalty[ii]], milp.GE, 0.0)
-        model.add_constr([q[ii], b2[ii]], [1.0, -demand_top[ii]], milp.LE, 0.0)
-    for ii in range(ni):
-        for jj in range(nj):
-            beta_d = instance.beta * instance.delay[ii, jj]
-            # stationarity of x_ij: 0 <= beta d + u1 + u2 + pi - s <= M1 (1-b1)
-            m1 = beta_d + 3.0 * p_max
-            model.add_constr([u1[jj], u2[jj], pi[ii, jj], s[ii]], [1.0, 1.0, 1.0, -1.0],
-                             milp.GE, -beta_d)
-            model.add_constr([u1[jj], u2[jj], pi[ii, jj], s[ii], b1[ii, jj]],
-                             [1.0, 1.0, 1.0, -1.0, m1], milp.LE, m1 - beta_d)
-            model.add_constr([x[ii, jj], b1[ii, jj]], [1.0, -acap[ii, jj]], milp.LE, 0.0)
-            # pi > 0 forces x at the box cap: a C - x <= a C (1-b6); pi <= p_max b6
-            model.add_constr([x[ii, jj], b6[ii, jj]], [1.0, -acap[ii, jj]], milp.GE, 0.0)
-            model.add_constr([pi[ii, jj], b6[ii, jj]], [1.0, -p_max], milp.LE, 0.0)
+    # per node j
+    ones_i = np.ones((nj, ni))
+    # primal: sum_i x_ij <= y_j and <= C_j t_j (1 - z_j)
+    model.add_constr(x.T, 1.0, milp.LE, proc)
+    model.add_constr(np.column_stack([x.T, z]), np.column_stack([ones_i, cap_t]), milp.LE, cap_t)
+    # capacity slack <= C_j (1-b3); u1 <= p_max b3
+    model.add_constr(np.column_stack([x.T, z, b3]), np.column_stack([-ones_i, -cap_t, cap]),
+                     milp.LE, cap - cap_t)
+    model.add_constr(np.column_stack([u1, b3]), [1.0, -p_max], milp.LE, 0.0)
+    # procurement slack <= y_j (1-b4); u2 <= p_max b4
+    model.add_constr(np.column_stack([x.T, b4]), np.column_stack([-ones_i, proc]), milp.LE, 0.0)
+    model.add_constr(np.column_stack([u2, b4]), [1.0, -p_max], milp.LE, 0.0)
+
+    # per area i
+    ones_j = np.ones((ni, nj))
+    # primal cover: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i
+    model.add_constr(np.column_stack([x, q, g]), np.column_stack([ones_j, np.ones(ni), -lam_tilde]),
+                     milp.GE, lam_bar)
+    # cover slack <= M5 (1-b5); s <= P_i b5
+    m5 = demand_top + acap.sum(axis=1)
+    model.add_constr(np.column_stack([x, q, g, b5]),
+                     np.column_stack([ones_j, np.ones(ni), -lam_tilde, m5]), milp.LE, lam_bar + m5)
+    model.add_constr(np.column_stack([s, b5]), np.column_stack([np.ones(ni), -pen]), milp.LE, 0.0)
+    # q > 0 forces the q-column tight (s_i = P_i): P_i - s_i <= P_i (1-b2)
+    model.add_constr(np.column_stack([s, b2]), np.column_stack([np.ones(ni), -pen]), milp.GE, 0.0)
+    model.add_constr(np.column_stack([q, b2]), np.column_stack([np.ones(ni), -demand_top]),
+                     milp.LE, 0.0)
+
+    # per (i, j) in row-major order
+    beta_d = (instance.beta * instance.delay).ravel()
+    duals = np.column_stack([np.tile(u1, ni), np.tile(u2, ni), pi.ravel(), np.repeat(s, nj)])
+    # stationarity of x_ij: 0 <= beta d + u1 + u2 + pi - s <= M1 (1-b1)
+    m1 = beta_d + 3.0 * p_max
+    model.add_constr(duals, [1.0, 1.0, 1.0, -1.0], milp.GE, -beta_d)
+    model.add_constr(np.column_stack([duals, b1.ravel()]),
+                     np.column_stack([np.broadcast_to([1.0, 1.0, 1.0, -1.0], (ni * nj, 4)), m1]),
+                     milp.LE, m1 - beta_d)
+    model.add_constr(np.column_stack([x.ravel(), b1.ravel()]),
+                     np.column_stack([np.ones(ni * nj), -acap.ravel()]), milp.LE, 0.0)
+    # pi > 0 forces x at the box cap: a C - x <= a C (1-b6); pi <= p_max b6
+    model.add_constr(np.column_stack([x.ravel(), b6.ravel()]),
+                     np.column_stack([np.ones(ni * nj), -acap.ravel()]), milp.GE, 0.0)
+    model.add_constr(np.column_stack([pi.ravel(), b6.ravel()]), [1.0, -p_max], milp.LE, 0.0)
 
     model.set_objective(*_recourse_cost(instance, x, q))
 

@@ -164,9 +164,6 @@ class ProblemInstance:
         """Combined placement charge h[j] = f[j]*(1-l0[j]) + s[j]."""
         return self.placement_cost * (1 - self.initial_placement) + self.storage_cost
 
-    def demand_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.nominal_demand, self.nominal_demand + self.demand_deviation
-
     def replace(self, **changes) -> "ProblemInstance":
         """A copy with the given fields swapped (arrays revalidated)."""
         return dataclasses.replace(self, **changes)

@@ -1,9 +1,9 @@
 """Out-of-sample evaluation: recourse replay, certification, sweeps.
 
 Plans from any method are scored the same way: draw test scenarios, solve
-the recourse LP of every scenario (in chunks, each one block-diagonal LP)
-or replay an affine policy, and aggregate average and worst empirical cost
-next to the exact certified worst case from the subproblem oracle.
+the recourse LP of every scenario (in chunks, each one block-diagonal LP),
+and aggregate average and worst empirical cost next to the exact certified
+worst case from the subproblem oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 
 from . import ccg, milp, topology
-from .adr import AffinePolicy, evaluate_policy, solve_adr
+from .adr import solve_adr
 from .baselines import (
     heuristic_placement,
     make_training_scenarios,
@@ -32,7 +32,6 @@ from .core import (
     UncertaintyModel,
     provisioning_cost,
     sample_failures,
-    second_stage_cost,
 )
 
 DISTRIBUTIONS = ("lognormal", "normal", "uniform")
@@ -173,24 +172,17 @@ def certify_worst_case(instance: ProblemInstance, plan: FirstStagePlan, *,
 
 
 def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
-                psi: float = 1.0, *, method: str = "", policy: AffinePolicy | None = None,
-                certify: bool = True, oracle: str = "duality") -> EvaluationReport:
+                psi: float = 1.0, *, method: str = "", certify: bool = True,
+                oracle: str = "duality") -> EvaluationReport:
     """Score a plan on a scenario list; costs are provisioning + recourse.
 
-    By default each scenario is re-optimized with the recourse LP (see
-    `solve_recourse_batch`); passing an affine policy replays its
-    coefficients instead (no re-optimization, and no feasibility repair, so
-    costs reflect the policy as-is).
+    Each scenario is re-optimized with the recourse LP (see
+    `solve_recourse_batch`).
     """
     scenarios = list(scenarios)
     prov = provisioning_cost(instance, plan)
-    if policy is None:
-        outs = solve_recourse_batch(instance, plan, scenarios, psi=psi)
-        recourse = np.array([out.second_stage_cost for out in outs])
-    else:
-        outs = [evaluate_policy(instance, policy, s) for s in scenarios]
-        recourse = np.array([second_stage_cost(instance, out.allocation, out.unmet, psi=psi)
-                             for out in outs])
+    outs = solve_recourse_batch(instance, plan, scenarios, psi=psi)
+    recourse = np.array([out.second_stage_cost for out in outs])
     unmet = np.array([out.unmet.sum() for out in outs])
     totals = prov + recourse
     certified = certify_worst_case(instance, plan, psi=psi, oracle=oracle) \

@@ -108,7 +108,7 @@ def test_stochastic_scenario_cap():
 
 def test_training_scenarios_box_budget_determinism():
     inst = random_instance(np.random.default_rng(67), 3, 3, gamma=2, k=2)
-    lo, hi = inst.demand_box()
+    lo, hi = inst.nominal_demand, inst.nominal_demand + inst.demand_deviation
     a = make_training_scenarios(inst, 60, seed=4)
     assert a.num_scenarios == 60
     assert np.allclose(a.probabilities, 1 / 60)
@@ -125,7 +125,7 @@ def test_training_scenarios_full_covariance():
     inst = random_instance(np.random.default_rng(71), 2, 2, gamma=1, k=0)
     cov = np.array([[1.0, 0.6], [0.6, 1.0]])
     tr = make_training_scenarios(inst, 30, seed=2, cov=cov)
-    lo, hi = inst.demand_box()
+    lo, hi = inst.nominal_demand, inst.nominal_demand + inst.demand_deviation
     for s in tr.scenarios:
         assert np.all(s.demand >= lo - 1e-9) and np.all(s.demand <= hi + 1e-9)
 

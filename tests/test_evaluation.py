@@ -7,7 +7,6 @@ import pytest
 from scipy.optimize import linprog
 
 from edgeplan import evaluation, milp
-from edgeplan.adr import AffinePolicy, evaluate_policy
 from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
 from edgeplan.core import FirstStagePlan, Scenario, UncertaintyModel, second_stage_cost
@@ -180,30 +179,9 @@ def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):
 
 def test_monte_carlo_of_no_scenarios_is_nan():
     inst = tiny_instance()
-    policy = AffinePolicy(A=np.zeros((1, 1, 1)), B=np.zeros((1, 1, 1)), D=np.zeros((1, 1)),
-                          E=np.zeros((1, 1)), F=np.zeros((1, 1)), G=np.zeros(1))
-    for pol in (None, policy):
-        rep = monte_carlo(inst, _plan([1], [5.0]), [], policy=pol, certify=False)
-        assert rep.recourse_costs.shape == (0,) and rep.unmet_totals.shape == (0,)
-        assert math.isnan(rep.average_cost) and math.isnan(rep.worst_cost)
-
-
-@pytest.mark.parametrize("psi", [1.0, 1.7])
-def test_monte_carlo_policy_replay_matches_per_scenario(psi):
-    rng = np.random.default_rng(137)
-    ni, nj = 3, 4
-    inst = random_instance(rng, ni, nj, gamma=2, k=2)
-    policy = AffinePolicy(A=rng.uniform(0, 1, (ni, nj, ni)), B=rng.uniform(0, 1, (ni, nj, nj)),
-                          D=rng.uniform(0, 1, (ni, nj)), E=rng.uniform(0, 1, (ni, ni)),
-                          F=rng.uniform(0, 1, (ni, nj)), G=rng.uniform(0, 1, ni))
-    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=40, seed=3))
-    rep = monte_carlo(inst, random_plan(rng, inst), scenarios, psi=psi, policy=policy,
-                      certify=False)
-    for r, s in enumerate(scenarios):
-        out = evaluate_policy(inst, policy, s)
-        cost = second_stage_cost(inst, out.allocation, out.unmet, psi=psi)
-        assert rep.recourse_costs[r] == pytest.approx(cost, rel=1e-12)
-        assert rep.unmet_totals[r] == pytest.approx(out.unmet.sum(), rel=1e-12)
+    rep = monte_carlo(inst, _plan([1], [5.0]), [], certify=False)
+    assert rep.recourse_costs.shape == (0,) and rep.unmet_totals.shape == (0,)
+    assert math.isnan(rep.average_cost) and math.isnan(rep.worst_cost)
 
 
 # -- scenario generation ----------------------------------------------------
