@@ -113,8 +113,7 @@ def _add_robust_rows(model: milp.Model, uncertainty: UncertaintyModel,
                          np.broadcast_to(scalar, (r, n)).ravel())
 
 
-def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool = True
-                      ) -> tuple[milp.Model, dict]:
+def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     """Build the affine-policy MILP; returns the model and the id index."""
     ni, nj = instance.num_areas, instance.num_nodes
     lb, lt = instance.nominal_demand, instance.demand_deviation
@@ -123,7 +122,7 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
     acap = instance.eligibility * cap[None, :]
 
     model = milp.Model("adr")
-    t, y = _build_first_stage(model, instance, integral_procurement)
+    t, y = _build_first_stage(model, instance)
     phi = model.add_var(lb=0.0)
     free = -np.inf
     a_v = model.add_vars((ni, nj, ni), lb=free)
@@ -196,15 +195,14 @@ def assemble_adr_milp(instance: ProblemInstance, *, integral_procurement: bool =
 
 
 def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
-              time_limit: float | None = None,
-              integral_procurement: bool = True) -> AdrSolution:
+              time_limit: float | None = None) -> AdrSolution:
     """Solve the affine-policy MILP; objective is an upper bound on the
     exact two-stage optimum (equal on simplex uncertainty sets)."""
     start = time.perf_counter()
-    model, index = assemble_adr_milp(instance, integral_procurement=integral_procurement)
+    model, index = assemble_adr_milp(instance)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "affine policy model")
-    plan = _extract_plan(instance, result, index["t"], index["y"], integral_procurement)
+    plan = _extract_plan(instance, result, index["t"], index["y"])
     policy = AffinePolicy(
         A=result.value(index["A"]), B=result.value(index["B"]), D=result.value(index["D"]),
         E=result.value(index["E"]), F=result.value(index["F"]), G=result.value(index["G"]))

@@ -22,7 +22,7 @@ from .core import (
     sample_failures,
 )
 
-DEFAULT_SCENARIO_CAP = 2000
+SCENARIO_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -32,94 +32,56 @@ class BaselineSolution:
     wall_seconds: float
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Finitely supported scenario distribution for stochastic planning."""
-
-    scenarios: tuple[Scenario, ...]
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if probs.ndim != 1 or len(probs) != len(self.scenarios):
-            raise ValueError("need one probability per scenario")
-        if len(self.scenarios) == 0:
-            raise ValueError("scenario set is empty")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @staticmethod
-    def uniform(scenarios) -> "ScenarioSet":
-        scenarios = tuple(scenarios)
-        n = len(scenarios)
-        return ScenarioSet(scenarios, np.full(n, 1.0 / n) if n else np.empty(0))
-
-
 def solve_deterministic(instance: ProblemInstance, *, mip_gap: float | None = None,
-                        time_limit: float | None = None,
-                        integral_procurement: bool = True) -> BaselineSolution:
+                        time_limit: float | None = None) -> BaselineSolution:
     """Plan against nominal demand with every node up; no robustness."""
     start = time.perf_counter()
     nominal = Scenario(instance.nominal_demand, np.zeros(instance.num_nodes, dtype=np.int8))
-    master = _solve_weighted(instance, [nominal], np.ones(1), mip_gap, time_limit,
-                             integral_procurement)
-    return BaselineSolution(plan=master[0], objective=master[1],
+    plan, objective = _solve_weighted(instance, (nominal,), mip_gap, time_limit)
+    return BaselineSolution(plan=plan, objective=objective,
                             wall_seconds=time.perf_counter() - start)
 
 
-def _solve_weighted(instance: ProblemInstance, scenarios, weights, mip_gap, time_limit,
-                    integral_procurement) -> tuple[FirstStagePlan, float]:
-    """Extensive form with probability-weighted recourse blocks.
-
-    Weights are used raw (no renormalization), which keeps the objective
-    monotone under scenario removal with sub-probability weights.
-    """
+def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], mip_gap,
+                    time_limit) -> tuple[FirstStagePlan, float]:
+    """Extensive form with one recourse block per scenario, each weighted 1/n."""
+    weight = 1.0 / len(scenarios)
     model = milp.Model("stochastic")
-    t, y = _build_first_stage(model, instance, integral_procurement)
+    t, y = _build_first_stage(model, instance)
     obj_ids, obj_coeffs = [y, t], [instance.price, instance.node_cost]
-    for scenario, w in zip(scenarios, weights):
+    for scenario in scenarios:
         x, q = _add_recourse_block(model, instance, scenario, t, y, None)
-        ids, coeffs = _recourse_cost(instance, x, q, weight=float(w))
+        ids, coeffs = _recourse_cost(instance, x, q, weight=weight)
         obj_ids.append(ids)
         obj_coeffs.append(coeffs)
     model.set_objective(np.concatenate(obj_ids), np.concatenate(obj_coeffs))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "stochastic extensive form")
-    plan = _extract_plan(instance, result, t, y, integral_procurement)
+    plan = _extract_plan(instance, result, t, y)
     return plan, result.objective
 
 
-def solve_stochastic(instance: ProblemInstance, training: ScenarioSet, *,
-                     mip_gap: float | None = None, time_limit: float | None = None,
-                     integral_procurement: bool = True,
-                     scenario_cap: int = DEFAULT_SCENARIO_CAP) -> BaselineSolution:
-    """Minimize provisioning plus expected second-stage cost over the set."""
-    if training.num_scenarios > scenario_cap:
-        raise ValueError(f"{training.num_scenarios} scenarios exceed the cap of {scenario_cap}")
+def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | None = None,
+                     time_limit: float | None = None) -> BaselineSolution:
+    """Minimize provisioning plus the mean second-stage cost over equally
+    likely scenarios (at most `SCENARIO_CAP`)."""
+    scenarios = tuple(scenarios)
+    if not scenarios:
+        raise ValueError("scenario set is empty")
+    if len(scenarios) > SCENARIO_CAP:
+        raise ValueError(f"{len(scenarios)} scenarios exceed the cap of {SCENARIO_CAP}")
     start = time.perf_counter()
-    plan, objective = _solve_weighted(instance, training.scenarios, training.probabilities,
-                                      mip_gap, time_limit, integral_procurement)
+    plan, objective = _solve_weighted(instance, scenarios, mip_gap, time_limit)
     return BaselineSolution(plan=plan, objective=objective,
                             wall_seconds=time.perf_counter() - start)
 
 
-def make_training_scenarios(instance: ProblemInstance, num_scenarios: int, seed: int, *,
-                            sigma_scale: float = 0.25,
-                            cov: np.ndarray | None = None) -> ScenarioSet:
+def make_training_scenarios(instance: ProblemInstance, num_scenarios: int,
+                            seed: int) -> tuple[Scenario, ...]:
     """Demands from a truncated normal centered mid-box, failures uniform.
 
-    With `cov` unset each area gets an independent truncated normal with
-    standard deviation sigma_scale times its deviation; a full covariance
-    matrix switches to rejection sampling with a clip fallback.
+    Each area gets an independent truncated normal whose standard
+    deviation is a quarter of its demand deviation.
     """
     if num_scenarios < 1:
         raise ValueError("need at least one scenario")
@@ -127,37 +89,18 @@ def make_training_scenarios(instance: ProblemInstance, num_scenarios: int, seed:
     lo = instance.nominal_demand
     hi = instance.nominal_demand + instance.demand_deviation
     center = 0.5 * (lo + hi)
-    ni = instance.num_areas
-    demands = np.empty((num_scenarios, ni))
-    if cov is None:
-        for i in range(ni):
-            sigma = sigma_scale * instance.demand_deviation[i]
-            if sigma <= 0:
-                demands[:, i] = lo[i]
-                continue
-            a, b = (lo[i] - center[i]) / sigma, (hi[i] - center[i]) / sigma
-            u = rng.uniform(size=num_scenarios)
-            demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center[i], scale=sigma)
-    else:
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (ni, ni):
-            raise ValueError(f"covariance must be {(ni, ni)}, got {cov.shape}")
-        filled = 0
-        for _ in range(1000):
-            draw = rng.multivariate_normal(center, cov, size=num_scenarios)
-            keep = draw[np.all((draw >= lo) & (draw <= hi), axis=1)]
-            take = min(len(keep), num_scenarios - filled)
-            demands[filled:filled + take] = keep[:take]
-            filled += take
-            if filled == num_scenarios:
-                break
-        if filled < num_scenarios:  # heavy truncation: clip the remainder
-            draw = rng.multivariate_normal(center, cov, size=num_scenarios - filled)
-            demands[filled:] = np.clip(draw, lo, hi)
+    demands = np.empty((num_scenarios, instance.num_areas))
+    for i in range(instance.num_areas):
+        sigma = 0.25 * instance.demand_deviation[i]
+        if sigma <= 0:
+            demands[:, i] = lo[i]
+            continue
+        a, b = (lo[i] - center[i]) / sigma, (hi[i] - center[i]) / sigma
+        u = rng.uniform(size=num_scenarios)
+        demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center[i], scale=sigma)
     failures = sample_failures(instance.num_nodes, instance.uncertainty.failure_budget,
                                num_scenarios, rng)
-    scenarios = tuple(Scenario(demands[n], failures[n]) for n in range(num_scenarios))
-    return ScenarioSet.uniform(scenarios)
+    return tuple(Scenario(demands[n], failures[n]) for n in range(num_scenarios))
 
 
 def heuristic_placement(instance: ProblemInstance) -> FirstStagePlan:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import milp
 from .core import (
-    EnumerationCapError,
     FirstStagePlan,
     ProblemInstance,
     Scenario,
@@ -52,15 +51,13 @@ class SubproblemSolution:
 
     `value` is the inner-LP optimum at `worst_scenario`; `bound` is the
     solver's proven upper bound on the worst case over the whole set
-    (equal to `value` at optimality, larger when a limit was hit and the
-    certificate is degraded, i.e. `exact` is False).
+    (equal to `value` at optimality, larger when a limit stopped the
+    solve with an incumbent).
     """
 
     worst_scenario: Scenario
     value: float
     bound: float
-    exact: bool
-    certificate: dict | None
     wall_seconds: float
 
 
@@ -115,12 +112,11 @@ def _gap_and_convergence(lb: float, ub: float, eps: float) -> tuple[float, bool]
     return gap, gap <= eps
 
 
-def _build_first_stage(model: milp.Model, instance: ProblemInstance,
-                       integral_procurement: bool) -> tuple[np.ndarray, np.ndarray]:
+def _build_first_stage(model: milp.Model,
+                       instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     j = instance.num_nodes
     t = model.add_vars(j, kind=milp.BINARY)
-    y_kind = milp.INTEGER if integral_procurement else milp.CONTINUOUS
-    y = model.add_vars(j, kind=y_kind, lb=0.0, ub=instance.capacity)
+    y = model.add_vars(j, kind=milp.INTEGER, lb=0.0, ub=instance.capacity)
     # budget: p.y + h.t <= B
     model.add_constr(np.concatenate([y, t]),
                      np.concatenate([instance.price, instance.node_cost]),
@@ -167,18 +163,16 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
 
 
 def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
-                  t: np.ndarray, y: np.ndarray, integral_procurement: bool) -> FirstStagePlan:
+                  t: np.ndarray, y: np.ndarray) -> FirstStagePlan:
     t_val = np.round(result.value(t)).astype(np.int8)
-    y_val = np.asarray(result.value(y), dtype=float)
-    y_val = np.round(y_val) if integral_procurement else np.maximum(y_val, 0.0)
-    y_val = np.clip(y_val, 0.0, instance.capacity * t_val)
+    y_val = np.clip(np.round(result.value(y)), 0.0, instance.capacity * t_val)
     return FirstStagePlan(t_val, y_val)
 
 
-def _build_master_model(instance: ProblemInstance, pool: list[Scenario],
-                        integral_procurement: bool) -> tuple[milp.Model, np.ndarray, np.ndarray, int]:
+def _build_master_model(instance: ProblemInstance,
+                        pool: list[Scenario]) -> tuple[milp.Model, np.ndarray, np.ndarray, int]:
     model = milp.Model("ccg-master")
-    t, y = _build_first_stage(model, instance, integral_procurement)
+    t, y = _build_first_stage(model, instance)
     eta = model.add_var(lb=0.0)
     for scenario in pool:
         _add_recourse_block(model, instance, scenario, t, y, eta)
@@ -189,13 +183,12 @@ def _build_master_model(instance: ProblemInstance, pool: list[Scenario],
 
 
 def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
-                 mip_gap: float | None = None, time_limit: float | None = None,
-                 integral_procurement: bool = True) -> MasterSolution:
+                 mip_gap: float | None = None, time_limit: float | None = None) -> MasterSolution:
     """Master MILP over the pooled vertices; its bound is the global LB."""
-    model, t, y, eta = _build_master_model(instance, vertex_pool, integral_procurement)
+    model, t, y, eta = _build_master_model(instance, vertex_pool)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "CCG master (is the instance consistent?)")
-    plan = _extract_plan(instance, result, t, y, integral_procurement)
+    plan = _extract_plan(instance, result, t, y)
     return MasterSolution(plan=plan, eta=float(result.value(eta)),
                           lower_bound=result.dual_bound, objective=result.objective,
                           wall_seconds=result.wall_seconds)
@@ -212,18 +205,16 @@ def _scenario_from_bits(instance: ProblemInstance, g_val: np.ndarray, z_val: np.
 
 
 def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
-                       g: np.ndarray, z: np.ndarray, certificate: dict, what: str,
+                       g: np.ndarray, z: np.ndarray, what: str,
                        start: float) -> SubproblemSolution:
-    """An oracle's answer: the worst vertex from its g/z bits, and the values of
-    the `certificate` id blocks.  A limit with an incumbent is a degraded answer."""
+    """An oracle's answer: the worst vertex from its g/z bits.  A limit with an
+    incumbent is a degraded answer whose bound exceeds its value."""
     if result.status not in ("optimal", "limit") or result.values is None:
         milp.ensure_optimal(result, what)
     return SubproblemSolution(
         worst_scenario=_scenario_from_bits(instance, result.value(g), result.value(z)),
         value=result.objective,
         bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        exact=result.status == "optimal",
-        certificate={name: result.value(ids) for name, ids in certificate.items()},
         wall_seconds=time.perf_counter() - start,
     )
 
@@ -298,8 +289,7 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
     m_u = 10.0 * max(float(instance.unmet_penalty.max(initial=0.0)), 1.0)
     model, blocks = _build_duality_model(instance, plan, m_u)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    certificate = {name: blocks[name] for name in ("s", "u1", "u2", "pi", "U", "v")}
-    return _worst_case_answer(instance, result, blocks["g"], blocks["z"], certificate,
+    return _worst_case_answer(instance, result, blocks["g"], blocks["z"],
                               "duality subproblem", start)
 
 
@@ -392,8 +382,7 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     model.set_objective(*_recourse_cost(instance, x, q))
 
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    return _worst_case_answer(instance, result, g, z,
-                              dict(x=x, q=q, s=s, u1=u1, u2=u2, pi=pi), "KKT subproblem", start)
+    return _worst_case_answer(instance, result, g, z, "KKT subproblem", start)
 
 
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
@@ -408,7 +397,7 @@ def worst_case_oracle(oracle: str):
 
 def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEFAULT_EPS, *,
             max_iterations: int = DEFAULT_MAX_ITERATIONS, mip_gap: float | None = None,
-            time_limit: float | None = None, integral_procurement: bool = True) -> CcgResult:
+            time_limit: float | None = None) -> CcgResult:
     """Alternate master and worst-case subproblem until the bounds meet.
 
     Starts from an empty vertex pool; iteration 0 solves the cut-free
@@ -436,8 +425,7 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
 
     for r in range(0, max_iterations + 1):
         state.iteration = r
-        master = solve_master(instance, state.pool, mip_gap=gap_setting,
-                              time_limit=time_limit, integral_procurement=integral_procurement)
+        master = solve_master(instance, state.pool, mip_gap=gap_setting, time_limit=time_limit)
         plan = master.plan
         state.lower_bound = max(state.lower_bound, master.lower_bound)
 
@@ -480,20 +468,18 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
 
 
 def solve_extensive_form(instance: ProblemInstance, *, mip_gap: float | None = None,
-                         time_limit: float | None = None, cap: int = 1_000_000,
-                         integral_procurement: bool = True) -> ExtensiveSolution:
+                         time_limit: float | None = None) -> ExtensiveSolution:
     """Monolithic MILP with one recourse block per uncertainty vertex.
 
-    Exact by enumeration; refuses oversized vertex sets (`cap`).  Used as
+    Exact by enumeration; refuses vertex sets above `VERTEX_CAP`.  Used as
     the ground-truth oracle for CCG and ADR tests.
     """
-    pairs = enumerate_vertices(instance.uncertainty, instance.num_areas,
-                               instance.num_nodes, cap=cap)
+    pairs = enumerate_vertices(instance.uncertainty, instance.num_areas, instance.num_nodes)
     scenarios = [Scenario(demand_from_g(instance, g), z) for g, z in pairs]
-    model, t, y, eta = _build_master_model(instance, scenarios, integral_procurement)
+    model, t, y, eta = _build_master_model(instance, scenarios)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "extensive form")
-    plan = _extract_plan(instance, result, t, y, integral_procurement)
+    plan = _extract_plan(instance, result, t, y)
     return ExtensiveSolution(plan=plan, objective=result.objective,
                              num_vertices=len(scenarios), wall_seconds=result.wall_seconds)
 

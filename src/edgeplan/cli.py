@@ -175,7 +175,7 @@ def cmd_evaluate(args) -> int:
     names: list[str] = []
     for path in args.plan:
         plan, meta = core.load_plan(path)
-        plan.validate(instance, integral=False)
+        plan.validate(instance)
         base = str(meta.get("method") or os.path.splitext(os.path.basename(path))[0])
         name, k = base, 2
         while name in names:

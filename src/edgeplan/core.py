@@ -32,7 +32,7 @@ class ScenarioError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """Vertex enumeration would exceed the configured cap."""
+    """Vertex enumeration would exceed `VERTEX_CAP`."""
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -203,14 +203,13 @@ class FirstStagePlan:
             raise InstanceError("placement entries must be bits")
         _check_nonneg("procurement", self.procurement)
 
-    def validate(self, instance: ProblemInstance, *, integral: bool = True, tol: float = 1e-6) -> None:
-        """Check the coupling y <= C t, the budget row, and optional integrality."""
+    def validate(self, instance: ProblemInstance) -> None:
+        """Check the coupling y <= C t and the budget row (y may be fractional)."""
         if self.placement.shape[0] != instance.num_nodes:
             raise InstanceError("plan length does not match the instance")
+        tol = 1e-6
         if np.any(self.procurement > instance.capacity * self.placement + tol):
             raise InstanceError("procurement exceeds placed capacity")
-        if integral and np.any(np.abs(self.procurement - np.round(self.procurement)) > tol):
-            raise InstanceError("procurement must be integral")
         cost = provisioning_cost(instance, self)
         if cost > instance.budget + tol * max(1.0, instance.budget):
             raise InstanceError(f"plan cost {cost} exceeds budget {instance.budget}")
@@ -275,17 +274,17 @@ def count_vertices(uncertainty: UncertaintyModel, num_areas: int, num_nodes: int
     return demand * failure
 
 
-def enumerate_vertices(uncertainty: UncertaintyModel, num_areas: int, num_nodes: int,
-                       *, cap: int = VERTEX_CAP) -> list[tuple[np.ndarray, np.ndarray]]:
+def enumerate_vertices(uncertainty: UncertaintyModel, num_areas: int,
+                       num_nodes: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """All (g, z) vertices of the joint uncertainty set, as binary vectors.
 
     Binary g suffices because the demand budget is integral.  Refuses to
-    materialize more than `cap` pairs.
+    materialize more than `VERTEX_CAP` pairs.
     """
     total = count_vertices(uncertainty, num_areas, num_nodes)
-    if total > cap:
+    if total > VERTEX_CAP:
         raise EnumerationCapError(
-            f"enumeration infeasible: {total} vertices exceed the cap of {cap}")
+            f"enumeration infeasible: {total} vertices exceed the cap of {VERTEX_CAP}")
 
     def binary_budget(n: int, budget: int) -> list[np.ndarray]:
         out = []

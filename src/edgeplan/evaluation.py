@@ -38,6 +38,9 @@ DISTRIBUTIONS = ("lognormal", "normal", "uniform")
 SWEEP_AXES = ("K", "gamma", "beta", "psi", "alpha", "budget", "dmax", "I", "J")
 # planners, in the order the CLI lists them
 METHODS = ("ccg-duality", "ccg-kkt", "adr", "extensive", "det", "so", "heu")
+# spread of test demands: the lognormal shape, or the normal's standard
+# deviation as a fraction of the box width
+SIGMA = 0.25
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,6 @@ class EvaluationConfig:
     k_test: int | None = None
     psi: float = 1.0
     seed: int = 0
-    sigma: float = 0.25
 
     def __post_init__(self):
         if self.num_scenarios < 1:
@@ -146,10 +148,10 @@ def generate_test_scenarios(instance: ProblemInstance,
             demands[:, i] = lo[i]
         elif config.distribution == "lognormal":
             demands[:, i] = _truncated_lognormal(rng, lo[i], hi[i],
-                                                 0.5 * (lo[i] + hi[i]), config.sigma, n)
+                                                 0.5 * (lo[i] + hi[i]), SIGMA, n)
         elif config.distribution == "normal":
             center = 0.5 * (lo[i] + hi[i])
-            sigma = config.sigma * (hi[i] - lo[i])
+            sigma = SIGMA * (hi[i] - lo[i])
             a, b = (lo[i] - center) / sigma, (hi[i] - center) / sigma
             u = rng.uniform(size=n)
             demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center, scale=sigma)

@@ -1,4 +1,4 @@
-"""Random service topologies: scale-free graphs, shortest-path delays, eligibility."""
+"""Random service topologies: scale-free graphs, shortest-path delays, instances."""
 
 from __future__ import annotations
 
@@ -31,33 +31,22 @@ class NetworkGraph:
         g.add_weighted_edges_from(self.edges, weight="delay")
         return g
 
-    def edge_list_json(self) -> dict:
-        return {
-            "nodes": self.num_nodes,
-            "seed": self.seed,
-            "edges": [[int(u), int(v), float(w)] for u, v, w in self.edges],
-        }
 
-
-def generate_ba_graph(n: int, m: int, seed: int, *,
-                      delay_range: tuple[float, float] = DELAY_RANGE) -> NetworkGraph:
+def generate_ba_graph(n: int, m: int, seed: int) -> NetworkGraph:
     """Preferential-attachment graph with uniform link delays.
 
     Construction starts from an m-leaf star and attaches each of the
     remaining n-m-1 nodes to m existing nodes proportionally to degree,
     yielding exactly m*(n-m) edges.  Delays are drawn uniformly from
-    `delay_range`, one draw per edge, ordered by sorted edge key so the
+    `DELAY_RANGE`, one draw per edge, ordered by sorted edge key so the
     same seed reproduces the same weighted graph bit for bit.
     """
     if m < 1 or n <= m:
         raise TopologyError(f"need n > m >= 1, got n={n}, m={m}")
     g = nx.barabasi_albert_graph(n, m, seed=seed)
     rng = np.random.default_rng(seed)
-    lo, hi = delay_range
-    if not (0 <= lo <= hi):
-        raise TopologyError(f"bad delay range {delay_range}")
     edges = sorted((min(u, v), max(u, v)) for u, v in g.edges())
-    weights = rng.uniform(lo, hi, len(edges))
+    weights = rng.uniform(*DELAY_RANGE, len(edges))
     return NetworkGraph(n, tuple((u, v, float(w)) for (u, v), w in zip(edges, weights)), seed)
 
 
@@ -81,26 +70,12 @@ def all_pairs_delays(graph: NetworkGraph, ap_nodes, en_nodes) -> np.ndarray:
     return d
 
 
-def derive_eligibility(delays: np.ndarray, dmax: float) -> np.ndarray:
-    """Bit matrix a[i][j] = 1 iff d[i][j] <= dmax (boundary inclusive)."""
-    delays = np.atleast_2d(np.asarray(delays, dtype=float))
-    if np.any(delays < 0):
-        raise TopologyError("delays must be nonnegative")
-    return (delays <= dmax).astype(np.int8)
-
-
 def generate_instance(num_areas: int, num_nodes: int, *, seed: int,
                       graph_nodes: int = 100, attachment: int = 2,
                       gamma: int = 5, failure_budget: int = 2,
                       deviation_ratio: float = 0.6, beta: float = 0.1,
                       budget: float = 20.0, unmet_penalty: float = 0.5,
-                      demand_range: tuple[float, float] = (5.0, 40.0),
-                      price_range: tuple[float, float] = (0.02, 0.06),
-                      capacity_choices: tuple[float, ...] = (32.0, 48.0, 64.0),
-                      node_cost_range: tuple[float, float] = (0.1, 0.2),
-                      delay_range: tuple[float, float] = DELAY_RANGE,
-                      dmax: float = math.inf,
-                      colocate: bool = True) -> ProblemInstance:
+                      dmax: float = math.inf) -> ProblemInstance:
     """Random instance over a scale-free topology with the default parameter table.
 
     Each area keeps an edge node at its own anchor: a single set of
@@ -110,36 +85,27 @@ def generate_instance(num_areas: int, num_nodes: int, *, seed: int,
     i < min(num_areas, num_nodes).  Serving an area locally then costs no
     delay charge while remote service pays the shortest-path toll, which is
     what makes placement decisions bite at the default penalty scale.
-    `colocate=False` anchors the two sides on disjoint subsets instead and
-    every delay is strictly positive.  The service starts uninstalled
+    Demands, prices, capacities and placement costs come from the fixed
+    ranges of the README's table.  The service starts uninstalled
     everywhere: node charges are the placement costs alone.
     """
     if num_areas < 1 or num_nodes < 1:
         raise InstanceError("need at least one area and one node")
     gamma = min(int(gamma), num_areas)
     failure_budget = min(int(failure_budget), num_nodes)
-    graph = generate_ba_graph(graph_nodes, attachment, seed, delay_range=delay_range)
+    graph = generate_ba_graph(graph_nodes, attachment, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, num_areas, num_nodes]))
-    if colocate:
-        need = max(num_areas, num_nodes)
-        if need > graph_nodes:
-            raise InstanceError(
-                f"{need} anchors exceed {graph_nodes} graph nodes; grow the graph")
-        anchors = rng.permutation(graph_nodes)[:need]
-        ap_nodes, en_nodes = anchors[:num_areas], anchors[:num_nodes]
-    else:
-        need = num_areas + num_nodes
-        if need > graph_nodes:
-            raise InstanceError(
-                f"{need} disjoint anchors exceed {graph_nodes} graph nodes; grow the graph")
-        perm = rng.permutation(graph_nodes)
-        ap_nodes, en_nodes = perm[:num_areas], perm[num_areas:need]
+    need = max(num_areas, num_nodes)
+    if need > graph_nodes:
+        raise InstanceError(f"{need} anchors exceed {graph_nodes} graph nodes; grow the graph")
+    anchors = rng.permutation(graph_nodes)[:need]
+    ap_nodes, en_nodes = anchors[:num_areas], anchors[:num_nodes]
     delay = all_pairs_delays(graph, ap_nodes, en_nodes)
 
-    nominal = rng.uniform(*demand_range, num_areas)
-    price = rng.uniform(*price_range, num_nodes)
-    capacity = rng.choice(np.asarray(capacity_choices, dtype=float), num_nodes)
-    placement_cost = rng.uniform(*node_cost_range, num_nodes)
+    nominal = rng.uniform(5.0, 40.0, num_areas)
+    price = rng.uniform(0.02, 0.06, num_nodes)
+    capacity = rng.choice(np.array([32.0, 48.0, 64.0]), num_nodes)
+    placement_cost = rng.uniform(0.1, 0.2, num_nodes)
 
     return ProblemInstance(
         price=price,

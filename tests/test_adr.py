@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from edgeplan import adr
 from edgeplan.adr import (
     AffinePolicy,
     audit_model_size,
@@ -128,10 +127,3 @@ def test_solved_policy_feasible_at_all_vertices(shape, gamma, k):
         assert cost <= sol.phi + 1e-5
     assert sol.objective == pytest.approx(provisioning_cost(inst, sol.plan) + sol.phi,
                                           abs=1e-6)
-
-
-def test_continuous_relaxation_never_above_integral():
-    inst = random_instance(np.random.default_rng(127), 2, 2, gamma=1, k=0)
-    integral = solve_adr(inst).objective
-    relaxed = solve_adr(inst, integral_procurement=False).objective
-    assert relaxed <= integral + 1e-9

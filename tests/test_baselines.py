@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from edgeplan import baselines
 from edgeplan.baselines import (
-    ScenarioSet,
+    SCENARIO_CAP,
     heuristic_placement,
     make_training_scenarios,
     solve_deterministic,
@@ -41,22 +40,14 @@ def test_deterministic_matches_ccg_without_uncertainty():
 
 
 def test_scenario_set_validation():
-    s = Scenario([5.0], [0])
     with pytest.raises(ValueError):
-        ScenarioSet((), np.array([]))
-    with pytest.raises(ValueError):
-        ScenarioSet((s,), np.array([0.5]))
-    with pytest.raises(ValueError):
-        ScenarioSet((s, s), np.array([1.5, -0.5]))
-    ok = ScenarioSet.uniform([s, s])
-    assert ok.num_scenarios == 2
-    assert np.allclose(ok.probabilities, 0.5)
+        solve_stochastic(tiny_instance(), [])
 
 
 def test_stochastic_single_scenario_equals_deterministic():
     inst = unit_example()
     nominal = Scenario(inst.nominal_demand, np.zeros(1, dtype=np.int8))
-    so = solve_stochastic(inst, ScenarioSet.uniform([nominal]))
+    so = solve_stochastic(inst, [nominal])
     det = solve_deterministic(inst)
     assert so.objective == pytest.approx(det.objective, abs=1e-8)
     assert np.array_equal(so.plan.placement, det.plan.placement)
@@ -66,11 +57,8 @@ def test_stochastic_duplication_invariance():
     rng = np.random.default_rng(53)
     inst = random_instance(rng, 2, 2)
     training = make_training_scenarios(inst, 6, seed=1)
-    doubled = ScenarioSet(training.scenarios + training.scenarios,
-                          np.concatenate([training.probabilities,
-                                          training.probabilities]) / 2.0)
     one = solve_stochastic(inst, training)
-    two = solve_stochastic(inst, doubled)
+    two = solve_stochastic(inst, training + training)
     assert one.objective == pytest.approx(two.objective, abs=1e-7)
 
 
@@ -78,56 +66,30 @@ def test_stochastic_expectation_below_worst_case():
     rng = np.random.default_rng(59)
     for _ in range(3):
         inst = random_instance(rng, 2, 2)
-        uniform = ScenarioSet.uniform(vertex_scenarios(inst))
-        so = solve_stochastic(inst, uniform)
+        so = solve_stochastic(inst, vertex_scenarios(inst))
         robust = run_ccg(inst, eps=1e-8)
         assert so.objective <= robust.objective + 1e-6
-
-
-def test_stochastic_value_monotone_in_scenario_removal():
-    # with raw sub-probability weights, dropping a scenario removes a
-    # nonnegative cost term and a block of constraints: value cannot rise
-    rng = np.random.default_rng(61)
-    inst = random_instance(rng, 2, 2, gamma=2, k=1)
-    scenarios = vertex_scenarios(inst)[:4]
-    weights = np.array([0.4, 0.3, 0.2, 0.1])
-    _, full = baselines._solve_weighted(inst, scenarios, weights, None, None, True)
-    for keep in (3, 2, 1):
-        _, sub = baselines._solve_weighted(inst, scenarios[:keep], weights[:keep],
-                                           None, None, True)
-        assert sub <= full + 1e-7
 
 
 def test_stochastic_scenario_cap():
     inst = tiny_instance()
     nominal = Scenario(inst.nominal_demand, np.zeros(1, dtype=np.int8))
-    big = ScenarioSet.uniform([nominal] * 10)
     with pytest.raises(ValueError):
-        solve_stochastic(inst, big, scenario_cap=5)
+        solve_stochastic(inst, [nominal] * (SCENARIO_CAP + 1))
 
 
 def test_training_scenarios_box_budget_determinism():
     inst = random_instance(np.random.default_rng(67), 3, 3, gamma=2, k=2)
     lo, hi = inst.nominal_demand, inst.nominal_demand + inst.demand_deviation
     a = make_training_scenarios(inst, 60, seed=4)
-    assert a.num_scenarios == 60
-    assert np.allclose(a.probabilities, 1 / 60)
-    for s in a.scenarios:
+    assert len(a) == 60
+    for s in a:
         assert np.all(s.demand >= lo - 1e-9) and np.all(s.demand <= hi + 1e-9)
         assert s.failures.sum() <= 2
     b = make_training_scenarios(inst, 60, seed=4)
-    assert all(x.key() == y.key() for x, y in zip(a.scenarios, b.scenarios))
+    assert all(x.key() == y.key() for x, y in zip(a, b))
     c = make_training_scenarios(inst, 60, seed=5)
-    assert any(x.key() != y.key() for x, y in zip(a.scenarios, c.scenarios))
-
-
-def test_training_scenarios_full_covariance():
-    inst = random_instance(np.random.default_rng(71), 2, 2, gamma=1, k=0)
-    cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-    tr = make_training_scenarios(inst, 30, seed=2, cov=cov)
-    lo, hi = inst.nominal_demand, inst.nominal_demand + inst.demand_deviation
-    for s in tr.scenarios:
-        assert np.all(s.demand >= lo - 1e-9) and np.all(s.demand <= hi + 1e-9)
+    assert any(x.key() != y.key() for x, y in zip(a, c))
 
 
 def test_heuristic_single_node():

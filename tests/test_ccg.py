@@ -12,7 +12,7 @@ from edgeplan.ccg import (
     solve_subproblem_kkt,
     trace_to_csv,
 )
-from edgeplan.core import FirstStagePlan, Scenario, provisioning_cost
+from edgeplan.core import EnumerationCapError, FirstStagePlan, Scenario
 from edgeplan.evaluation import solve_recourse
 from helpers import (
     brute_force_worst,
@@ -244,16 +244,10 @@ def test_extensive_degenerate_is_single_block():
 
 
 def test_extensive_refuses_oversized_sets():
-    inst = random_instance(np.random.default_rng(5), 3, 3, gamma=1, k=1)
-    with pytest.raises(Exception):
-        solve_extensive_form(inst, cap=3)
-
-
-def test_continuous_relaxation_lower():
-    inst = tiny_instance(gamma=1, nominal_demand=[4.5], demand_deviation=[2.2])
-    integral = run_ccg(inst).objective
-    relaxed = run_ccg(inst, integral_procurement=False).objective
-    assert relaxed <= integral + 1e-9
+    # 21,700 demand vertices times 211 failure vertices: 4,578,700 > VERTEX_CAP
+    inst = random_instance(np.random.default_rng(5), 20, 20, gamma=5, k=2)
+    with pytest.raises(EnumerationCapError):
+        solve_extensive_form(inst)
 
 
 def test_trace_csv_format():

@@ -8,7 +8,7 @@ import pytest
 
 from edgeplan import cli
 from edgeplan.ccg import run_ccg
-from edgeplan.core import FirstStagePlan, load_instance, save_instance, save_plan
+from edgeplan.core import FirstStagePlan, load_instance, provisioning_cost, save_instance, save_plan
 from helpers import random_instance
 
 
@@ -204,6 +204,21 @@ def test_evaluate_rejects_plans_that_break_the_instance(tmp_path, capsys):
         doc = _stderr_doc(capsys)
         assert doc["error"] == "InstanceError" and reason in doc["message"]
         assert not (out / "manifest.json").exists()
+
+
+def test_evaluate_scores_fractional_procurement(tmp_path):
+    gen = _small(tmp_path, "gen")
+    inst = str(gen / "instance.json")
+    plan = FirstStagePlan(np.array([1, 0], dtype=np.int8), np.array([2.5, 0.0]))
+    path = tmp_path / "fractional.json"
+    save_plan(plan, str(path), method="fractional", objective=0.0)
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--instance", inst, "--plan", str(path),
+                   "--scenarios", "5", "--out", str(out)])
+    assert rc == 0
+    [summary] = json.loads((out / "summary.json").read_text())
+    assert summary["provisioning"] == pytest.approx(
+        provisioning_cost(load_instance(inst), plan), abs=1e-12)
 
 
 def test_sweep_writes_rows(tmp_path):

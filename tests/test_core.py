@@ -1,7 +1,5 @@
 """Data model, uncertainty vertices, cost functions, serialization."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from edgeplan import core
 from edgeplan.core import (
     FirstStagePlan,
     InstanceError,
-    ProblemInstance,
     Scenario,
     ScenarioError,
     UncertaintyModel,
@@ -94,7 +91,7 @@ def test_vertex_count_matches_closed_form():
 
 def test_vertex_enumeration_cap():
     with pytest.raises(core.EnumerationCapError):
-        enumerate_vertices(UncertaintyModel(15, 15), 30, 30, cap=1000)
+        enumerate_vertices(UncertaintyModel(15, 15), 30, 30)
 
 
 def test_sample_failures_respects_budget_and_seed():

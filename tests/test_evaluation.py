@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from edgeplan import evaluation, milp
 from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
-from edgeplan.core import FirstStagePlan, Scenario, UncertaintyModel, second_stage_cost
+from edgeplan.core import FirstStagePlan, Scenario, second_stage_cost
 from edgeplan.evaluation import (
     METHODS,
     EvaluationConfig,

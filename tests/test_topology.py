@@ -1,17 +1,15 @@
 """Scale-free topology generation and shortest-path delay matrices."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from edgeplan import topology
+from edgeplan.core import InstanceError
 from edgeplan.topology import (
     NetworkGraph,
     TopologyError,
     all_pairs_delays,
-    derive_eligibility,
     generate_ba_graph,
     generate_instance,
 )
@@ -106,20 +104,6 @@ def test_delay_matrix_triangle_inequality():
         assert d[a, b] <= d[a, c] + d[c, b] + 1e-9
 
 
-def test_derive_eligibility_thresholds():
-    assert derive_eligibility([[12.0]], 10.0)[0, 0] == 0
-    assert derive_eligibility([[10.0]], 10.0)[0, 0] == 1  # boundary inclusive
-    assert derive_eligibility(np.full((3, 4), 99.0), math.inf).all()
-
-
-def test_edge_list_json():
-    g = generate_ba_graph(10, 2, seed=2)
-    doc = g.edge_list_json()
-    assert doc["nodes"] == 10
-    assert len(doc["edges"]) == len(g.edges)
-    assert all(len(e) == 3 for e in doc["edges"])
-
-
 def test_generate_instance_parameter_domains():
     inst = generate_instance(20, 20, seed=4)
     assert inst.num_areas == 20 and inst.num_nodes == 20
@@ -153,8 +137,8 @@ def test_generate_instance_determinism_and_asymmetry():
 
 
 def test_generate_instance_colocation_guard():
-    with pytest.raises(Exception):
-        generate_instance(60, 60, seed=0, colocate=False)  # 120 disjoint anchors > 100
+    with pytest.raises(InstanceError):
+        generate_instance(60, 60, seed=0, graph_nodes=50)  # 60 anchors > 50 graph nodes
     big = generate_instance(60, 60, seed=0)  # shared anchors need only 60
     assert big.delay.shape == (60, 60)
 
@@ -169,6 +153,3 @@ def test_generate_instance_local_node_is_free():
     assert np.allclose(np.diag(wide.delay), 0.0)
     tall = generate_instance(6, 3, seed=21)
     assert np.allclose(np.diag(tall.delay), 0.0)
-
-    apart = generate_instance(8, 8, seed=21, colocate=False)
-    assert np.all(apart.delay >= 2.0)
