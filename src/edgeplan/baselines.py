@@ -11,16 +11,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import milp
 from .ccg import _add_recourse_block, _build_first_stage, _extract_plan, _recourse_cost
-from .core import (
-    FirstStagePlan,
-    ProblemInstance,
-    Scenario,
-    sample_failures,
-)
+from .core import FirstStagePlan, ProblemInstance, Scenario
 
 SCENARIO_CAP = 2000
 
@@ -74,33 +68,6 @@ def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | N
     plan, objective = _solve_weighted(instance, scenarios, mip_gap, time_limit)
     return BaselineSolution(plan=plan, objective=objective,
                             wall_seconds=time.perf_counter() - start)
-
-
-def make_training_scenarios(instance: ProblemInstance, num_scenarios: int,
-                            seed: int) -> tuple[Scenario, ...]:
-    """Demands from a truncated normal centered mid-box, failures uniform.
-
-    Each area gets an independent truncated normal whose standard
-    deviation is a quarter of its demand deviation.
-    """
-    if num_scenarios < 1:
-        raise ValueError("need at least one scenario")
-    rng = np.random.default_rng(seed)
-    lo = instance.nominal_demand
-    hi = instance.nominal_demand + instance.demand_deviation
-    center = 0.5 * (lo + hi)
-    demands = np.empty((num_scenarios, instance.num_areas))
-    for i in range(instance.num_areas):
-        sigma = 0.25 * instance.demand_deviation[i]
-        if sigma <= 0:
-            demands[:, i] = lo[i]
-            continue
-        a, b = (lo[i] - center[i]) / sigma, (hi[i] - center[i]) / sigma
-        u = rng.uniform(size=num_scenarios)
-        demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center[i], scale=sigma)
-    failures = sample_failures(instance.num_nodes, instance.uncertainty.failure_budget,
-                               num_scenarios, rng)
-    return tuple(Scenario(demands[n], failures[n]) for n in range(num_scenarios))
 
 
 def heuristic_placement(instance: ProblemInstance) -> FirstStagePlan:

@@ -32,10 +32,6 @@ DEFAULT_MAX_ITERATIONS = 500
 _DEGENERATE_UB = 1e-9
 
 
-class NonconvergenceError(RuntimeError):
-    """CCG stopped before closing the gap (iteration cap or stalled oracle)."""
-
-
 @dataclass(frozen=True)
 class MasterSolution:
     plan: FirstStagePlan
@@ -74,7 +70,6 @@ class IterationRecord:
 
 @dataclass
 class CcgState:
-    eps: float
     iteration: int = 0
     lower_bound: float = -np.inf
     upper_bound: float = np.inf
@@ -88,7 +83,6 @@ class CcgResult:
     objective: float
     state: CcgState
     converged: bool
-    oracle: str
     message: str
     wall_seconds: float
 
@@ -416,7 +410,7 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     gap_setting = mip_gap if mip_gap is not None else min(milp.DEFAULT_MIP_GAP, eps / 10.0)
 
     start = time.perf_counter()
-    state = CcgState(eps=eps)
+    state = CcgState()
     seen: set[tuple] = set()
     incumbent: FirstStagePlan | None = None
     plan = FirstStagePlan.empty(instance.num_nodes)
@@ -461,7 +455,6 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
         objective=state.upper_bound,
         state=state,
         converged=converged,
-        oracle=oracle,
         message=message,
         wall_seconds=time.perf_counter() - start,
     )

@@ -18,7 +18,6 @@ import os
 import platform
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy
@@ -184,7 +183,7 @@ def cmd_evaluate(args) -> int:
         loaded.append((name, plan))
     config = evaluation.EvaluationConfig(
         num_scenarios=args.scenarios, distribution=args.distribution,
-        k_test=args.k_test, psi=args.psi, seed=args.seed)
+        k_test=args.k_test, seed=args.seed)
     scenarios = evaluation.generate_test_scenarios(instance, config)
 
     written = []
@@ -215,20 +214,11 @@ def cmd_sweep(args) -> int:
     instance = core.load_instance(args.instance)
     values = _parse_values(args.values)
     methods = _parse_methods(args.methods)
-    axis = evaluation.normalize_axis(args.axis)
-    kwargs = dict(methods=methods, eps=args.eps, mip_gap=args.gap,
-                  time_limit=args.time_limit, num_test_scenarios=args.scenarios,
-                  num_training_scenarios=args.training_scenarios, seed=args.seed,
-                  psi_mode=args.psi_mode, generator_seed=args.generator_seed)
-    if args.workers > 1 and len(values) > 1:
-        # one single-value sweep per worker; merged in input order, so the
-        # row order matches the serial run
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(evaluation.sensitivity_sweep, instance, axis, [v],
-                                   **kwargs) for v in values]
-            rows = [row for fut in futures for row in fut.result()]
-    else:
-        rows = evaluation.sensitivity_sweep(instance, axis, values, **kwargs)
+    rows = evaluation.sensitivity_sweep(
+        instance, args.axis, values, methods=methods, eps=args.eps, mip_gap=args.gap,
+        time_limit=args.time_limit, num_test_scenarios=args.scenarios,
+        num_training_scenarios=args.training_scenarios, seed=args.seed,
+        psi_mode=args.psi_mode, generator_seed=args.generator_seed, workers=args.workers)
     core.atomic_write_text(os.path.join(args.out, "sweep.csv"),
                            evaluation.sweep_to_csv(rows))
     _finish(args.out, "sweep", args, ["sweep.csv"])
@@ -355,8 +345,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         return _emit_error(command, exc.kind, str(exc), exc.exit_code)
-    except ccg.NonconvergenceError as exc:
-        return _emit_error(command, type(exc).__name__, str(exc), EXIT_NONCONVERGED)
     except SolverLimitError as exc:
         return _emit_error(command, type(exc).__name__, str(exc), EXIT_NONCONVERGED)
     except BackendError as exc:

@@ -365,20 +365,13 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> ProblemInstance:
-    try:
-        i = int(doc["areas"])
-        j = int(doc["nodes"])
-    except KeyError as exc:
-        raise InstanceError(f"missing key {exc}") from exc
+    i = int(doc["areas"])
+    j = int(doc["nodes"])
     if i < 1 or j < 1:
         raise InstanceError("areas and nodes must be positive")
 
     def vec(key: str, length: int, default=None) -> np.ndarray:
-        if key not in doc:
-            if default is None:
-                raise InstanceError(f"missing key '{key}'")
-            return np.full(length, float(default))
-        raw = doc[key]
+        raw = doc[key] if default is None else doc.get(key, default)
         if np.isscalar(raw):
             return np.full(length, float(raw))
         arr = np.asarray(raw, dtype=float)
@@ -395,8 +388,6 @@ def instance_from_json(doc: dict) -> ProblemInstance:
         raise InstanceError(f"'{key}' must be {i}x{j} (nested or row-major flat)")
 
     nominal = vec("nominal_demand", i)
-    if "deviation" not in doc:
-        raise InstanceError("missing key 'deviation'")
     ratio = None
     if np.isscalar(doc["deviation"]):
         ratio = float(doc["deviation"])
@@ -409,10 +400,6 @@ def instance_from_json(doc: dict) -> ProblemInstance:
         eligibility = matrix("eligibility")
     dmax = doc.get("dmax")
     dmax = math.inf if dmax is None else float(dmax)
-
-    for key in ("beta", "budget", "gamma", "failure_budget"):
-        if key not in doc:
-            raise InstanceError(f"missing key '{key}'")
 
     return ProblemInstance(
         price=vec("prices", j),
@@ -456,15 +443,26 @@ def save_instance(instance: ProblemInstance, path: str) -> None:
     atomic_write_text(path, canonical_json(instance_to_json(instance)))
 
 
-def load_instance(path: str) -> ProblemInstance:
+def _read_json(path: str, parse):
+    """Decode the JSON object in `path` and parse it; a malformed document
+    or field becomes an `InstanceError` naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {path}: {exc}") from exc
+            raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceError(f"instance document must be a JSON object: {path}")
-    return instance_from_json(doc)
+        raise InstanceError(f"{path}: document must be a JSON object")
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise InstanceError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InstanceError(f"{path}: {exc}") from exc
+
+
+def load_instance(path: str) -> ProblemInstance:
+    return _read_json(path, instance_from_json)
 
 
 def plan_to_json(plan: FirstStagePlan, *, method: str, objective: float, **extras) -> dict:
@@ -479,10 +477,7 @@ def plan_to_json(plan: FirstStagePlan, *, method: str, objective: float, **extra
 
 
 def plan_from_json(doc: dict) -> tuple[FirstStagePlan, dict]:
-    try:
-        plan = FirstStagePlan(np.asarray(doc["t"]), np.asarray(doc["y"], dtype=float))
-    except KeyError as exc:
-        raise InstanceError(f"plan document missing key {exc}") from exc
+    plan = FirstStagePlan(np.asarray(doc["t"]), np.asarray(doc["y"], dtype=float))
     meta = {k: v for k, v in doc.items() if k not in ("t", "y")}
     return plan, meta
 
@@ -493,9 +488,4 @@ def save_plan(plan: FirstStagePlan, path: str, *, method: str, objective: float,
 
 
 def load_plan(path: str) -> tuple[FirstStagePlan, dict]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"not valid JSON: {path}: {exc}") from exc
-    return plan_from_json(doc)
+    return _read_json(path, plan_from_json)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import ccg, milp, topology
 from .adr import solve_adr
 from .baselines import (
     heuristic_placement,
-    make_training_scenarios,
     solve_deterministic,
     solve_stochastic,
 )
@@ -38,8 +38,9 @@ DISTRIBUTIONS = ("lognormal", "normal", "uniform")
 SWEEP_AXES = ("K", "gamma", "beta", "psi", "alpha", "budget", "dmax", "I", "J")
 # planners, in the order the CLI lists them
 METHODS = ("ccg-duality", "ccg-kkt", "adr", "extensive", "det", "so", "heu")
-# spread of test demands: the lognormal shape, or the normal's standard
-# deviation as a fraction of the box width
+# spread of drawn demands: the lognormal shape, or the normal's standard
+# deviation as a fraction of the demand deviation (the box width); the `so`
+# planner trains on the normal draws
 SIGMA = 0.25
 
 
@@ -48,7 +49,6 @@ class EvaluationConfig:
     num_scenarios: int = 1000
     distribution: str = "lognormal"
     k_test: int | None = None
-    psi: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -56,8 +56,6 @@ class EvaluationConfig:
             raise ValueError("need at least one scenario")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.psi <= 0:
-            raise ValueError("psi must be positive")
         if self.k_test is not None and self.k_test < 0:
             raise ValueError("k_test must be nonnegative")
 
@@ -123,8 +121,6 @@ def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan, scenario: Sc
 
 
 def _truncated_lognormal(rng, lo, hi, median, sigma, size):
-    if hi - lo <= 0:
-        return np.full(size, lo)
     dist = stats.lognorm(s=sigma, scale=median)
     u = rng.uniform(dist.cdf(lo), dist.cdf(hi), size=size)
     return np.clip(dist.ppf(u), lo, hi)
@@ -134,8 +130,11 @@ def generate_test_scenarios(instance: ProblemInstance,
                             config: EvaluationConfig) -> list[Scenario]:
     """Demands i.i.d. per area on the deviation box, failures uniform.
 
-    The lognormal family puts its median at the middle of the box;
-    truncation is exact (inverse-cdf on the restricted range).
+    The lognormal family puts its median at the middle of the box; the
+    normal family centres there with standard deviation `SIGMA` times the
+    area's demand deviation.  Truncation is exact (inverse-cdf on the
+    restricted range).  An area with no deviation keeps its nominal demand.
+    The `so` planner trains on the normal draws.
     """
     rng = np.random.default_rng(config.seed)
     n = config.num_scenarios
@@ -144,14 +143,14 @@ def generate_test_scenarios(instance: ProblemInstance,
     ni = instance.num_areas
     demands = np.empty((n, ni))
     for i in range(ni):
-        if hi[i] - lo[i] <= 0:
+        if instance.demand_deviation[i] <= 0:
             demands[:, i] = lo[i]
         elif config.distribution == "lognormal":
             demands[:, i] = _truncated_lognormal(rng, lo[i], hi[i],
                                                  0.5 * (lo[i] + hi[i]), SIGMA, n)
         elif config.distribution == "normal":
             center = 0.5 * (lo[i] + hi[i])
-            sigma = SIGMA * (hi[i] - lo[i])
+            sigma = SIGMA * instance.demand_deviation[i]
             a, b = (lo[i] - center) / sigma, (hi[i] - center) / sigma
             u = rng.uniform(size=n)
             demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center, scale=sigma)
@@ -179,8 +178,10 @@ def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
     """Score a plan on a scenario list; costs are provisioning + recourse.
 
     Each scenario is re-optimized with the recourse LP (see
-    `solve_recourse_batch`).
+    `solve_recourse_batch`); `psi` scales the unmet-demand penalties.
     """
+    if psi <= 0:
+        raise ValueError("psi must be positive")
     scenarios = list(scenarios)
     prov = provisioning_cost(instance, plan)
     outs = solve_recourse_batch(instance, plan, scenarios, psi=psi)
@@ -326,7 +327,8 @@ def plan_with_method(instance: ProblemInstance, method: str, *, eps: float = DEF
         res = solve_deterministic(instance, mip_gap=mip_gap, time_limit=time_limit)
         return PlanResult(res.plan, res.objective, True, {"wall_seconds": res.wall_seconds})
     if method == "so":
-        training = make_training_scenarios(instance, num_training, seed)
+        training = generate_test_scenarios(instance, EvaluationConfig(
+            num_scenarios=num_training, distribution="normal", seed=seed))
         res = solve_stochastic(instance, training, mip_gap=mip_gap, time_limit=time_limit)
         extras = {"training_scenarios": num_training, "wall_seconds": res.wall_seconds}
         return PlanResult(res.plan, res.objective, True, extras)
@@ -348,11 +350,14 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
                       *, eps: float = 1e-4, mip_gap: float | None = None,
                       time_limit: float | None = None, num_test_scenarios: int = 200,
                       num_training_scenarios: int = 100, seed: int = 0,
-                      psi_mode: str = "both", generator_seed: int | None = None) -> list[dict]:
+                      psi_mode: str = "both", generator_seed: int | None = None,
+                      workers: int = 1) -> list[dict]:
     """Re-plan and re-score along one parameter axis.
 
-    Returns one row per (value, method); failures are recorded in the
-    row's `error` column and the sweep keeps going.
+    Returns one row per (value, method), in input order; failures are
+    recorded in the row's `error` column and the sweep keeps going.  With
+    `workers` > 1 the values run on that many threads; every value's cell
+    is computed the same way either way, so the rows do not depend on it.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
@@ -366,14 +371,12 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     sized_cut = _sized_family(instance, axis, values, generator_seed) \
         if axis in ("I", "J") else None
 
-    rows = []
-    for value in values:
+    def rows_of(value) -> list[dict]:
         try:
             inst_v, eval_psi = _derive_instance(instance, axis, value, sized_cut, psi_mode)
         except Exception as exc:
-            for method in methods:
-                rows.append(_sweep_row(axis, value, method, error=str(exc)))
-            continue
+            return [_sweep_row(axis, value, method, error=str(exc)) for method in methods]
+        rows = []
         scenarios = None
         for method in methods:
             start = time.perf_counter()
@@ -403,7 +406,14 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
             except Exception as exc:
                 rows.append(_sweep_row(axis, value, method, error=str(exc),
                                        wall_seconds=time.perf_counter() - start))
-    return rows
+        return rows
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_value = list(pool.map(rows_of, values))
+    else:
+        per_value = [rows_of(value) for value in values]
+    return [row for rows in per_value for row in rows]
 
 
 def _sweep_row(axis, value, method, *, objective=math.nan, provisioning=math.nan,

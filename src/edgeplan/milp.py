@@ -155,7 +155,6 @@ class SolveResult:
     dual_bound: float
     gap: float
     wall_seconds: float
-    message: str = ""
 
     def value(self, ids) -> np.ndarray | float:
         """Primal values for an id array (shape preserved) or a single id."""
@@ -230,7 +229,7 @@ def solve(model: Model, *, mip_gap: float | None = None,
         gap = abs(objective - dual_bound) / max(1e-12, abs(objective))
     else:
         objective, dual_bound, gap, values = np.nan, np.nan, np.nan, None
-    return SolveResult(status, objective, values, dual_bound, gap, wall, message=str(res.message))
+    return SolveResult(status, objective, values, dual_bound, gap, wall)
 
 
 def ensure_optimal(result: SolveResult, what: str = "model") -> SolveResult:

@@ -16,7 +16,6 @@ from edgeplan import topology
 from edgeplan.adr import audit_model_size, predicted_counts, solve_adr
 from edgeplan.baselines import (
     heuristic_placement,
-    make_training_scenarios,
     solve_deterministic,
     solve_stochastic,
 )
@@ -166,7 +165,8 @@ def test_criterion_6_minimax_ordering_at_scale():
         plans = {
             "aro": run_ccg(inst, eps=1e-3, mip_gap=1e-4).plan,
             "det": solve_deterministic(inst).plan,
-            "so": solve_stochastic(inst, make_training_scenarios(inst, 100, seed)).plan,
+            "so": solve_stochastic(inst, generate_test_scenarios(inst, EvaluationConfig(
+                num_scenarios=100, distribution="normal", seed=seed))).plan,
             "heu": heuristic_placement(inst),
         }
         certs = {name: certify_worst_case(inst, plan, mip_gap=1e-6)

@@ -6,12 +6,12 @@ import pytest
 from edgeplan.baselines import (
     SCENARIO_CAP,
     heuristic_placement,
-    make_training_scenarios,
     solve_deterministic,
     solve_stochastic,
 )
 from edgeplan.ccg import run_ccg
 from edgeplan.core import ProblemInstance, Scenario, UncertaintyModel, provisioning_cost
+from edgeplan.evaluation import EvaluationConfig, generate_test_scenarios
 from helpers import random_instance, tiny_instance, unit_example, vertex_scenarios
 
 
@@ -56,7 +56,8 @@ def test_stochastic_single_scenario_equals_deterministic():
 def test_stochastic_duplication_invariance():
     rng = np.random.default_rng(53)
     inst = random_instance(rng, 2, 2)
-    training = make_training_scenarios(inst, 6, seed=1)
+    training = generate_test_scenarios(
+        inst, EvaluationConfig(num_scenarios=6, distribution="normal", seed=1))
     one = solve_stochastic(inst, training)
     two = solve_stochastic(inst, training + training)
     assert one.objective == pytest.approx(two.objective, abs=1e-7)
@@ -76,20 +77,6 @@ def test_stochastic_scenario_cap():
     nominal = Scenario(inst.nominal_demand, np.zeros(1, dtype=np.int8))
     with pytest.raises(ValueError):
         solve_stochastic(inst, [nominal] * (SCENARIO_CAP + 1))
-
-
-def test_training_scenarios_box_budget_determinism():
-    inst = random_instance(np.random.default_rng(67), 3, 3, gamma=2, k=2)
-    lo, hi = inst.nominal_demand, inst.nominal_demand + inst.demand_deviation
-    a = make_training_scenarios(inst, 60, seed=4)
-    assert len(a) == 60
-    for s in a:
-        assert np.all(s.demand >= lo - 1e-9) and np.all(s.demand <= hi + 1e-9)
-        assert s.failures.sum() <= 2
-    b = make_training_scenarios(inst, 60, seed=4)
-    assert all(x.key() == y.key() for x, y in zip(a, b))
-    c = make_training_scenarios(inst, 60, seed=5)
-    assert any(x.key() != y.key() for x, y in zip(a, c))
 
 
 def test_heuristic_single_node():
@@ -144,7 +131,8 @@ def test_heuristic_deterministic_and_feasible():
 def test_all_planners_emit_valid_plans():
     rng = np.random.default_rng(79)
     inst = random_instance(rng, 3, 3, gamma=1, k=1)
-    training = make_training_scenarios(inst, 10, seed=0)
+    training = generate_test_scenarios(
+        inst, EvaluationConfig(num_scenarios=10, distribution="normal", seed=0))
     plans = [
         solve_deterministic(inst).plan,
         solve_stochastic(inst, training).plan,

@@ -238,10 +238,12 @@ def test_sweep_parallel_matches_serial(tmp_path):
     gen = _small(tmp_path, "gen")
     inst = str(gen / "instance.json")
 
-    def rows_of(out, workers):
-        rc = cli.main(["sweep", "--instance", inst, "--axis", "gamma",
-                       "--values", "0,1,2", "--methods", "det", "--scenarios", "4",
-                       "--workers", str(workers), "--out", str(out)])
+    def rows_of(axis, values, workers):
+        out = tmp_path / f"{axis}-{workers}"
+        rc = cli.main(["sweep", "--instance", inst, "--axis", axis,
+                       "--values", values, "--methods", "det", "--scenarios", "4",
+                       "--generator-seed", "1", "--workers", str(workers),
+                       "--out", str(out)])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         stripped = []
@@ -251,7 +253,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
             stripped.append(",".join(cells))
         return stripped
 
-    assert rows_of(tmp_path / "serial", 1) == rows_of(tmp_path / "par", 3)
+    for axis, values in (("gamma", "0,1,2"), ("I", "2,3,4"), ("J", "2,3,4")):
+        assert rows_of(axis, values, 1) == rows_of(axis, values, 3), axis
 
 
 def test_sweep_exits_3_when_every_cell_fails(tmp_path, capsys):
@@ -304,6 +307,53 @@ def test_missing_instance_file_exits_3(tmp_path, capsys):
     assert rc == 3
     doc = _stderr_doc(capsys)
     assert doc["exit_code"] == 3
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    (None, [1, 2]),  # a plan file holding a JSON array
+    ("delays", _MISSING),
+    ("areas", None),
+    ("prices", {"a": 1}),
+    ("beta", [1, 2]),
+    ("gamma", float("inf")),
+], ids=["plan-array", "no-delays", "areas-null", "prices-object", "beta-list", "gamma-inf"])
+def test_malformed_files_exit_3(tmp_path, capsys, key, value):
+    inst = _small(tmp_path, "gen") / "instance.json"
+    bad = tmp_path / "bad.json"
+    if key is None:
+        bad.write_text(json.dumps(value))
+        argv = ["evaluate", "--instance", str(inst), "--plan", str(bad)]
+    else:
+        doc = json.loads(inst.read_text())
+        if value is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+        bad.write_text(json.dumps(doc))
+        argv = ["solve", "--instance", str(bad), "--method", "det"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 3
+    [line] = capsys.readouterr().err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "InstanceError" and doc["exit_code"] == 3
+    assert str(bad) in doc["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_nonpositive_psi(tmp_path, capsys):
+    gen = _small(tmp_path, "gen")
+    plan = tmp_path / "plan.json"
+    save_plan(FirstStagePlan(np.zeros(2, dtype=np.int8), np.zeros(2)), str(plan),
+              method="empty", objective=0.0)
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--instance", str(gen / "instance.json"), "--plan", str(plan),
+                   "--psi", "0", "--scenarios", "5", "--out", str(out)])
+    assert rc == 3
+    assert "psi" in _stderr_doc(capsys)["message"]
+    assert not out.exists()
 
 
 def test_version_flag():

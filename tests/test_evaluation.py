@@ -184,6 +184,13 @@ def test_monte_carlo_of_no_scenarios_is_nan():
     assert math.isnan(rep.average_cost) and math.isnan(rep.worst_cost)
 
 
+def test_monte_carlo_rejects_nonpositive_psi():
+    inst = tiny_instance()
+    for psi in (0.0, -1.0):
+        with pytest.raises(ValueError, match="psi"):
+            monte_carlo(inst, _plan([1], [5.0]), [_nominal(inst)], psi=psi, certify=False)
+
+
 # -- scenario generation ----------------------------------------------------
 
 def test_config_validation():
@@ -191,8 +198,6 @@ def test_config_validation():
         EvaluationConfig(num_scenarios=0)
     with pytest.raises(ValueError):
         EvaluationConfig(distribution="gamma")
-    with pytest.raises(ValueError):
-        EvaluationConfig(psi=0.0)
     with pytest.raises(ValueError):
         EvaluationConfig(k_test=-1)
 
@@ -209,6 +214,9 @@ def test_scenarios_respect_box_and_seed(distribution):
         assert s.failures.sum() <= 2
     again = generate_test_scenarios(inst, cfg)
     assert all(a.key() == b.key() for a, b in zip(scenarios, again))
+    other = generate_test_scenarios(inst, EvaluationConfig(
+        num_scenarios=100, distribution=distribution, seed=8))
+    assert any(a.key() != b.key() for a, b in zip(scenarios, other))
 
 
 def test_scenarios_k_test_override():
