@@ -32,7 +32,6 @@ rows as one block each.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,6 @@ class AdrSolution:
     objective: float
     phi: float
     status: str
-    wall_seconds: float
 
 
 def evaluate_policy(instance: ProblemInstance, policy: AffinePolicy,
@@ -198,7 +196,6 @@ def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
               time_limit: float | None = None) -> AdrSolution:
     """Solve the affine-policy MILP; objective is an upper bound on the
     exact two-stage optimum (equal on simplex uncertainty sets)."""
-    start = time.perf_counter()
     model, index = assemble_adr_milp(instance)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "affine policy model")
@@ -208,7 +205,7 @@ def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
         E=result.value(index["E"]), F=result.value(index["F"]), G=result.value(index["G"]))
     return AdrSolution(plan=plan, policy=policy, objective=result.objective,
                        phi=float(result.values[index["phi"]]),
-                       status=result.status, wall_seconds=time.perf_counter() - start)
+                       status=result.status)
 
 
 # ---------------------------------------------------------------------------

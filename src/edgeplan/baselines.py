@@ -7,7 +7,6 @@ the evaluation pipeline treats every method identically.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,21 +22,17 @@ SCENARIO_CAP = 2000
 class BaselineSolution:
     plan: FirstStagePlan
     objective: float
-    wall_seconds: float
 
 
 def solve_deterministic(instance: ProblemInstance, *, mip_gap: float | None = None,
                         time_limit: float | None = None) -> BaselineSolution:
     """Plan against nominal demand with every node up; no robustness."""
-    start = time.perf_counter()
     nominal = Scenario(instance.nominal_demand, np.zeros(instance.num_nodes, dtype=np.int8))
-    plan, objective = _solve_weighted(instance, (nominal,), mip_gap, time_limit)
-    return BaselineSolution(plan=plan, objective=objective,
-                            wall_seconds=time.perf_counter() - start)
+    return _solve_weighted(instance, (nominal,), mip_gap, time_limit)
 
 
 def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], mip_gap,
-                    time_limit) -> tuple[FirstStagePlan, float]:
+                    time_limit) -> BaselineSolution:
     """Extensive form with one recourse block per scenario, each weighted 1/n."""
     weight = 1.0 / len(scenarios)
     model = milp.Model("stochastic")
@@ -51,8 +46,7 @@ def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], 
     model.set_objective(np.concatenate(obj_ids), np.concatenate(obj_coeffs))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "stochastic extensive form")
-    plan = _extract_plan(instance, result, t, y)
-    return plan, result.objective
+    return BaselineSolution(plan=_extract_plan(instance, result, t, y), objective=result.objective)
 
 
 def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | None = None,
@@ -64,10 +58,7 @@ def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | N
         raise ValueError("scenario set is empty")
     if len(scenarios) > SCENARIO_CAP:
         raise ValueError(f"{len(scenarios)} scenarios exceed the cap of {SCENARIO_CAP}")
-    start = time.perf_counter()
-    plan, objective = _solve_weighted(instance, scenarios, mip_gap, time_limit)
-    return BaselineSolution(plan=plan, objective=objective,
-                            wall_seconds=time.perf_counter() - start)
+    return _solve_weighted(instance, scenarios, mip_gap, time_limit)
 
 
 def heuristic_placement(instance: ProblemInstance) -> FirstStagePlan:

@@ -38,7 +38,6 @@ class MasterSolution:
     eta: float
     lower_bound: float
     objective: float
-    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class SubproblemSolution:
     worst_scenario: Scenario
     value: float
     bound: float
-    wall_seconds: float
 
 
 @dataclass
@@ -70,9 +68,6 @@ class IterationRecord:
 
 @dataclass
 class CcgState:
-    iteration: int = 0
-    lower_bound: float = -np.inf
-    upper_bound: float = np.inf
     pool: list[Scenario] = field(default_factory=list)
     trace: list[IterationRecord] = field(default_factory=list)
 
@@ -84,15 +79,6 @@ class CcgResult:
     state: CcgState
     converged: bool
     message: str
-    wall_seconds: float
-
-
-@dataclass(frozen=True)
-class ExtensiveSolution:
-    plan: FirstStagePlan
-    objective: float
-    num_vertices: int
-    wall_seconds: float
 
 
 def _gap_and_convergence(lb: float, ub: float, eps: float) -> tuple[float, bool]:
@@ -184,8 +170,7 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
     milp.ensure_optimal(result, "CCG master (is the instance consistent?)")
     plan = _extract_plan(instance, result, t, y)
     return MasterSolution(plan=plan, eta=float(result.value(eta)),
-                          lower_bound=result.dual_bound, objective=result.objective,
-                          wall_seconds=result.wall_seconds)
+                          lower_bound=result.dual_bound, objective=result.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +184,7 @@ def _scenario_from_bits(instance: ProblemInstance, g_val: np.ndarray, z_val: np.
 
 
 def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
-                       g: np.ndarray, z: np.ndarray, what: str,
-                       start: float) -> SubproblemSolution:
+                       g: np.ndarray, z: np.ndarray, what: str) -> SubproblemSolution:
     """An oracle's answer: the worst vertex from its g/z bits.  A limit with an
     incumbent is a degraded answer whose bound exceeds its value."""
     if result.status not in ("optimal", "limit") or result.values is None:
@@ -209,7 +193,6 @@ def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
         worst_scenario=_scenario_from_bits(instance, result.value(g), result.value(z)),
         value=result.objective,
         bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        wall_seconds=time.perf_counter() - start,
     )
 
 
@@ -276,7 +259,6 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
                              mip_gap: float | None = None,
                              time_limit: float | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost for a plan, via the dual MILP."""
-    start = time.perf_counter()
     # any box at or above max P is exact (see _build_duality_model); the width
     # only decides which of tied worst-case vertices HiGHS returns, so changing
     # it changes which vertex CCG adds and with it the trace
@@ -284,7 +266,7 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
     model, blocks = _build_duality_model(instance, plan, m_u)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     return _worst_case_answer(instance, result, blocks["g"], blocks["z"],
-                              "duality subproblem", start)
+                              "duality subproblem")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +283,6 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     dual-side constants from the penalty scale (every dual vertex is
     bounded by max P, see the duality oracle).
     """
-    start = time.perf_counter()
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
     cap, proc, pen = instance.capacity, plan.procurement, instance.unmet_penalty
@@ -376,7 +357,7 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     model.set_objective(*_recourse_cost(instance, x, q))
 
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    return _worst_case_answer(instance, result, g, z, "KKT subproblem", start)
+    return _worst_case_answer(instance, result, g, z, "KKT subproblem")
 
 
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
@@ -409,32 +390,34 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     subproblem = worst_case_oracle(oracle)
     gap_setting = mip_gap if mip_gap is not None else min(milp.DEFAULT_MIP_GAP, eps / 10.0)
 
-    start = time.perf_counter()
     state = CcgState()
     seen: set[tuple] = set()
+    lower, upper = -np.inf, np.inf
     incumbent: FirstStagePlan | None = None
     plan = FirstStagePlan.empty(instance.num_nodes)
     converged = False
     message = ""
 
     for r in range(0, max_iterations + 1):
-        state.iteration = r
+        start = time.perf_counter()
         master = solve_master(instance, state.pool, mip_gap=gap_setting, time_limit=time_limit)
+        middle = time.perf_counter()
         plan = master.plan
-        state.lower_bound = max(state.lower_bound, master.lower_bound)
+        lower = max(lower, master.lower_bound)
 
         sub = subproblem(instance, plan, mip_gap=gap_setting, time_limit=time_limit)
+        end = time.perf_counter()
         candidate = provisioning_cost(instance, plan) + sub.bound
-        if candidate < state.upper_bound:
-            state.upper_bound = candidate
+        if candidate < upper:
+            upper = candidate
             incumbent = plan
 
         key = sub.worst_scenario.key()
         repeated = key in seen
-        gap, converged = _gap_and_convergence(state.lower_bound, state.upper_bound, eps)
+        gap, converged = _gap_and_convergence(lower, upper, eps)
         state.trace.append(IterationRecord(
-            iteration=r, lower_bound=state.lower_bound, upper_bound=state.upper_bound,
-            gap=gap, master_seconds=master.wall_seconds, subproblem_seconds=sub.wall_seconds,
+            iteration=r, lower_bound=lower, upper_bound=upper, gap=gap,
+            master_seconds=middle - start, subproblem_seconds=end - middle,
             scenario_repeated=repeated))
         if converged:
             message = f"converged at iteration {r}"
@@ -447,34 +430,27 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
         seen.add(key)
         state.pool.append(sub.worst_scenario)
     else:
-        gap = state.trace[-1].gap if state.trace else np.inf
         message = f"iteration cap {max_iterations} reached with gap {gap:.3e}"
 
     return CcgResult(
         plan=incumbent if incumbent is not None else plan,
-        objective=state.upper_bound,
+        objective=upper,
         state=state,
         converged=converged,
         message=message,
-        wall_seconds=time.perf_counter() - start,
     )
 
 
 def solve_extensive_form(instance: ProblemInstance, *, mip_gap: float | None = None,
-                         time_limit: float | None = None) -> ExtensiveSolution:
-    """Monolithic MILP with one recourse block per uncertainty vertex.
+                         time_limit: float | None = None) -> MasterSolution:
+    """The master over every uncertainty vertex: one recourse block per vertex.
 
     Exact by enumeration; refuses vertex sets above `VERTEX_CAP`.  Used as
     the ground-truth oracle for CCG and ADR tests.
     """
     pairs = enumerate_vertices(instance.uncertainty, instance.num_areas, instance.num_nodes)
-    scenarios = [Scenario(demand_from_g(instance, g), z) for g, z in pairs]
-    model, t, y, eta = _build_master_model(instance, scenarios)
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    milp.ensure_optimal(result, "extensive form")
-    plan = _extract_plan(instance, result, t, y)
-    return ExtensiveSolution(plan=plan, objective=result.objective,
-                             num_vertices=len(scenarios), wall_seconds=result.wall_seconds)
+    return solve_master(instance, [Scenario(demand_from_g(instance, g), z) for g, z in pairs],
+                        mip_gap=mip_gap, time_limit=time_limit)
 
 
 def iteration_bound(instance: ProblemInstance) -> int:

@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
         instance, args.axis, values, methods=methods, eps=args.eps, mip_gap=args.gap,
         time_limit=args.time_limit, num_test_scenarios=args.scenarios,
         num_training_scenarios=args.training_scenarios, seed=args.seed,
-        psi_mode=args.psi_mode, generator_seed=args.generator_seed, workers=args.workers)
+        psi_mode=args.psi_mode, workers=args.workers)
     core.atomic_write_text(os.path.join(args.out, "sweep.csv"),
                            evaluation.sweep_to_csv(rows))
     _finish(args.out, "sweep", args, ["sweep.csv"])
@@ -323,8 +323,6 @@ def build_parser() -> _Parser:
     w.add_argument("--training-scenarios", type=int, default=100)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--psi-mode", choices=("both", "evaluation"), default="both")
-    w.add_argument("--generator-seed", type=int, default=None,
-                   help="seed for regenerating larger instances on I/J axes")
     w.add_argument("--workers", type=int, default=1)
     w.add_argument("--out", required=True, help="output directory")
     w.set_defaults(func=cmd_sweep)

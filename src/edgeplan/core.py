@@ -64,12 +64,11 @@ class UncertaintyModel:
     deviation_ratio: float | None = None
 
     def __post_init__(self):
-        if int(self.gamma) != self.gamma or self.gamma < 0:
-            raise InstanceError(f"gamma must be a nonnegative integer, got {self.gamma}")
-        if int(self.failure_budget) != self.failure_budget or self.failure_budget < 0:
-            raise InstanceError(f"failure_budget must be a nonnegative integer, got {self.failure_budget}")
-        object.__setattr__(self, "gamma", int(self.gamma))
-        object.__setattr__(self, "failure_budget", int(self.failure_budget))
+        for name in ("gamma", "failure_budget"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 0):
+                raise InstanceError(f"{name} must be a nonnegative integer, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.deviation_ratio is not None and not (0 <= self.deviation_ratio < np.inf):
             raise InstanceError("deviation_ratio must be a nonnegative real")
 
@@ -171,8 +170,11 @@ class ProblemInstance:
     def subset(self, areas: int | None = None, nodes: int | None = None) -> "ProblemInstance":
         """The first `areas` areas and first `nodes` nodes, with gamma and
         the failure budget clamped to the smaller sizes."""
-        ni = self.num_areas if areas is None else int(areas)
-        nj = self.num_nodes if nodes is None else int(nodes)
+        ni = self.num_areas if areas is None else areas
+        nj = self.num_nodes if nodes is None else nodes
+        if not (float(ni).is_integer() and float(nj).is_integer()):
+            raise InstanceError(f"subset sizes must be whole numbers, got {ni}x{nj}")
+        ni, nj = int(ni), int(nj)
         if not (1 <= ni <= self.num_areas and 1 <= nj <= self.num_nodes):
             raise InstanceError(f"subset {ni}x{nj} does not fit in "
                                 f"{self.num_areas}x{self.num_nodes}")
@@ -365,58 +367,61 @@ def instance_to_json(instance: ProblemInstance) -> dict:
 
 
 def instance_from_json(doc: dict) -> ProblemInstance:
-    i = int(doc["areas"])
-    j = int(doc["nodes"])
-    if i < 1 or j < 1:
-        raise InstanceError("areas and nodes must be positive")
+    def read(key: str, convert, *default):
+        """`convert(doc[key])`, the key falling back to `default` when one is
+        given; a value that does not convert names its key."""
+        raw = doc.get(key, *default) if default else doc[key]
+        try:
+            return convert(raw)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InstanceError(f"'{key}': {exc}") from exc
 
-    def vec(key: str, length: int, default=None) -> np.ndarray:
-        raw = doc[key] if default is None else doc.get(key, default)
-        if np.isscalar(raw):
-            return np.full(length, float(raw))
+    def count(raw) -> int:
+        value = float(raw)
+        if not (value.is_integer() and value >= 1):
+            raise InstanceError(f"must be a positive whole number, got {raw}")
+        return int(value)
+
+    i, j = read("areas", count), read("nodes", count)
+
+    def vec(key: str, length: int, *default) -> np.ndarray:
+        def convert(raw):
+            if np.isscalar(raw):
+                return np.full(length, float(raw))
+            arr = np.asarray(raw, dtype=float)
+            if arr.shape != (length,):
+                raise InstanceError(f"must have length {length}, got shape {arr.shape}")
+            return arr
+        return read(key, convert, *default)
+
+    def matrix(raw) -> np.ndarray:
         arr = np.asarray(raw, dtype=float)
-        if arr.shape != (length,):
-            raise InstanceError(f"'{key}' must have length {length}, got shape {arr.shape}")
-        return arr
-
-    def matrix(key: str) -> np.ndarray:
-        raw = np.asarray(doc[key], dtype=float)
-        if raw.shape == (i, j):
-            return raw
-        if raw.shape == (i * j,):
-            return raw.reshape(i, j)
-        raise InstanceError(f"'{key}' must be {i}x{j} (nested or row-major flat)")
+        if arr.shape == (i, j):
+            return arr
+        if arr.shape == (i * j,):
+            return arr.reshape(i, j)
+        raise InstanceError(f"must be {i}x{j} (nested or row-major flat)")
 
     nominal = vec("nominal_demand", i)
-    ratio = None
-    if np.isscalar(doc["deviation"]):
-        ratio = float(doc["deviation"])
-        deviation = ratio * nominal
-    else:
-        deviation = vec("deviation", i)
-
-    eligibility = None
-    if "eligibility" in doc and doc["eligibility"] is not None:
-        eligibility = matrix("eligibility")
-    dmax = doc.get("dmax")
-    dmax = math.inf if dmax is None else float(dmax)
+    ratio = read("deviation", lambda raw: float(raw) if np.isscalar(raw) else None)
+    deviation = vec("deviation", i) if ratio is None else ratio * nominal
 
     return ProblemInstance(
         price=vec("prices", j),
         capacity=vec("capacities", j),
         placement_cost=vec("placement_costs", j),
-        storage_cost=vec("storage_costs", j, default=0.0),
-        initial_placement=vec("initial_placement", j, default=0.0),
-        delay=matrix("delays"),
-        beta=float(doc["beta"]),
+        storage_cost=vec("storage_costs", j, 0.0),
+        initial_placement=vec("initial_placement", j, 0.0),
+        delay=read("delays", matrix),
+        beta=read("beta", float),
         unmet_penalty=vec("unmet_penalty", i),
-        budget=float(doc["budget"]),
+        budget=read("budget", float),
         nominal_demand=nominal,
         demand_deviation=deviation,
-        uncertainty=UncertaintyModel(int(doc["gamma"]), int(doc["failure_budget"]),
+        uncertainty=UncertaintyModel(read("gamma", float), read("failure_budget", float),
                                      deviation_ratio=ratio),
-        dmax=dmax,
-        eligibility=eligibility,
+        dmax=read("dmax", lambda raw: math.inf if raw is None else float(raw), None),
+        eligibility=read("eligibility", lambda raw: None if raw is None else matrix(raw), None),
     )
 
 

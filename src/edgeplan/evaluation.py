@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import ccg, milp, topology
+from . import ccg, milp
 from .adr import solve_adr
 from .baselines import (
+    BaselineSolution,
     heuristic_placement,
     solve_deterministic,
     solve_stochastic,
@@ -233,40 +234,15 @@ def normalize_axis(axis: str) -> str:
     raise ValueError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
 
 
-def _sized_family(base: ProblemInstance, axis: str, values, generator_seed):
-    """Nested instances for I/J sweeps: slice the base arrays when every
-    value fits, otherwise regenerate one family at the largest size so
-    smaller sizes are prefixes (keeps the size axis monotone)."""
-    need = int(max(values))
-    if axis == "I" and need <= base.num_areas:
-        parent = base
-    elif axis == "J" and need <= base.num_nodes:
-        parent = base
-    elif generator_seed is None:
-        raise ValueError(f"axis {axis} beyond the base instance needs generator_seed")
-    else:
-        parent = topology.generate_instance(
-            num_areas=need if axis == "I" else base.num_areas,
-            num_nodes=need if axis == "J" else base.num_nodes,
-            seed=generator_seed)
-
-    def cut(v: int) -> ProblemInstance:
-        v = int(v)
-        if v < 1:
-            raise ValueError(f"axis {axis} needs positive sizes, got {v}")
-        return parent.subset(areas=v) if axis == "I" else parent.subset(nodes=v)
-
-    return cut
-
-
-def _derive_instance(base: ProblemInstance, axis: str, value, sized_cut,
+def _derive_instance(base: ProblemInstance, axis: str, value,
                      psi_mode: str) -> tuple[ProblemInstance, float]:
-    """Instance and evaluation-psi for one sweep cell."""
+    """Instance and evaluation-psi for one sweep cell: the base with one
+    field changed, validated by the instance's own constructors."""
     u = base.uncertainty
     if axis == "K":
-        return base.replace(uncertainty=UncertaintyModel(u.gamma, int(value))), 1.0
+        return base.replace(uncertainty=UncertaintyModel(u.gamma, value)), 1.0
     if axis == "gamma":
-        return base.replace(uncertainty=UncertaintyModel(int(value), u.failure_budget)), 1.0
+        return base.replace(uncertainty=UncertaintyModel(value, u.failure_budget)), 1.0
     if axis == "beta":
         return base.replace(beta=float(value)), 1.0
     if axis == "alpha":
@@ -285,7 +261,9 @@ def _derive_instance(base: ProblemInstance, axis: str, value, sized_cut,
         if psi_mode == "both":
             return base.replace(unmet_penalty=psi * base.unmet_penalty), 1.0
         return base, psi
-    return sized_cut(value), 1.0
+    if axis == "I":
+        return base.subset(areas=value), 1.0
+    return base.subset(nodes=value), 1.0
 
 
 @dataclass(frozen=True)
@@ -304,60 +282,58 @@ def plan_with_method(instance: ProblemInstance, method: str, *, eps: float = DEF
                      max_iterations: int = DEFAULT_MAX_ITERATIONS,
                      mip_gap: float | None = None, time_limit: float | None = None,
                      num_training: int = 100, seed: int = 0) -> PlanResult:
-    """Run one of `METHODS` on an instance."""
+    """Run one of `METHODS` on an instance; `extras["wall_seconds"]` times
+    the whole planner call, model builds included."""
+    start = time.perf_counter()
+    converged, extras, trace = True, {}, None
     if method in ("ccg-duality", "ccg-kkt"):
         res = run_ccg(instance, oracle=method.split("-")[1], eps=eps,
                       max_iterations=max_iterations, mip_gap=mip_gap, time_limit=time_limit)
         last = res.state.trace[-1]
+        converged, trace = res.converged, trace_to_csv(res.state)
         extras = {"converged": res.converged, "iterations": last.iteration, "gap": last.gap,
-                  "lower_bound": res.state.lower_bound, "message": res.message,
-                  "wall_seconds": res.wall_seconds}
-        return PlanResult(res.plan, res.objective, res.converged, extras,
-                          trace_to_csv(res.state))
-    if method == "adr":
+                  "lower_bound": last.lower_bound, "message": res.message}
+    elif method == "adr":
         res = solve_adr(instance, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"status": res.status, "worst_recourse": res.phi,
-                  "wall_seconds": res.wall_seconds}
-        return PlanResult(res.plan, res.objective, True, extras)
-    if method == "extensive":
+        extras = {"status": res.status, "worst_recourse": res.phi}
+    elif method == "extensive":
         res = solve_extensive_form(instance, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"num_vertices": res.num_vertices, "wall_seconds": res.wall_seconds}
-        return PlanResult(res.plan, res.objective, True, extras)
-    if method == "det":
+        extras = {"num_vertices": ccg.iteration_bound(instance)}
+    elif method == "det":
         res = solve_deterministic(instance, mip_gap=mip_gap, time_limit=time_limit)
-        return PlanResult(res.plan, res.objective, True, {"wall_seconds": res.wall_seconds})
-    if method == "so":
+    elif method == "so":
         training = generate_test_scenarios(instance, EvaluationConfig(
             num_scenarios=num_training, distribution="normal", seed=seed))
         res = solve_stochastic(instance, training, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"training_scenarios": num_training, "wall_seconds": res.wall_seconds}
-        return PlanResult(res.plan, res.objective, True, extras)
-    if method == "heu":
-        start = time.perf_counter()
+        extras = {"training_scenarios": num_training}
+    elif method == "heu":
         plan = heuristic_placement(instance)
         nominal = Scenario(instance.nominal_demand,
                            np.zeros(instance.num_nodes, dtype=np.int8))
         out = solve_recourse(instance, plan, nominal)
         # greedy plans carry no solver objective; report the nominal-scenario total
-        extras = {"objective_kind": "nominal-scenario total",
-                  "wall_seconds": time.perf_counter() - start}
-        return PlanResult(plan, provisioning_cost(instance, plan) + out.second_stage_cost,
-                          True, extras)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        res = BaselineSolution(plan, provisioning_cost(instance, plan) + out.second_stage_cost)
+        extras = {"objective_kind": "nominal-scenario total"}
+    else:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    extras["wall_seconds"] = time.perf_counter() - start
+    return PlanResult(res.plan, res.objective, converged, extras, trace)
 
 
 def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("ccg-duality",),
                       *, eps: float = 1e-4, mip_gap: float | None = None,
                       time_limit: float | None = None, num_test_scenarios: int = 200,
                       num_training_scenarios: int = 100, seed: int = 0,
-                      psi_mode: str = "both", generator_seed: int | None = None,
-                      workers: int = 1) -> list[dict]:
+                      psi_mode: str = "both", workers: int = 1) -> list[dict]:
     """Re-plan and re-score along one parameter axis.
 
     Returns one row per (value, method), in input order; failures are
-    recorded in the row's `error` column and the sweep keeps going.  With
-    `workers` > 1 the values run on that many threads; every value's cell
-    is computed the same way either way, so the rows do not depend on it.
+    recorded in the row's `error` column and the sweep keeps going.  Each
+    cell is the given instance with one field changed; an I/J value is a
+    size within the instance, so a larger size, like a fractional K, gamma,
+    I or J value, is an error in its own row.  With `workers` > 1 the values
+    run on that many threads; every value's cell is computed the same way
+    either way, so the rows do not depend on it.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
@@ -368,12 +344,10 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    sized_cut = _sized_family(instance, axis, values, generator_seed) \
-        if axis in ("I", "J") else None
 
     def rows_of(value) -> list[dict]:
         try:
-            inst_v, eval_psi = _derive_instance(instance, axis, value, sized_cut, psi_mode)
+            inst_v, eval_psi = _derive_instance(instance, axis, value, psi_mode)
         except Exception as exc:
             return [_sweep_row(axis, value, method, error=str(exc)) for method in methods]
         rows = []

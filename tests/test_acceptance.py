@@ -263,9 +263,11 @@ def test_criterion_8_out_of_sample_and_axis_trends():
 
 def test_criterion_9_convergence_at_paper_scale():
     inst = topology.generate_instance(20, 20, seed=0)
+    start = time.perf_counter()
     res = run_ccg(inst, eps=1e-3)
+    seconds = time.perf_counter() - start
     iterations = res.state.trace[-1].iteration
-    ok = res.converged and iterations <= 50 and res.wall_seconds < 1800.0
+    ok = res.converged and iterations <= 50 and seconds < 1800.0
     _verdict(9, ok, f"size-20 default instance: converged={res.converged} in "
-                    f"{iterations} iterations (cap 50), {res.wall_seconds:.0f}s "
+                    f"{iterations} iterations (cap 50), {seconds:.0f}s "
                     f"(< 1800s), objective {res.objective:.4f}")

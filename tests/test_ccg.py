@@ -155,7 +155,7 @@ def test_run_ccg_nominal_example():
     res = run_ccg(unit_example())
     assert res.objective == pytest.approx(1.3, abs=1e-7)
     assert res.converged
-    assert res.state.iteration <= 1  # labels 0 and 1 are "two iterations"
+    assert res.state.trace[-1].iteration <= 1  # labels 0 and 1 are "two iterations"
     assert res.plan.placement[0] == 1 and res.plan.procurement[0] == pytest.approx(5.0)
 
 
@@ -195,7 +195,7 @@ def test_bounds_monotone_and_sandwiched():
             assert cur.lower_bound >= prev.lower_bound - 1e-9
             assert cur.upper_bound <= prev.upper_bound + 1e-9
         assert all(t.lower_bound <= t.upper_bound + 1e-6 for t in trace)
-        assert res.state.iteration <= ccg.iteration_bound(inst)
+        assert res.state.trace[-1].iteration <= ccg.iteration_bound(inst)
 
 
 def test_repeated_scenario_means_convergence():
@@ -214,7 +214,7 @@ def test_iteration_cap_flags_nonconvergence():
     for seed in range(40):
         inst = random_instance(np.random.default_rng(seed), 3, 3)
         full = run_ccg(inst, eps=1e-9)
-        if full.state.iteration >= 2:
+        if full.state.trace[-1].iteration >= 2:
             capped = run_ccg(inst, eps=1e-9, max_iterations=1)
             assert not capped.converged
             assert "cap" in capped.message or "stalled" in capped.message
@@ -239,7 +239,7 @@ def test_relatively_complete_recourse_smoke():
 def test_extensive_degenerate_is_single_block():
     inst = unit_example()
     ext = solve_extensive_form(inst)
-    assert ext.num_vertices == 1
+    assert ccg.iteration_bound(inst) == 1
     assert ext.objective == pytest.approx(1.3, abs=1e-7)
 
 

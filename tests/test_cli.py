@@ -235,14 +235,14 @@ def test_sweep_writes_rows(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    gen = _small(tmp_path, "gen")
+    gen = _small(tmp_path, "gen", areas=4, nodes=4)
     inst = str(gen / "instance.json")
 
     def rows_of(axis, values, workers):
         out = tmp_path / f"{axis}-{workers}"
         rc = cli.main(["sweep", "--instance", inst, "--axis", axis,
                        "--values", values, "--methods", "det", "--scenarios", "4",
-                       "--generator-seed", "1", "--workers", str(workers),
+                       "--workers", str(workers),
                        "--out", str(out)])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
@@ -319,7 +319,11 @@ _MISSING = object()
     ("prices", {"a": 1}),
     ("beta", [1, 2]),
     ("gamma", float("inf")),
-], ids=["plan-array", "no-delays", "areas-null", "prices-object", "beta-list", "gamma-inf"])
+    ("capacities", "x"),
+    ("delays", [[1.0, 2.0], [3.0]]),
+    ("dmax", "far"),
+], ids=["plan-array", "no-delays", "areas-null", "prices-object", "beta-list", "gamma-inf",
+        "capacities-string", "delays-ragged", "dmax-string"])
 def test_malformed_files_exit_3(tmp_path, capsys, key, value):
     inst = _small(tmp_path, "gen") / "instance.json"
     bad = tmp_path / "bad.json"
@@ -340,6 +344,8 @@ def test_malformed_files_exit_3(tmp_path, capsys, key, value):
     doc = json.loads(line)
     assert doc["error"] == "InstanceError" and doc["exit_code"] == 3
     assert str(bad) in doc["message"]
+    if key is not None:
+        assert key in doc["message"]
     assert not (tmp_path / "out").exists()
 
 

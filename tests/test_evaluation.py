@@ -451,10 +451,14 @@ def test_sweep_area_axis_truncates_nested():
     assert objs[0] <= objs[1] + 1e-7 <= objs[2] + 2e-7
 
 
-def test_sweep_size_axis_needs_generator_seed_beyond_base():
-    inst = random_instance(np.random.default_rng(163), 2, 2)
-    with pytest.raises(ValueError):
-        sensitivity_sweep(inst, "J", [2, 4], num_test_scenarios=0)
+def test_sweep_sizes_beyond_base_and_fractions_are_row_errors():
+    inst = random_instance(np.random.default_rng(163), 2, 2, gamma=1, k=1)
+    for axis, values in (("J", [2, 4]), ("K", [1, 1.5]), ("gamma", [1, 1.5]),
+                         ("I", [2, 1.5]), ("J", [1, 1.5])):
+        good, bad = sensitivity_sweep(inst, axis, values, methods=("det",),
+                                      num_test_scenarios=0)
+        assert good["error"] == "" and math.isfinite(good["objective"]), axis
+        assert bad["error"] != "" and math.isnan(bad["objective"]), (axis, values[1])
 
 
 def test_sweep_validation():
