@@ -121,7 +121,9 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
 
     Links eta (epigraph) when given.  Returns the (x, q) id blocks so
     callers can price them in an objective instead (stochastic extensive
-    forms, and the recourse LP of a fixed plan).
+    forms, and the recourse LP of a fixed plan).  Rows come in this order,
+    which the recourse re-solve edits by index: per node j a procurement
+    row then a capacity row, then one cover row per area.
     """
     ni, nj = instance.num_areas, instance.num_nodes
     cap_ub = instance.eligibility * instance.capacity[None, :]

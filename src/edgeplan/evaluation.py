@@ -1,9 +1,9 @@
 """Out-of-sample evaluation: recourse replay, certification, sweeps.
 
 Plans from any method are scored the same way: draw test scenarios, solve
-the recourse LP of every scenario (in chunks, each one block-diagonal LP),
-and aggregate average and worst empirical cost next to the exact certified
-worst case from the subproblem oracle.
+the recourse LP of every scenario (one LP per plan, re-solved per scenario
+from the previous basis), and aggregate average and worst empirical cost
+next to the exact certified worst case from the subproblem oracle.
 """
 
 from __future__ import annotations
@@ -74,44 +74,38 @@ class EvaluationReport:
     certified_worst: float
 
 
-# Column budget of one batched recourse LP: a chunk holds at least one
-# scenario and closes at the first block that brings it to this many
-# columns.  scipy's HiGHS wrapper loops in Python over every column, so peak
-# memory grows about 1 KB per column: at 20x20 a chunk holds 7 scenarios
-# (2,980 columns, under 1 MB), while a 20,000-column chunk cost 21 MB.
-_CHUNK_COLUMNS = 2900
-
-
 def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
                          *, psi: float = 1.0) -> list[RecourseOutcome]:
     """Optimal allocations for a fixed plan, one per realized scenario.
 
-    Scenarios are solved in chunks, each one block-diagonal LP: the plan's
-    columns fixed, then the master's allocation block of every scenario in
-    the chunk, each priced by its own cost terms.  Blocks share no free
-    column, so each block's part of the optimum is that scenario's optimum.
-    Always feasible (x=0, q=lambda); scenarios may lie outside the
-    planning uncertainty set.
+    One recourse LP is built, the plan's columns fixed and then the
+    master's allocation block, and passed to HiGHS once.  Scenarios differ
+    only in the t coefficient -C_j(1-z_j) of each node's capacity row and
+    the lower bound lambda_i of each cover row, so each scenario rewrites
+    those and re-solves from the previous basis.  Always feasible (x=0,
+    q=lambda); scenarios may lie outside the planning uncertainty set.
     """
     scenarios = list(scenarios)
-    nj = instance.num_nodes
+    if not scenarios:
+        return []
+    ni, nj = instance.num_areas, instance.num_nodes
+    model = milp.Model("recourse")
+    t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
+    y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
+    x, q = ccg._add_recourse_block(model, instance, scenarios[0], t, y, None)
+    ids, coeffs = ccg._recourse_cost(instance, x, q, psi=psi)
+    model.set_objective(ids, coeffs)
+    # the block's rows: procurement then capacity row per node, then area covers
+    capacity_rows = 2 * np.arange(nj) + 1
+    cover_rows = 2 * nj + np.arange(ni)
+    handle = milp.Handle(model)
     outcomes = []
-    start = 0
-    while start < len(scenarios):
-        model = milp.Model("recourse")
-        t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
-        y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
-        blocks = []
-        while start < len(scenarios) and (not blocks or model.num_vars < _CHUNK_COLUMNS):
-            blocks.append(ccg._add_recourse_block(model, instance, scenarios[start], t, y, None))
-            start += 1
-        costs = [ccg._recourse_cost(instance, x, q, psi=psi) for x, q in blocks]
-        model.set_objective(*map(np.concatenate, zip(*costs)))
-        result = milp.ensure_optimal(milp.solve(model), "recourse LP")
-        outcomes.extend(
-            RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
-                            second_stage_cost=result.values[ids] @ coeffs)
-            for (x, q), (ids, coeffs) in zip(blocks, costs))
+    for scenario in scenarios:
+        handle.change_coeffs(capacity_rows, t, -instance.capacity * (1.0 - scenario.failures))
+        handle.change_row_bounds(cover_rows, scenario.demand, np.inf)
+        result = milp.ensure_optimal(handle.solve(), "recourse LP")
+        outcomes.append(RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
+                                        second_stage_cost=result.values[ids] @ coeffs))
     return outcomes
 
 

@@ -3,22 +3,31 @@
 Every optimization module in the package builds its model through this
 layer.  Variables are dense integer ids in creation order, with bounds and
 integrality stored per `add_vars` block; rows are `lo <= a.x <= hi`, added
-one at a time or as a block of equal-length rows (a 2-D id array).  Each
-solve assembles one sparse matrix and makes one `scipy.optimize.milp` call,
-for LPs and MILPs alike.  Models are solved from scratch each time (no
-incremental API), and results carry primal values and bounds only: no dual
-values are reported.
+one at a time or as a block of equal-length rows (a 2-D id array).  A
+`Handle` assembles one model into a column-wise sparse matrix and passes it
+to HiGHS through scipy's bundled binding, the package's one HiGHS call
+site; `solve` opens a handle and solves once.  A handle re-solves after
+coefficient and row-bound edits, starting from the previous basis.
+Results carry primal values and bounds only: no dual values are reported.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+
+# the oldest scipy whose HiGHS binding has every method called below
+_SCIPY_FLOOR = "1.15"
+try:
+    from scipy.optimize._highspy import _core as highs
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(f"edgeplan needs scipy>={_SCIPY_FLOOR} for its bundled HiGHS binding "
+                      f"(scipy.optimize._highspy._core); scipy {scipy.__version__} "
+                      "is installed") from exc
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -154,7 +163,6 @@ class SolveResult:
     values: np.ndarray | None
     dual_bound: float
     gap: float
-    wall_seconds: float
 
     def value(self, ids) -> np.ndarray | float:
         """Primal values for an id array (shape preserved) or a single id."""
@@ -166,70 +174,116 @@ class SolveResult:
         return self.values[ids.ravel()].reshape(ids.shape)
 
 
-def _status_from_scipy(code: int, message: str) -> str:
-    if code == 0:
-        return "optimal"
-    if code == 1:
-        return "limit"
-    if code == 2:
-        return "infeasible"
-    if code == 3:
-        return "unbounded"
-    low = (message or "").lower()
-    if "unbounded" in low:
-        return "unbounded"
-    if "infeasible" in low:
-        return "infeasible"
-    return "error"
+# HiGHS model status -> package status; any other status is a backend error.
+# HiGHS reports "unbounded or infeasible" when presolve finds no bounded
+# optimum without telling which; the package has always called that unbounded.
+_STATUS = {
+    highs.HighsModelStatus.kOptimal: "optimal",
+    highs.HighsModelStatus.kInfeasible: "infeasible",
+    highs.HighsModelStatus.kUnbounded: "unbounded",
+    highs.HighsModelStatus.kUnboundedOrInfeasible: "unbounded",
+    highs.HighsModelStatus.kTimeLimit: "limit",
+    highs.HighsModelStatus.kIterationLimit: "limit",
+}
+_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+
+
+def _flat_lists(*arrays) -> list[list]:
+    return [a.ravel().tolist() for a in np.broadcast_arrays(*arrays)]
+
+
+class Handle:
+    """One model passed to HiGHS, re-solvable after edits that keep its structure.
+
+    `solve` after `change_coeffs` or `change_row_bounds` starts from the
+    previous basis.  A handle belongs to the call that opened it: sweeps
+    run cells on threads, so never cache or share one.
+    """
+
+    def __init__(self, model: Model, *, mip_gap: float | None = None,
+                 time_limit: float | None = None):
+        n, m = model.num_vars, model.num_constraints
+        self._sign = -1.0 if model.maximize else 1.0
+        obj_ids, obj_coeffs = model._obj
+        # the empty heads let a model without rows assemble too
+        shapes = np.array(model._row_shapes, dtype=np.int64).reshape(-1, 2)
+        sizes = np.repeat(shapes[:, 1], shapes[:, 0])
+        a = sparse.coo_matrix(
+            (np.concatenate([np.empty(0), *model._row_coeffs]),
+             (np.repeat(np.arange(m, dtype=np.int64), sizes),
+              np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids]))),
+            shape=(m, n),
+        ).tocsc()
+        lp = highs.HighsLp()
+        lp.num_col_, lp.num_row_ = n, m
+        lp.col_cost_ = self._sign * np.bincount(obj_ids, weights=obj_coeffs, minlength=n)
+        lp.col_lower_, lp.col_upper_ = np.concatenate(model._lb), np.concatenate(model._ub)
+        lp.row_lower_, lp.row_upper_ = np.array(model._row_lo), np.array(model._row_hi)
+        matrix = lp.a_matrix_
+        matrix.format_ = highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = n, m
+        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+        integrality = np.concatenate(model._integer)
+        self._is_mip = bool(integrality.any())
+        if self._is_mip:
+            lp.integrality_ = [_VAR_TYPES[k] for k in integrality.tolist()]
+        options = {"log_to_console": False,
+                   "mip_rel_gap": DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap)}
+        if time_limit is not None:
+            options["time_limit"] = float(time_limit)
+        self._highs = highs._Highs()
+        for name, value in options.items():
+            if self._highs.setOptionValue(name, value) == highs.HighsStatus.kError:
+                raise ValueError(f"invalid solver option {name}={value!r}")
+        self._checked(self._highs.passModel(lp), f"model {model.name!r}")
+
+    @staticmethod
+    def _checked(status, what: str) -> None:
+        if status == highs.HighsStatus.kError:
+            raise BackendError(f"HiGHS rejected the {what}")
+
+    def change_coeffs(self, rows, cols, values) -> None:
+        """Set the matrix entries (rows, cols) to values, all three broadcast
+        together; a zero value drops the entry."""
+        for row, col, value in zip(*_flat_lists(rows, cols, values)):
+            self._checked(self._highs.changeCoeff(row, col, value), "coefficient edit")
+
+    def change_row_bounds(self, rows, lo, hi) -> None:
+        """Set `lo <= a.x <= hi` on the given rows, all three broadcast together."""
+        for row, low, high in zip(*_flat_lists(rows, lo, hi)):
+            self._checked(self._highs.changeRowBounds(row, low, high), "row-bound edit")
+
+    def solve(self) -> SolveResult:
+        """Solve; never raises for infeasible/unbounded, see `SolveResult.status`."""
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        status = _STATUS.get(model_status)
+        if status is None:
+            raise BackendError("HiGHS returned no usable status: "
+                               f"{self._highs.modelStatusToString(model_status)}")
+        info = self._highs.getInfo()
+        # an LP stopped early has no usable point; a MIP has one if it has an incumbent
+        solved = status == "optimal" or (
+            status == "limit" and self._is_mip and info.objective_function_value != highs.kHighsInf)
+        if not solved:
+            return SolveResult(status, np.nan, None, np.nan, np.nan)
+        values = np.array(self._highs.getSolution().col_value)
+        objective = self._sign * info.objective_function_value
+        # LPs report no MIP bound: their optimum is its own bound
+        dual_bound = (self._sign * info.mip_dual_bound
+                      if self._is_mip and np.isfinite(info.mip_dual_bound) else objective)
+        gap = abs(objective - dual_bound) / max(1e-12, abs(objective))
+        return SolveResult(status, objective, values, dual_bound, gap)
 
 
 def solve(model: Model, *, mip_gap: float | None = None,
           time_limit: float | None = None) -> SolveResult:
-    """Solve the model; never raises for infeasible/unbounded, see `SolveResult.status`.
+    """Solve the model once; never raises for infeasible/unbounded, see `SolveResult.status`.
 
     `mip_gap` is the relative optimality gap demanded from MIP solves
     (default 1e-6); `time_limit` is in seconds.
     """
-    start = time.perf_counter()
-    n, m = model.num_vars, model.num_constraints
-    sign = -1.0 if model.maximize else 1.0
-    obj_ids, obj_coeffs = model._obj
-    c = sign * np.bincount(obj_ids, weights=obj_coeffs, minlength=n)
-    lb, ub = np.concatenate(model._lb), np.concatenate(model._ub)
-    integrality = np.concatenate(model._integer)
-    constraints = ()
-    if m:
-        shapes = np.array(model._row_shapes, dtype=np.int64)
-        sizes = np.repeat(shapes[:, 1], shapes[:, 0])
-        a = sparse.coo_matrix(
-            (np.concatenate(model._row_coeffs),
-             (np.repeat(np.arange(m, dtype=np.int64), sizes), np.concatenate(model._row_ids))),
-            shape=(m, n),
-        ).tocsr()
-        constraints = LinearConstraint(a, np.array(model._row_lo), np.array(model._row_hi))
-    options: dict = {"mip_rel_gap": DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap)}
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    try:
-        res = milp(c, constraints=constraints, integrality=integrality,
-                   bounds=Bounds(lb, ub), options=options)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise BackendError(f"scipy.milp failed: {exc}") from exc
-    wall = time.perf_counter() - start
-    status = _status_from_scipy(res.status, res.message)
-    if status == "error":
-        raise BackendError(f"HiGHS returned no usable status: {res.message}")
-    values = np.asarray(res.x, dtype=float) if res.x is not None else None
-    if status in ("optimal", "limit") and values is not None:
-        objective = sign * float(res.fun)
-        # LPs report no MIP bound: their optimum is its own bound
-        raw_bound = res.mip_dual_bound
-        dual_bound = (sign * float(raw_bound)
-                      if raw_bound is not None and np.isfinite(raw_bound) else objective)
-        gap = abs(objective - dual_bound) / max(1e-12, abs(objective))
-    else:
-        objective, dual_bound, gap, values = np.nan, np.nan, np.nan, None
-    return SolveResult(status, objective, values, dual_bound, gap, wall)
+    return Handle(model, mip_gap=mip_gap, time_limit=time_limit).solve()
 
 
 def ensure_optimal(result: SolveResult, what: str = "model") -> SolveResult:

@@ -120,37 +120,37 @@ def _dense_recourse(instance, plan, scenario, psi):
     return float(res.fun)
 
 
-# (column budget, solves): at 3x4 the plan takes 8 columns and each scenario
-# 15, so these budgets close chunks of 1, 2 and 3 scenarios, or take all 7
-@pytest.mark.parametrize("budget,num_solves", [(1, 7), (30, 4), (45, 3), (None, 1)])
-@pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
-def test_recourse_batch_matches_dense_reference(monkeypatch, budget, num_solves, psi):
-    # 7 scenarios, all-failed and zero-demand ones among them: chunks of 1,
-    # of 2 and of 3 (both with a remainder), or one chunk
-    rng = np.random.default_rng(131)
+def _mixed_scenarios(seed):
+    """3x4 instance, random plan, and 7 scenarios with all-failed and zero-demand ones."""
+    rng = np.random.default_rng(seed)
     ni, nj = 3, 4
     eligibility = (rng.random((ni, nj)) < 0.7).astype(int)
     inst = random_instance(rng, ni, nj, gamma=ni, k=nj, eligibility=eligibility)
     plan = random_plan(rng, inst)
-    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=4, seed=131))
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=4, seed=seed))
     scenarios += [Scenario(inst.nominal_demand + inst.demand_deviation, np.ones(nj, dtype=np.int8)),
                   Scenario(np.zeros(ni), np.zeros(nj, dtype=np.int8)),
                   Scenario(np.zeros(ni), np.ones(nj, dtype=np.int8))]
-    if budget is not None:
-        monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", budget)
-    solves = []
-    real_solve = milp.solve
+    return inst, plan, scenarios
 
-    def counted_solve(model, **kwargs):
-        solves.append((model.name, model.num_vars))
-        return real_solve(model, **kwargs)
 
-    monkeypatch.setattr(milp, "solve", counted_solve)
-    outs = solve_recourse_batch(inst, plan, scenarios, psi=psi)
-    assert len(outs) == len(scenarios)
-    assert [name for name, _ in solves] == ["recourse"] * num_solves
-    # every chunk but the last closed on reaching the budget
-    assert all(cols >= evaluation._CHUNK_COLUMNS for _, cols in solves[:-1])
+@pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
+def test_recourse_batch_matches_dense_reference(monkeypatch, psi):
+    inst, plan, scenarios = _mixed_scenarios(131)
+    built = []
+    real_model = milp.Model
+
+    def counted_model(name, **kwargs):
+        built.append(name)
+        return real_model(name, **kwargs)
+
+    monkeypatch.setattr(milp, "Model", counted_model)
+    for count in (1, len(scenarios)):
+        built.clear()
+        outs = solve_recourse_batch(inst, plan, scenarios[:count], psi=psi)
+        assert len(outs) == count
+        # one model per batch, whatever the number of scenarios
+        assert built == ["recourse"]
     alive = np.minimum(plan.procurement, inst.capacity * plan.placement)
     box = inst.eligibility * inst.capacity[None, :]
     tol = 1e-7
@@ -164,6 +164,20 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, budget, num_solves,
                                                       rel=1e-9, abs=1e-12)
         ref = _dense_recourse(inst, plan, s, psi)
         assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_recourse_batch_is_deterministic():
+    # each scenario re-solves from the previous basis: equal inputs give equal
+    # bits, and another order may only move degenerate ties
+    inst, plan, scenarios = _mixed_scenarios(137)
+    first, again = (solve_recourse_batch(inst, plan, scenarios) for _ in range(2))
+    for a, b in zip(first, again):
+        assert a.second_stage_cost == b.second_stage_cost
+        assert np.array_equal(a.allocation, b.allocation) and np.array_equal(a.unmet, b.unmet)
+    reversed_costs = [out.second_stage_cost
+                      for out in solve_recourse_batch(inst, plan, scenarios[::-1])][::-1]
+    for a, cost in zip(first, reversed_costs):
+        assert abs(a.second_stage_cost - cost) <= 1e-9 * max(1.0, abs(cost))
 
 
 def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):

@@ -1,6 +1,10 @@
-"""Every package module and test module uses each name it imports."""
+"""Imports: every module uses each name it imports; the solver layer names its scipy floor."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,3 +27,14 @@ def test_no_unused_imports():
     unused = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text(encoding="utf-8"))
               for p in sorted(modules) if p.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_missing_highs_binding_names_the_scipy_floor():
+    # without scipy's bundled HiGHS binding the solver layer refuses to import
+    code = ("import sys; sys.modules['scipy.optimize._highspy._core'] = None; "
+            "import edgeplan.milp")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    floor = re.search(r'"(scipy>=[0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert proc.returncode != 0
+    assert f"ImportError: edgeplan needs {floor} " in proc.stderr

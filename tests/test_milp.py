@@ -152,3 +152,54 @@ def test_mip_gap_is_honored_loosely():
     loose = milp.solve(m, mip_gap=0.1)
     assert loose.objective <= exact + 1e-9
     assert loose.dual_bound >= exact - 1e-9
+
+
+def test_time_limit_reports_limit():
+    # a zero time limit stops every solve before it has a point
+    rng = np.random.default_rng(11)
+    m = milp.Model("limited", maximize=True)
+    x = m.add_vars(12, kind=milp.BINARY)
+    m.add_constr(x, rng.uniform(1, 3, 12), milp.LE, 9.0)
+    m.set_objective(x, rng.uniform(1, 4, 12))
+    lp = milp.Model("limited-lp")
+    v = lp.add_vars(5)
+    lp.add_constr(v, np.ones(5), milp.GE, 3.0)
+    lp.set_objective(v, rng.uniform(1, 2, 5))
+    for model in (m, lp):
+        r = milp.solve(model, time_limit=0.0)
+        assert r.status == "limit" and r.values is None
+        with pytest.raises(milp.SolverLimitError):
+            milp.ensure_optimal(r)
+    # an out-of-range limit or gap is refused, not silently dropped
+    with pytest.raises(ValueError, match="time_limit"):
+        milp.solve(lp, time_limit=-1.0)
+    with pytest.raises(ValueError, match="mip_rel_gap"):
+        milp.solve(m, mip_gap=-0.5)
+
+
+def test_handle_edits_match_fresh_solve():
+    rng = np.random.default_rng(7)
+    cost = rng.uniform(1.0, 2.0, 4)
+
+    def build(coeffs, rhs):
+        m = milp.Model("edit")
+        x = m.add_vars(4, ub=10.0)
+        m.add_constr(x, coeffs, milp.GE, rhs)
+        m.add_constr(x[:2], [1.0, 1.0], milp.LE, 6.0)
+        m.add_constr(x[1:], [1.0, 2.0, 1.0], milp.GE, 2.0)
+        m.set_objective(x, cost)
+        return m, x
+
+    model, x = build([1.0, 1.0, 1.0, 1.0], 5.0)
+    handle = milp.Handle(model)
+    assert handle.solve().status == "optimal"
+    # a zero drops an entry and a later edit brings it back
+    for coeffs, rhs in (([2.0, 0.5, 1.0, 3.0], 7.0), ([0.0, 1.5, 0.0, 2.0], 4.0),
+                        ([1.0, 2.0, 0.5, 0.0], 9.0), ([1.0, 1.0, 1.0, 1.0], 5.0)):
+        handle.change_coeffs(np.zeros(4, dtype=int), x, coeffs)
+        handle.change_row_bounds([0], rhs, np.inf)
+        got = handle.solve()
+        want = milp.solve(build(coeffs, rhs)[0])
+        assert got.status == want.status == "optimal"
+        assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
+        assert np.allclose(got.values, want.values, atol=1e-9)
