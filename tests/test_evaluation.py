@@ -134,8 +134,11 @@ def _mixed_scenarios(seed):
     return inst, plan, scenarios
 
 
+# (scenarios per call, calls): the 7 scenarios go in calls of 1, of 2 and of
+# 3 (both with a remainder), or in one call
+@pytest.mark.parametrize("batch,num_calls", [(1, 7), (2, 4), (3, 3), (None, 1)])
 @pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
-def test_recourse_batch_matches_dense_reference(monkeypatch, psi):
+def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, psi):
     inst, plan, scenarios = _mixed_scenarios(131)
     built = []
     real_model = milp.Model
@@ -145,12 +148,13 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, psi):
         return real_model(name, **kwargs)
 
     monkeypatch.setattr(milp, "Model", counted_model)
-    for count in (1, len(scenarios)):
-        built.clear()
-        outs = solve_recourse_batch(inst, plan, scenarios[:count], psi=psi)
-        assert len(outs) == count
-        # one model per batch, whatever the number of scenarios
-        assert built == ["recourse"]
+    step = batch or len(scenarios)
+    outs = []
+    for start in range(0, len(scenarios), step):
+        outs += solve_recourse_batch(inst, plan, scenarios[start:start + step], psi=psi)
+    assert len(outs) == len(scenarios)
+    # one model per call, whatever the number of scenarios in it
+    assert built == ["recourse"] * num_calls
     alive = np.minimum(plan.procurement, inst.capacity * plan.placement)
     box = inst.eligibility * inst.capacity[None, :]
     tol = 1e-7
