@@ -92,7 +92,7 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenar
     model = milp.Model("recourse")
     t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
     y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
-    x, q = ccg._add_recourse_block(model, instance, scenarios[0], t, y, None)
+    x, q = ccg._add_recourse_block(model, instance, scenarios[0], t, y, None, strong=False)
     ids, coeffs = ccg._recourse_cost(instance, x, q, psi=psi)
     model.set_objective(ids, coeffs)
     # the block's rows: procurement then capacity row per node, then area covers

@@ -1,7 +1,11 @@
 """Master/subproblem oracles, the CCG loop, and the extensive form."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeplan import ccg, milp
 from edgeplan.ccg import (
@@ -12,7 +16,7 @@ from edgeplan.ccg import (
     solve_subproblem_kkt,
     trace_to_csv,
 )
-from edgeplan.core import EnumerationCapError, FirstStagePlan, Scenario
+from edgeplan.core import EnumerationCapError, FirstStagePlan, Scenario, demand_from_g
 from edgeplan.evaluation import solve_recourse
 from helpers import (
     brute_force_worst,
@@ -56,6 +60,29 @@ def test_master_matches_exhaustive_plan_search():
         sol = solve_master(inst, pool)
         oracle = exhaustive_two_stage(inst, pool)
         assert sol.objective == pytest.approx(oracle, abs=1e-6), f"trial {trial}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4), st.integers(1, 4))
+def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
+    # the per-pair rows and zero bounds cut only fractional plans, so the
+    # master's optimum is the same with and without them
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, ni, nj, gamma=ni, k=nj,
+                           nominal_demand=rng.uniform(1, 6, ni) * (rng.random(ni) < 0.8),
+                           demand_deviation=rng.uniform(0, 4, ni) * (rng.random(ni) < 0.6),
+                           eligibility=(rng.random((ni, nj)) < 0.8).astype(int))
+    pool = [Scenario(demand_from_g(inst, rng.integers(0, 2, ni)),
+                     rng.integers(0, 2, nj).astype(np.int8)) for _ in range(pool_size)]
+    real = ccg._add_recourse_block
+
+    def without_rows(*args, strong, **kwargs):
+        return real(*args, strong=False, **kwargs)
+
+    strong = solve_master(inst, pool, mip_gap=1e-9)
+    with mock.patch.object(ccg, "_add_recourse_block", without_rows):
+        weak = solve_master(inst, pool, mip_gap=1e-9)
+    assert strong.objective == pytest.approx(weak.objective, rel=1e-7, abs=1e-9)
 
 
 def test_subproblem_no_capacity_drops_everything():

@@ -170,6 +170,37 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, p
         assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def test_recourse_batch_keeps_no_row_of_its_first_scenario(monkeypatch):
+    # the batch builds its LP from the first scenario and re-solves it for the
+    # rest; a row or bound holding that scenario's zero demand and failed nodes
+    # (the planning models' linking rows) would strand the full-demand one
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng, 3, 4, gamma=3, k=4)
+    ni, nj = inst.num_areas, inst.num_nodes
+    plan = _plan(np.ones(nj), np.floor(inst.capacity))
+    scenarios = [Scenario(np.zeros(ni), np.ones(nj, dtype=np.int8)),
+                 Scenario(inst.nominal_demand + inst.demand_deviation,
+                          np.zeros(nj, dtype=np.int8))]
+    built = []
+    real_model = milp.Model
+
+    def recorded_model(name, **kwargs):
+        built.append(real_model(name, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(milp, "Model", recorded_model)
+    outs = solve_recourse_batch(inst, plan, scenarios)
+    # capacity_rows and cover_rows index these rows
+    assert [m.name for m in built] == ["recourse"]
+    assert built[0].num_constraints == 2 * nj + ni
+    assert outs[1].second_stage_cost > 0
+    for out, s in zip(outs, scenarios):
+        alone = solve_recourse(inst, plan, s).second_stage_cost
+        assert out.second_stage_cost == pytest.approx(alone, rel=1e-9, abs=1e-12)
+        ref = _dense_recourse(inst, plan, s, 1.0)
+        assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
 def test_recourse_batch_is_deterministic():
     # each scenario re-solves from the previous basis: equal inputs give equal
     # bits, and another order may only move degenerate ties
