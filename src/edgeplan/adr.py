@@ -120,7 +120,7 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     acap = instance.eligibility * cap[None, :]
 
     model = milp.Model("adr")
-    t, y = _build_first_stage(model, instance)
+    t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
     phi = model.add_var(lb=0.0)
     free = -np.inf
     a_v = model.add_vars((ni, nj, ni), lb=free)
@@ -184,9 +184,7 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     _add_robust_rows(model, u, const, (e_v[:, :, None], -lt[:, None], 0.0),
                      (f_v[:, :, None], -1.0, 0.0))
 
-    obj_ids = np.concatenate([y, t, [phi]])
-    obj_coeffs = np.concatenate([instance.price, instance.node_cost, [1.0]])
-    model.set_objective(obj_ids, obj_coeffs)
+    model.set_objective(np.append(prov_ids, phi), np.append(prov_coeffs, 1.0))
     index = {"t": t, "y": y, "phi": phi, "A": a_v, "B": b_v, "D": d_v,
              "E": e_v, "F": f_v, "G": g_v}
     return model, index

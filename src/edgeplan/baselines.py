@@ -37,8 +37,8 @@ def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], 
     """Extensive form with one recourse block per scenario, each weighted 1/n."""
     weight = 1.0 / len(scenarios)
     model = milp.Model("stochastic")
-    t, y = _build_first_stage(model, instance)
-    obj_ids, obj_coeffs = [y, t], [instance.price, instance.node_cost]
+    t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
+    obj_ids, obj_coeffs = [prov_ids], [prov_coeffs]
     for scenario in scenarios:
         x, q = _add_recourse_block(model, instance, scenario, t, y, None, strong=strong)
         ids, coeffs = _recourse_cost(instance, x, q, weight=weight)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import milp
 from .core import (
+    EnumerationCapError,
     FirstStagePlan,
     ProblemInstance,
     Scenario,
@@ -30,6 +31,9 @@ from .core import (
 DEFAULT_EPS = 1e-6
 DEFAULT_MAX_ITERATIONS = 500
 _DEGENERATE_UB = 1e-9
+# recourse columns (vertices times I*J + I) the extensive form may build: on a 2-vCPU
+# host, generated 7x7 (194,880) took 15 s and 537 MB, 8x8 (583,416) 100 s and 1.6 GB
+EXTENSIVE_COLUMN_CAP = 250_000
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,13 @@ class SubproblemSolution:
     `value` is the inner-LP optimum at `worst_scenario`; `bound` is the
     solver's proven upper bound on the worst case over the whole set
     (equal to `value` at optimality, larger when a limit stopped the
-    solve with an incumbent).
+    solve with an incumbent, and then `status` is "limit", not "optimal").
     """
 
     worst_scenario: Scenario
     value: float
     bound: float
+    status: str
 
 
 @dataclass
@@ -92,26 +97,27 @@ def _gap_and_convergence(lb: float, ub: float, eps: float) -> tuple[float, bool]
     return gap, gap <= eps
 
 
-def _build_first_stage(model: milp.Model,
-                       instance: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+def _build_first_stage(model: milp.Model, instance: ProblemInstance
+                       ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Plan columns t, y with the budget and coupling rows; also returns the
+    (ids, coeffs) of the provisioning cost p.y + h.t for objectives."""
     j = instance.num_nodes
     t = model.add_vars(j, kind=milp.BINARY)
     y = model.add_vars(j, kind=milp.INTEGER, lb=0.0, ub=instance.capacity)
+    provisioning = (np.concatenate([y, t]), np.concatenate([instance.price, instance.node_cost]))
     # budget: p.y + h.t <= B
-    model.add_constr(np.concatenate([y, t]),
-                     np.concatenate([instance.price, instance.node_cost]),
-                     milp.LE, instance.budget)
+    model.add_constr(*provisioning, milp.LE, instance.budget)
     # coupling: y_j <= C_j t_j
     model.add_constr(np.stack([y, t], axis=1),
                      np.stack([np.ones(j), -instance.capacity], axis=1), milp.LE, 0.0)
-    return t, y
+    return t, y, provisioning
 
 
 def _recourse_cost(instance: ProblemInstance, x: np.ndarray, q: np.ndarray, *,
-                   weight: float = 1.0, psi: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, coeffs) of the second-stage cost weight * (psi P.q + beta d.x)."""
+                   weight: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, coeffs) of the second-stage cost weight * (P.q + beta d.x)."""
     return (np.concatenate([q, x.ravel()]),
-            np.concatenate([weight * psi * instance.unmet_penalty,
+            np.concatenate([weight * instance.unmet_penalty,
                             weight * instance.beta * instance.delay.ravel()]))
 
 
@@ -122,10 +128,10 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
 
     Links eta (epigraph) when given.  Returns the (x, q) id blocks so
     callers can price them in an objective instead (stochastic extensive
-    forms, and the recourse LP of a fixed plan).  Rows come in this order,
-    which the recourse re-solve edits by index: per node j a procurement
-    row then a capacity row, then one cover row per area, then the
-    epigraph row when eta is given.
+    forms, and the recourse LP of a fixed plan).  Rows come in this order:
+    per node j a procurement row then a capacity row, then one cover row
+    per area, then the epigraph row when eta is given; `_recourse_rows`
+    gives the ids of the rows a scenario edit touches.
 
     `strong` appends, after all of these, the per-pair linking rows of
     capacitated facility location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j,
@@ -166,6 +172,12 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     return x, q
 
 
+def _recourse_rows(instance: ProblemInstance, first_row: int) -> tuple[np.ndarray, np.ndarray]:
+    """Capacity and cover row ids of a recourse block starting at `first_row`."""
+    nj = instance.num_nodes
+    return first_row + 2 * np.arange(nj) + 1, first_row + 2 * nj + np.arange(instance.num_areas)
+
+
 def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
                   t: np.ndarray, y: np.ndarray) -> FirstStagePlan:
     t_val = np.round(result.value(t)).astype(np.int8)
@@ -173,23 +185,15 @@ def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
     return FirstStagePlan(t_val, y_val)
 
 
-def _build_master_model(instance: ProblemInstance,
-                        pool: list[Scenario]) -> tuple[milp.Model, np.ndarray, np.ndarray, int]:
-    model = milp.Model("ccg-master")
-    t, y = _build_first_stage(model, instance)
-    eta = model.add_var(lb=0.0)
-    for scenario in pool:
-        _add_recourse_block(model, instance, scenario, t, y, eta, strong=True)
-    ids = np.concatenate([y, t, [eta]])
-    coeffs = np.concatenate([instance.price, instance.node_cost, [1.0]])
-    model.set_objective(ids, coeffs)
-    return model, t, y, eta
-
-
 def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
                  mip_gap: float | None = None, time_limit: float | None = None) -> MasterSolution:
     """Master MILP over the pooled vertices; its bound is the global LB."""
-    model, t, y, eta = _build_master_model(instance, vertex_pool)
+    model = milp.Model("ccg-master")
+    t, y, (ids, coeffs) = _build_first_stage(model, instance)
+    eta = model.add_var(lb=0.0)
+    for scenario in vertex_pool:
+        _add_recourse_block(model, instance, scenario, t, y, eta, strong=True)
+    model.set_objective(np.append(ids, eta), np.append(coeffs, 1.0))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "CCG master (is the instance consistent?)")
     plan = _extract_plan(instance, result, t, y)
@@ -201,22 +205,19 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
 # duality-based subproblem
 
 
-def _scenario_from_bits(instance: ProblemInstance, g_val: np.ndarray, z_val: np.ndarray) -> Scenario:
-    g = np.clip(np.round(g_val), 0, 1)
-    z = np.clip(np.round(z_val), 0, 1).astype(np.int8)
-    return Scenario(demand_from_g(instance, g), z)
-
-
 def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
                        g: np.ndarray, z: np.ndarray, what: str) -> SubproblemSolution:
     """An oracle's answer: the worst vertex from its g/z bits.  A limit with an
     incumbent is a degraded answer whose bound exceeds its value."""
     if result.status not in ("optimal", "limit") or result.values is None:
         milp.ensure_optimal(result, what)
+    g_val = np.clip(np.round(result.value(g)), 0, 1)
+    z_val = np.clip(np.round(result.value(z)), 0, 1).astype(np.int8)
     return SubproblemSolution(
-        worst_scenario=_scenario_from_bits(instance, result.value(g), result.value(z)),
+        worst_scenario=Scenario(demand_from_g(instance, g_val), z_val),
         value=result.objective,
         bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
+        status=result.status,
     )
 
 
@@ -469,9 +470,14 @@ def solve_extensive_form(instance: ProblemInstance, *, mip_gap: float | None = N
                          time_limit: float | None = None) -> MasterSolution:
     """The master over every uncertainty vertex: one recourse block per vertex.
 
-    Exact by enumeration; refuses vertex sets above `VERTEX_CAP`.  Used as
-    the ground-truth oracle for CCG and ADR tests.
+    Exact by enumeration; refuses, before building anything, a model of
+    more than `EXTENSIVE_COLUMN_CAP` recourse columns.  Used as the
+    ground-truth oracle for CCG and ADR tests.
     """
+    columns = iteration_bound(instance) * instance.num_areas * (instance.num_nodes + 1)
+    if columns > EXTENSIVE_COLUMN_CAP:
+        raise EnumerationCapError(f"extensive form infeasible: {columns} recourse columns "
+                                  f"exceed the cap of {EXTENSIVE_COLUMN_CAP}")
     pairs = enumerate_vertices(instance.uncertainty, instance.num_areas, instance.num_nodes)
     return solve_master(instance, [Scenario(demand_from_g(instance, g), z) for g, z in pairs],
                         mip_gap=mip_gap, time_limit=time_limit)

@@ -185,12 +185,13 @@ def cmd_evaluate(args) -> int:
         num_scenarios=args.scenarios, distribution=args.distribution,
         k_test=args.k_test, seed=args.seed)
     scenarios = evaluation.generate_test_scenarios(instance, config)
+    scoring = instance.scaled_penalty(args.psi)
 
     written = []
     summaries = []
     for name, plan in loaded:
-        report = evaluation.monte_carlo(instance, plan, scenarios, psi=args.psi,
-                                        method=name, oracle=args.oracle)
+        report = evaluation.monte_carlo(scoring, plan, scenarios, method=name,
+                                        oracle=args.oracle)
         fname = f"eval_{name}.csv"
         core.atomic_write_text(os.path.join(args.out, fname),
                                evaluation.report_to_csv(report))

@@ -167,6 +167,12 @@ class ProblemInstance:
         """A copy with the given fields swapped (arrays revalidated)."""
         return dataclasses.replace(self, **changes)
 
+    def scaled_penalty(self, psi: float) -> "ProblemInstance":
+        """The instance with every unmet-demand penalty multiplied by psi."""
+        if psi <= 0:
+            raise ValueError("psi must be positive")
+        return self.replace(unmet_penalty=psi * self.unmet_penalty)
+
     def subset(self, areas: int | None = None, nodes: int | None = None) -> "ProblemInstance":
         """The first `areas` areas and first `nodes` nodes, with gamma and
         the failure budget clamped to the smaller sizes."""
@@ -325,10 +331,10 @@ def provisioning_cost(instance: ProblemInstance, plan: FirstStagePlan) -> float:
     return float(instance.price @ plan.procurement + instance.node_cost @ plan.placement)
 
 
-def second_stage_cost(instance: ProblemInstance, allocation: np.ndarray, unmet: np.ndarray,
-                      *, psi: float = 1.0) -> float:
-    """Penalty plus delay cost of a recourse answer; psi scales the penalties."""
-    return float(psi * (instance.unmet_penalty @ unmet)
+def second_stage_cost(instance: ProblemInstance, allocation: np.ndarray,
+                      unmet: np.ndarray) -> float:
+    """Penalty plus delay cost of a recourse answer."""
+    return float(instance.unmet_penalty @ unmet
                  + instance.beta * np.sum(instance.delay * allocation))
 
 
@@ -470,17 +476,6 @@ def load_instance(path: str) -> ProblemInstance:
     return _read_json(path, instance_from_json)
 
 
-def plan_to_json(plan: FirstStagePlan, *, method: str, objective: float, **extras) -> dict:
-    doc = {
-        "t": [int(v) for v in plan.placement],
-        "y": [float(v) for v in plan.procurement],
-        "method": method,
-        "objective": float(objective),
-    }
-    doc.update(extras)
-    return doc
-
-
 def plan_from_json(doc: dict) -> tuple[FirstStagePlan, dict]:
     plan = FirstStagePlan(np.asarray(doc["t"]), np.asarray(doc["y"], dtype=float))
     meta = {k: v for k, v in doc.items() if k not in ("t", "y")}
@@ -488,8 +483,13 @@ def plan_from_json(doc: dict) -> tuple[FirstStagePlan, dict]:
 
 
 def save_plan(plan: FirstStagePlan, path: str, *, method: str, objective: float, **extras) -> None:
-    atomic_write_text(path, canonical_json(plan_to_json(plan, method=method,
-                                                        objective=objective, **extras)))
+    doc = {
+        "t": [int(v) for v in plan.placement],
+        "y": [float(v) for v in plan.procurement],
+        "method": method,
+        "objective": float(objective),
+    }
+    atomic_write_text(path, canonical_json({**doc, **extras}))
 
 
 def load_plan(path: str) -> tuple[FirstStagePlan, dict]:

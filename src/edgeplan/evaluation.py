@@ -64,7 +64,6 @@ class EvaluationConfig:
 @dataclass(frozen=True)
 class EvaluationReport:
     method: str
-    psi: float
     provisioning: float
     scenario_costs: np.ndarray   # provisioning + recourse, one entry per scenario
     recourse_costs: np.ndarray
@@ -74,8 +73,8 @@ class EvaluationReport:
     certified_worst: float
 
 
-def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
-                         *, psi: float = 1.0) -> list[RecourseOutcome]:
+def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
+                         scenarios) -> list[RecourseOutcome]:
     """Optimal allocations for a fixed plan, one per realized scenario.
 
     One recourse LP is built, the plan's columns fixed and then the
@@ -88,16 +87,14 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenar
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    ni, nj = instance.num_areas, instance.num_nodes
+    nj = instance.num_nodes
     model = milp.Model("recourse")
     t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
     y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
+    capacity_rows, cover_rows = ccg._recourse_rows(instance, model.num_constraints)
     x, q = ccg._add_recourse_block(model, instance, scenarios[0], t, y, None, strong=False)
-    ids, coeffs = ccg._recourse_cost(instance, x, q, psi=psi)
+    ids, coeffs = ccg._recourse_cost(instance, x, q)
     model.set_objective(ids, coeffs)
-    # the block's rows: procurement then capacity row per node, then area covers
-    capacity_rows = 2 * np.arange(nj) + 1
-    cover_rows = 2 * nj + np.arange(ni)
     handle = milp.Handle(model)
     outcomes = []
     for scenario in scenarios:
@@ -109,10 +106,10 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan, scenar
     return outcomes
 
 
-def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan, scenario: Scenario,
-                   *, psi: float = 1.0) -> RecourseOutcome:
+def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan,
+                   scenario: Scenario) -> RecourseOutcome:
     """Optimal allocation for a fixed plan and realized scenario: the batch of one."""
-    return solve_recourse_batch(instance, plan, [scenario], psi=psi)[0]
+    return solve_recourse_batch(instance, plan, [scenario])[0]
 
 
 def _truncated_lognormal(rng, lo, hi, median, sigma, size):
@@ -157,36 +154,35 @@ def generate_test_scenarios(instance: ProblemInstance,
 
 
 def certify_worst_case(instance: ProblemInstance, plan: FirstStagePlan, *,
-                       psi: float = 1.0, oracle: str = "duality",
-                       mip_gap: float | None = None,
+                       oracle: str = "duality", mip_gap: float | None = None,
                        time_limit: float | None = None) -> float:
-    """Exact worst-case total cost of a plan over the uncertainty set."""
-    scaled = instance if psi == 1.0 else \
-        instance.replace(unmet_penalty=psi * instance.unmet_penalty)
-    sub = ccg.worst_case_oracle(oracle)(scaled, plan, mip_gap=mip_gap, time_limit=time_limit)
+    """Exact worst-case total cost of a plan over the uncertainty set; an
+    oracle stopped at a limit certifies nothing and raises `SolverLimitError`."""
+    sub = ccg.worst_case_oracle(oracle)(instance, plan, mip_gap=mip_gap, time_limit=time_limit)
+    if sub.status != "optimal":
+        raise milp.SolverLimitError(f"{oracle} oracle hit the solver limit before proving "
+                                    "the worst case")
     return provisioning_cost(instance, plan) + sub.value
 
 
-def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios,
-                psi: float = 1.0, *, method: str = "", certify: bool = True,
+def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios, *,
+                method: str = "", certify: bool = True,
                 oracle: str = "duality") -> EvaluationReport:
     """Score a plan on a scenario list; costs are provisioning + recourse.
 
     Each scenario is re-optimized with the recourse LP (see
-    `solve_recourse_batch`); `psi` scales the unmet-demand penalties.
+    `solve_recourse_batch`).  To score at penalty scale psi, pass
+    `instance.scaled_penalty(psi)`.
     """
-    if psi <= 0:
-        raise ValueError("psi must be positive")
     scenarios = list(scenarios)
     prov = provisioning_cost(instance, plan)
-    outs = solve_recourse_batch(instance, plan, scenarios, psi=psi)
+    outs = solve_recourse_batch(instance, plan, scenarios)
     recourse = np.array([out.second_stage_cost for out in outs])
     unmet = np.array([out.unmet.sum() for out in outs])
     totals = prov + recourse
-    certified = certify_worst_case(instance, plan, psi=psi, oracle=oracle) \
-        if certify else math.nan
+    certified = certify_worst_case(instance, plan, oracle=oracle) if certify else math.nan
     return EvaluationReport(
-        method=method, psi=psi, provisioning=prov,
+        method=method, provisioning=prov,
         scenario_costs=totals, recourse_costs=recourse, unmet_totals=unmet,
         average_cost=float(totals.mean()) if len(scenarios) else math.nan,
         worst_cost=float(totals.max()) if len(scenarios) else math.nan,
@@ -229,35 +225,34 @@ def normalize_axis(axis: str) -> str:
 
 
 def _derive_instance(base: ProblemInstance, axis: str, value,
-                     psi_mode: str) -> tuple[ProblemInstance, float]:
-    """Instance and evaluation-psi for one sweep cell: the base with one
-    field changed, validated by the instance's own constructors."""
+                     psi_mode: str) -> tuple[ProblemInstance, ProblemInstance]:
+    """(planning, scoring) instances of one sweep cell: the base with one field
+    changed, validated by the instance's own constructors.  Only psi-mode
+    "evaluation" plans on the base and scores on the scaled penalties."""
     u = base.uncertainty
-    if axis == "K":
-        return base.replace(uncertainty=UncertaintyModel(u.gamma, value)), 1.0
-    if axis == "gamma":
-        return base.replace(uncertainty=UncertaintyModel(value, u.failure_budget)), 1.0
-    if axis == "beta":
-        return base.replace(beta=float(value)), 1.0
-    if axis == "alpha":
-        ratio = float(value)
-        return base.replace(
-            demand_deviation=ratio * base.nominal_demand,
-            uncertainty=UncertaintyModel(u.gamma, u.failure_budget, deviation_ratio=ratio)), 1.0
-    if axis == "budget":
-        return base.replace(budget=float(value)), 1.0
-    if axis == "dmax":
-        return base.replace(dmax=float(value), eligibility=None), 1.0
     if axis == "psi":
-        psi = float(value)
-        if psi <= 0:
-            raise ValueError("psi must be positive")
-        if psi_mode == "both":
-            return base.replace(unmet_penalty=psi * base.unmet_penalty), 1.0
-        return base, psi
-    if axis == "I":
-        return base.subset(areas=value), 1.0
-    return base.subset(nodes=value), 1.0
+        scaled = base.scaled_penalty(float(value))
+        return (scaled if psi_mode == "both" else base), scaled
+    if axis == "K":
+        cell = base.replace(uncertainty=UncertaintyModel(u.gamma, value))
+    elif axis == "gamma":
+        cell = base.replace(uncertainty=UncertaintyModel(value, u.failure_budget))
+    elif axis == "beta":
+        cell = base.replace(beta=float(value))
+    elif axis == "alpha":
+        ratio = float(value)
+        cell = base.replace(
+            demand_deviation=ratio * base.nominal_demand,
+            uncertainty=UncertaintyModel(u.gamma, u.failure_budget, deviation_ratio=ratio))
+    elif axis == "budget":
+        cell = base.replace(budget=float(value))
+    elif axis == "dmax":
+        cell = base.replace(dmax=float(value), eligibility=None)
+    elif axis == "I":
+        cell = base.subset(areas=value)
+    else:
+        cell = base.subset(nodes=value)
+    return cell, cell
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,7 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
 
     def rows_of(value) -> list[dict]:
         try:
-            inst_v, eval_psi = _derive_instance(instance, axis, value, psi_mode)
+            planning, scoring = _derive_instance(instance, axis, value, psi_mode)
         except Exception as exc:
             return [_sweep_row(axis, value, method, error=str(exc)) for method in methods]
         rows = []
@@ -350,24 +345,23 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
             start = time.perf_counter()
             try:
                 res = plan_with_method(
-                    inst_v, method, eps=eps, mip_gap=mip_gap, time_limit=time_limit,
+                    planning, method, eps=eps, mip_gap=mip_gap, time_limit=time_limit,
                     num_training=num_training_scenarios, seed=seed)
                 plan = res.plan
-                certified = certify_worst_case(inst_v, plan, psi=eval_psi,
-                                               mip_gap=mip_gap, time_limit=time_limit)
+                certified = certify_worst_case(scoring, plan, mip_gap=mip_gap,
+                                               time_limit=time_limit)
                 avg = worst = math.nan
                 if num_test_scenarios > 0:
                     if scenarios is None:
                         scenarios = generate_test_scenarios(
-                            inst_v, EvaluationConfig(num_scenarios=num_test_scenarios,
-                                                     seed=seed))
-                    report = monte_carlo(inst_v, plan, scenarios, psi=eval_psi,
-                                         method=method, certify=False)
+                            scoring, EvaluationConfig(num_scenarios=num_test_scenarios,
+                                                      seed=seed))
+                    report = monte_carlo(scoring, plan, scenarios, method=method, certify=False)
                     avg, worst = report.average_cost, report.worst_cost
                 # a nonconverged plan keeps its numbers; the error says why
                 rows.append(_sweep_row(
                     axis, value, method, objective=res.objective,
-                    provisioning=provisioning_cost(inst_v, plan), average_cost=avg,
+                    provisioning=provisioning_cost(scoring, plan), average_cost=avg,
                     worst_cost=worst, certified_worst=certified,
                     wall_seconds=time.perf_counter() - start,
                     error="" if res.converged else res.extras["message"]))

@@ -80,10 +80,10 @@ def vertex_scenarios(instance):
     return [Scenario(demand_from_g(instance, g), z) for g, z in pairs]
 
 
-def brute_force_worst(instance, plan, psi=1.0):
+def brute_force_worst(instance, plan):
     """Max over enumerated vertices of the recourse LP optimum (no provisioning)."""
     return max(out.second_stage_cost
-               for out in solve_recourse_batch(instance, plan, vertex_scenarios(instance), psi=psi))
+               for out in solve_recourse_batch(instance, plan, vertex_scenarios(instance)))
 
 
 def exhaustive_two_stage(instance, scenarios):

@@ -1,5 +1,6 @@
 """Master/subproblem oracles, the CCG loop, and the extensive form."""
 
+import time
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from edgeplan.ccg import (
 )
 from edgeplan.core import EnumerationCapError, FirstStagePlan, Scenario, demand_from_g
 from edgeplan.evaluation import solve_recourse
+from edgeplan.topology import generate_instance
 from helpers import (
     brute_force_worst,
     exhaustive_two_stage,
@@ -271,10 +273,37 @@ def test_extensive_degenerate_is_single_block():
 
 
 def test_extensive_refuses_oversized_sets():
-    # 21,700 demand vertices times 211 failure vertices: 4,578,700 > VERTEX_CAP
+    # 21,700 demand vertices times 211 failure vertices: 4,578,700, beyond both caps
     inst = random_instance(np.random.default_rng(5), 20, 20, gamma=5, k=2)
     with pytest.raises(EnumerationCapError):
         solve_extensive_form(inst)
+
+
+def test_extensive_refuses_by_built_size_before_enumerating(monkeypatch):
+    # 35,728 vertices, far below VERTEX_CAP, but 110 recourse columns each
+    inst = generate_instance(10, 10, seed=0)
+
+    def refuse(*args):
+        raise AssertionError("enumerated vertices of a model over the column cap")
+
+    monkeypatch.setattr(ccg, "enumerate_vertices", refuse)
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match="3930080 recourse columns"):
+        solve_extensive_form(inst)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_zero_demand_converges_at_iteration_zero():
+    # UB is zero, so convergence is judged on the absolute gap
+    inst = tiny_instance(gamma=1, k=1, nominal_demand=[0.0], demand_deviation=[0.0])
+    res = run_ccg(inst)
+    assert res.converged and res.message == "converged at iteration 0"
+    assert res.objective == 0.0 and res.plan.placement.tolist() == [0]
+    (rec,) = res.state.trace
+    assert rec.lower_bound == 0.0 and rec.gap == 0.0
+    # near zero a relative gap of 20% is an absolute 1e-10, within tolerance
+    assert ccg._gap_and_convergence(4e-10, 5e-10, 1e-6) == pytest.approx((1e-10, True))
+    assert ccg._gap_and_convergence(-1.0, 5e-10, 1e-6) == pytest.approx((1.0, False))
 
 
 def test_trace_csv_format():

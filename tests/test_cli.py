@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from edgeplan import cli
+from edgeplan import cli, evaluation
 from edgeplan.ccg import run_ccg
 from edgeplan.core import FirstStagePlan, load_instance, provisioning_cost, save_instance, save_plan
+from edgeplan.milp import BackendError, SolverLimitError
 from helpers import random_instance
 
 
@@ -132,6 +133,36 @@ def test_extensive_cap_exits_3_without_partial_output(tmp_path, capsys):
     assert doc["error"] == "EnumerationCapError"
     assert not (out / "plan.json").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_extensive_refuses_10x10_by_its_built_size(tmp_path, capsys):
+    gen = _gen(tmp_path, "gen", areas=10, nodes=10, seed=0)
+    capsys.readouterr()
+    out = tmp_path / "ext"
+    rc = cli.main(["solve", "--instance", str(gen / "instance.json"),
+                   "--method", "extensive", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "EnumerationCapError"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("error,code", [(SolverLimitError, 2), (BackendError, 4)])
+def test_solver_errors_exit_with_their_codes(tmp_path, capsys, monkeypatch, error, code):
+    gen = _small(tmp_path, "gen")
+
+    def fail(*args, **kwargs):
+        raise error("stopped")
+
+    monkeypatch.setattr(evaluation, "plan_with_method", fail)
+    out = tmp_path / "solve"
+    rc = cli.main(["solve", "--instance", str(gen / "instance.json"), "--method", "det",
+                   "--out", str(out)])
+    assert rc == code
+    assert _stderr_doc(capsys) == {"error": error.__name__, "message": "stopped",
+                                   "command": "solve", "exit_code": code}
+    assert not out.exists()
 
 
 def test_evaluate_compares_plans(tmp_path):

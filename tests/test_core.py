@@ -210,7 +210,15 @@ def test_second_stage_cost_formula():
     x = np.array([[5.0]])
     q = np.array([2.0])
     assert core.second_stage_cost(inst, x, q) == pytest.approx(0.5 * 2 + 0.1 * 2 * 5)
-    assert core.second_stage_cost(inst, x, q, psi=2.0) == pytest.approx(2 * 1.0 + 1.0)
+    assert core.second_stage_cost(inst.scaled_penalty(2.0), x, q) == pytest.approx(2 * 1.0 + 1.0)
+
+
+def test_scaled_penalty_changes_no_other_field():
+    inst = tiny_instance(unmet_penalty=[0.3])
+    scaled = inst.scaled_penalty(1.7)
+    assert scaled.unmet_penalty[0] == 1.7 * 0.3
+    assert core.instance_to_json(scaled.replace(unmet_penalty=inst.unmet_penalty)) \
+        == core.instance_to_json(inst)
 
 
 def test_scenario_key_identity():

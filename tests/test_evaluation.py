@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from edgeplan import evaluation, milp
 from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
-from edgeplan.core import FirstStagePlan, Scenario, second_stage_cost
+from edgeplan.core import FirstStagePlan, Scenario, instance_to_json, second_stage_cost
 from edgeplan.evaluation import (
     METHODS,
     EvaluationConfig,
@@ -66,7 +66,7 @@ def test_recourse_spill_splits_cost():
 
 def test_recourse_psi_scales_unmet_term_only():
     inst = tiny_instance()
-    out = solve_recourse(inst, _plan([1], [5.0]), Scenario([8.0], [0]), psi=2.0)
+    out = solve_recourse(inst.scaled_penalty(2.0), _plan([1], [5.0]), Scenario([8.0], [0]))
     assert out.second_stage_cost == pytest.approx(0.5 + 2.0 * 1.5, abs=1e-8)
 
 
@@ -140,6 +140,7 @@ def _mixed_scenarios(seed):
 @pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
 def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, psi):
     inst, plan, scenarios = _mixed_scenarios(131)
+    scored = inst.scaled_penalty(psi)
     built = []
     real_model = milp.Model
 
@@ -151,7 +152,7 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, p
     step = batch or len(scenarios)
     outs = []
     for start in range(0, len(scenarios), step):
-        outs += solve_recourse_batch(inst, plan, scenarios[start:start + step], psi=psi)
+        outs += solve_recourse_batch(scored, plan, scenarios[start:start + step])
     assert len(outs) == len(scenarios)
     # one model per call, whatever the number of scenarios in it
     assert built == ["recourse"] * num_calls
@@ -164,7 +165,7 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, p
         assert np.all(x >= -tol) and np.all(x <= box + tol) and np.all(q >= -tol)
         assert np.all(x.sum(axis=0) <= alive * (1 - s.failures) + tol)
         assert np.all(x.sum(axis=1) + q >= s.demand - tol)
-        assert out.second_stage_cost == pytest.approx(second_stage_cost(inst, x, q, psi=psi),
+        assert out.second_stage_cost == pytest.approx(second_stage_cost(scored, x, q),
                                                       rel=1e-9, abs=1e-12)
         ref = _dense_recourse(inst, plan, s, psi)
         assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -234,10 +235,12 @@ def test_monte_carlo_of_no_scenarios_is_nan():
 
 
 def test_monte_carlo_rejects_nonpositive_psi():
+    # psi reaches monte_carlo as the scored instance, which refuses psi <= 0
     inst = tiny_instance()
     for psi in (0.0, -1.0):
         with pytest.raises(ValueError, match="psi"):
-            monte_carlo(inst, _plan([1], [5.0]), [_nominal(inst)], psi=psi, certify=False)
+            monte_carlo(inst.scaled_penalty(psi), _plan([1], [5.0]), [_nominal(inst)],
+                        certify=False)
 
 
 # -- scenario generation ----------------------------------------------------
@@ -377,7 +380,29 @@ def test_certificate_psi_scaling_on_empty_plan():
     plan = _plan([0], [0.0])
     base = certify_worst_case(inst, plan)
     assert base == pytest.approx(0.5 * 8.0, abs=1e-7)
-    assert certify_worst_case(inst, plan, psi=2.0) == pytest.approx(2 * base, abs=1e-6)
+    assert certify_worst_case(inst.scaled_penalty(2.0), plan) == pytest.approx(2 * base, abs=1e-6)
+
+
+def test_certify_refuses_a_worst_case_stopped_at_a_limit(monkeypatch):
+    # an oracle stopped at its limit holds an incumbent below the worst case
+    inst = tiny_instance(gamma=1)
+    plan = _plan([0], [0.0])
+    real_solve = milp.solve
+
+    def stopped(model, **kwargs):
+        result = real_solve(model, **kwargs)
+        if not model.name.startswith("subproblem"):
+            return result
+        return milp.SolveResult("limit", result.objective - 1.0, result.values,
+                                result.objective, 1.0)
+
+    monkeypatch.setattr(milp, "solve", stopped)
+    for oracle in ("duality", "kkt"):
+        with pytest.raises(milp.SolverLimitError, match=oracle):
+            certify_worst_case(inst, plan, oracle=oracle)
+    # a sweep row carries the error instead of the incumbent
+    (row,) = sensitivity_sweep(inst, "K", [0], methods=("det",), num_test_scenarios=0)
+    assert "limit" in row["error"] and math.isnan(row["certified_worst"])
 
 
 def test_certify_rejects_unknown_oracle():
@@ -489,6 +514,41 @@ def test_sweep_psi_modes():
     assert fixed[1]["certified_worst"] >= fixed[0]["certified_worst"] - 1e-9
     with pytest.raises(ValueError):
         sensitivity_sweep(inst, "psi", [1.0], psi_mode="bogus")
+
+
+def test_sweep_psi_cell_plans_and_scores_by_mode():
+    base = random_instance(np.random.default_rng(151), 2, 2, gamma=1, k=1)
+    planning, scoring = evaluation._derive_instance(base, "psi", 2.0, "both")
+    assert planning is scoring
+    assert np.array_equal(scoring.unmet_penalty, 2.0 * base.unmet_penalty)
+    planning, scoring = evaluation._derive_instance(base, "psi", 2.0, "evaluation")
+    assert planning is base
+    assert np.array_equal(scoring.unmet_penalty, 2.0 * base.unmet_penalty)
+
+
+@pytest.mark.parametrize("axis,value,key", [("alpha", 0.3, "deviation"),
+                                            ("budget", 5.0, "budget")])
+def test_sweep_cell_changes_only_its_own_field(axis, value, key):
+    base = generate_instance(4, 4, seed=0)
+    planning, scoring = evaluation._derive_instance(base, axis, value, "both")
+    assert planning is scoring
+    doc, base_doc = instance_to_json(planning), instance_to_json(base)
+    assert doc[key] == value != base_doc[key]
+    assert {k: v for k, v in doc.items() if k != key} == \
+        {k: v for k, v in base_doc.items() if k != key}
+
+
+def test_sweep_alpha_and_budget_axes():
+    # a wider demand box costs more, a smaller budget never less; alpha 0.6
+    # and budget 20 are the generated instance itself
+    inst = generate_instance(4, 4, seed=0)
+    alpha = sensitivity_sweep(inst, "alpha", [0.0, 0.3, 0.6], num_test_scenarios=0)
+    budget = sensitivity_sweep(inst, "budget", [0.0, 5.0, 20.0], num_test_scenarios=0)
+    assert all(r["error"] == "" for r in alpha + budget)
+    assert [r["objective"] for r in alpha] == pytest.approx([19.9855, 25.8220, 31.6863],
+                                                            abs=1e-4)
+    assert [r["objective"] for r in budget] == pytest.approx([44.9744, 31.6863, 31.6863],
+                                                             abs=1e-4)
 
 
 def test_sweep_area_axis_truncates_nested():
