@@ -28,19 +28,18 @@ def solve_deterministic(instance: ProblemInstance, *, mip_gap: float | None = No
                         time_limit: float | None = None) -> BaselineSolution:
     """Plan against nominal demand with every node up; no robustness."""
     nominal = Scenario(instance.nominal_demand, np.zeros(instance.num_nodes, dtype=np.int8))
-    # the linking rows did not speed up this one-block model at 20x20
-    return _solve_weighted(instance, (nominal,), mip_gap, time_limit, strong=False)
+    return _solve_weighted(instance, (nominal,), mip_gap, time_limit)
 
 
 def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], mip_gap,
-                    time_limit, *, strong: bool) -> BaselineSolution:
+                    time_limit) -> BaselineSolution:
     """Extensive form with one recourse block per scenario, each weighted 1/n."""
     weight = 1.0 / len(scenarios)
     model = milp.Model("stochastic")
     t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
     obj_ids, obj_coeffs = [prov_ids], [prov_coeffs]
     for scenario in scenarios:
-        x, q = _add_recourse_block(model, instance, scenario, t, y, None, strong=strong)
+        x, q = _add_recourse_block(model, instance, scenario, t, y, None)
         ids, coeffs = _recourse_cost(instance, x, q, weight=weight)
         obj_ids.append(ids)
         obj_coeffs.append(coeffs)
@@ -59,7 +58,7 @@ def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | N
         raise ValueError("scenario set is empty")
     if len(scenarios) > SCENARIO_CAP:
         raise ValueError(f"{len(scenarios)} scenarios exceed the cap of {SCENARIO_CAP}")
-    return _solve_weighted(instance, scenarios, mip_gap, time_limit, strong=True)
+    return _solve_weighted(instance, scenarios, mip_gap, time_limit)
 
 
 def heuristic_placement(instance: ProblemInstance) -> FirstStagePlan:

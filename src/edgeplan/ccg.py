@@ -122,35 +122,27 @@ def _recourse_cost(instance: ProblemInstance, x: np.ndarray, q: np.ndarray, *,
 
 
 def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: Scenario,
-                        t: np.ndarray, y: np.ndarray, eta: int | None, *,
-                        strong: bool) -> tuple[np.ndarray, np.ndarray]:
+                        t: np.ndarray, y: np.ndarray,
+                        eta: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Allocation LP of one scenario against the plan columns t, y.
 
     Links eta (epigraph) when given.  Returns the (x, q) id blocks so
     callers can price them in an objective instead (stochastic extensive
-    forms, and the recourse LP of a fixed plan).  Rows come in this order:
-    per node j a procurement row then a capacity row, then one cover row
-    per area, then the epigraph row when eta is given; `_recourse_rows`
-    gives the ids of the rows a scenario edit touches.
-
-    `strong` appends, after all of these, the per-pair linking rows of
-    capacitated facility location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j,
-    one per pair whose bound is positive, in row-major pair order; a pair
-    whose bound is zero (ineligible, failed node or no demand) gets the
-    column bound x_ij <= 0 instead.  Some block optimum of every integral
-    plan meets them (serving beyond demand never lowers the cost, and
-    t_j = 1 already caps x_ij at C_j), so no optimum changes and only the
-    LP relaxation tightens.  The recourse LP of a fixed plan never takes
-    them: its t is fixed, so they only add work, and its re-solve reuses
-    the first scenario's model for every scenario, while these rows and
-    bounds hold one scenario's lambda and z.
+    forms).  Rows come in this order: per node j a procurement row then a
+    capacity row, then one cover row per area, then the epigraph row when
+    eta is given, then the per-pair linking rows of capacitated facility
+    location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j, one per pair whose
+    bound is positive, in row-major pair order; a pair whose bound is zero
+    (ineligible, failed node or no demand) gets the column bound x_ij <= 0
+    instead.  Some block optimum of every integral plan meets them (serving
+    beyond demand never lowers the cost, and t_j = 1 already caps x_ij at
+    C_j), so no optimum changes and only the LP relaxation tightens.
     """
     ni, nj = instance.num_areas, instance.num_nodes
     cap_ub = instance.eligibility * instance.capacity[None, :]
-    if strong:
-        # a zero link (failed node, zero demand) is a column bound, not a row
-        link = np.minimum(scenario.demand[:, None], cap_ub) * (1.0 - scenario.failures)[None, :]
-        cap_ub = np.where(link > 0, cap_ub, 0.0)
+    # a zero link (failed node, zero demand) is a column bound, not a row
+    link = np.minimum(scenario.demand[:, None], cap_ub) * (1.0 - scenario.failures)[None, :]
+    cap_ub = np.where(link > 0, cap_ub, 0.0)
     x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
     q = model.add_vars(ni, lb=0.0)
     # two rows per node j over x[:, j]: within procurement y_j, then within
@@ -165,17 +157,10 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
         # eta >= second-stage cost of this vertex
         ids, coeffs = _recourse_cost(instance, x, q)
         model.add_constr(np.append(eta, ids), np.append(1.0, -coeffs), milp.GE, 0.0)
-    if strong:
-        rows, cols = np.nonzero(cap_ub)
-        model.add_constr(np.column_stack([x[rows, cols], t[cols]]),
-                         np.column_stack([np.ones(rows.size), -link[rows, cols]]), milp.LE, 0.0)
+    rows, cols = np.nonzero(cap_ub)
+    model.add_constr(np.column_stack([x[rows, cols], t[cols]]),
+                     np.column_stack([np.ones(rows.size), -link[rows, cols]]), milp.LE, 0.0)
     return x, q
-
-
-def _recourse_rows(instance: ProblemInstance, first_row: int) -> tuple[np.ndarray, np.ndarray]:
-    """Capacity and cover row ids of a recourse block starting at `first_row`."""
-    nj = instance.num_nodes
-    return first_row + 2 * np.arange(nj) + 1, first_row + 2 * nj + np.arange(instance.num_areas)
 
 
 def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
@@ -192,7 +177,7 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
     t, y, (ids, coeffs) = _build_first_stage(model, instance)
     eta = model.add_var(lb=0.0)
     for scenario in vertex_pool:
-        _add_recourse_block(model, instance, scenario, t, y, eta, strong=True)
+        _add_recourse_block(model, instance, scenario, t, y, eta)
     model.set_objective(np.append(ids, eta), np.append(coeffs, 1.0))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     milp.ensure_optimal(result, "CCG master (is the instance consistent?)")

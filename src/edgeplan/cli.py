@@ -225,15 +225,18 @@ def cmd_sweep(args) -> int:
     _finish(args.out, "sweep", args, ["sweep.csv"])
     # a nonconverged cell still has a plan and numbers, so it does not count
     if rows and all(r["error"] and math.isnan(r["objective"]) for r in rows):
+        # cells that all stopped at a solver limit are a limit, not bad input
+        code = EXIT_NONCONVERGED if all(r["limit"] for r in rows) else EXIT_BAD_INPUT
         raise CliError(f"every sweep cell failed; first error: {rows[0]['error']}",
-                       EXIT_BAD_INPUT, kind="SweepFailed")
+                       code, kind="SweepFailed")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    sizes = [int(v) for v in _parse_values(args.sizes)]
-    if any(v < 1 for v in sizes):
-        raise CliError("--sizes must be positive integers")
+    values = _parse_values(args.sizes)
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise CliError(f"--sizes must be positive whole numbers, got {args.sizes!r}")
+    sizes = [int(v) for v in values]
     header = ("areas,nodes,reference_constraints,reference_variables,"
               "built_constraints,built_variables,constraint_delta,variable_delta")
     lines = [header]

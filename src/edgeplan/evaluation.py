@@ -77,29 +77,32 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
                          scenarios) -> list[RecourseOutcome]:
     """Optimal allocations for a fixed plan, one per realized scenario.
 
-    One recourse LP is built, the plan's columns fixed and then the
-    master's allocation block, and passed to HiGHS once.  Scenarios differ
-    only in the t coefficient -C_j(1-z_j) of each node's capacity row and
-    the lower bound lambda_i of each cover row, so each scenario rewrites
-    those and re-solves from the previous basis.  Always feasible (x=0,
-    q=lambda); scenarios may lie outside the planning uncertainty set.
+    One allocation LP is built and passed to HiGHS once: x within its
+    box a_ij C_j, q unbounded above, one row per node j capping
+    sum_i x_ij at the plan's live stock min(y_j, C_j t_j)(1 - z_j), and one
+    cover row per area.  The plan and the scenario enter only through those
+    row bounds, so each scenario sets all of them and re-solves from the
+    previous basis.  Always feasible (x=0, q=lambda); scenarios may lie
+    outside the planning uncertainty set.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    nj = instance.num_nodes
+    ni, nj = instance.num_areas, instance.num_nodes
     model = milp.Model("recourse")
-    t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
-    y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
-    capacity_rows, cover_rows = ccg._recourse_rows(instance, model.num_constraints)
-    x, q = ccg._add_recourse_block(model, instance, scenarios[0], t, y, None, strong=False)
+    x = model.add_vars((ni, nj), lb=0.0, ub=instance.eligibility * instance.capacity[None, :])
+    q = model.add_vars(ni, lb=0.0)
+    model.add_constr(x.T, 1.0, milp.LE, 0.0)
+    model.add_constr(np.column_stack([x, q]), 1.0, milp.GE, 0.0)
     ids, coeffs = ccg._recourse_cost(instance, x, q)
     model.set_objective(ids, coeffs)
     handle = milp.Handle(model)
+    rows = np.arange(nj + ni)
+    stock = np.minimum(plan.procurement, instance.capacity * plan.placement)
     outcomes = []
     for scenario in scenarios:
-        handle.change_coeffs(capacity_rows, t, -instance.capacity * (1.0 - scenario.failures))
-        handle.change_row_bounds(cover_rows, scenario.demand, np.inf)
+        handle.change_row_bounds(rows, np.append(np.full(nj, -np.inf), scenario.demand),
+                                 np.append(stock * (1.0 - scenario.failures), np.full(ni, np.inf)))
         result = milp.ensure_optimal(handle.solve(), "recourse LP")
         outcomes.append(RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
                                         second_stage_cost=result.values[ids] @ coeffs))
@@ -317,7 +320,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     """Re-plan and re-score along one parameter axis.
 
     Returns one row per (value, method), in input order; failures are
-    recorded in the row's `error` column and the sweep keeps going.  Each
+    recorded in the row's `error` column, with `limit` true when a solver
+    limit raised them, and the sweep keeps going.  Each
     cell is the given instance with one field changed; an I/J value is a
     size within the instance, so a larger size, like a fractional K, gamma,
     I or J value, is an error in its own row.  With `workers` > 1 the values
@@ -367,6 +371,7 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
                     error="" if res.converged else res.extras["message"]))
             except Exception as exc:
                 rows.append(_sweep_row(axis, value, method, error=str(exc),
+                                       limit=isinstance(exc, milp.SolverLimitError),
                                        wall_seconds=time.perf_counter() - start))
         return rows
 
@@ -380,12 +385,13 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
 
 def _sweep_row(axis, value, method, *, objective=math.nan, provisioning=math.nan,
                average_cost=math.nan, worst_cost=math.nan, certified_worst=math.nan,
-               wall_seconds=math.nan, error="") -> dict:
+               wall_seconds=math.nan, error="", limit=False) -> dict:
+    # sweep.csv leaves out `limit`
     return {
         "axis": axis, "value": value, "method": method, "objective": objective,
         "provisioning": provisioning, "average_cost": average_cost,
         "worst_cost": worst_cost, "certified_worst": certified_worst,
-        "wall_seconds": wall_seconds, "error": error,
+        "wall_seconds": wall_seconds, "error": error, "limit": limit,
     }
 
 

@@ -7,7 +7,7 @@ one at a time or as a block of equal-length rows (a 2-D id array).  A
 `Handle` assembles one model into a column-wise sparse matrix and passes it
 to HiGHS through scipy's bundled binding, the package's one HiGHS call
 site; `solve` opens a handle and solves once.  A handle re-solves after
-coefficient and row-bound edits, starting from the previous basis.
+row-bound edits, starting from the previous basis.
 Results carry primal values and bounds only: no dual values are reported.
 """
 
@@ -188,16 +188,12 @@ _STATUS = {
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 
-def _flat_lists(*arrays) -> list[list]:
-    return [a.ravel().tolist() for a in np.broadcast_arrays(*arrays)]
-
-
 class Handle:
-    """One model passed to HiGHS, re-solvable after edits that keep its structure.
+    """One model passed to HiGHS, re-solvable after row-bound edits.
 
-    `solve` after `change_coeffs` or `change_row_bounds` starts from the
-    previous basis.  A handle belongs to the call that opened it: sweeps
-    run cells on threads, so never cache or share one.
+    `solve` after `change_row_bounds` starts from the previous basis.  A
+    handle belongs to the call that opened it: sweeps run cells on threads,
+    so never cache or share one.
     """
 
     def __init__(self, model: Model, *, mip_gap: float | None = None,
@@ -242,15 +238,10 @@ class Handle:
         if status == highs.HighsStatus.kError:
             raise BackendError(f"HiGHS rejected the {what}")
 
-    def change_coeffs(self, rows, cols, values) -> None:
-        """Set the matrix entries (rows, cols) to values, all three broadcast
-        together; a zero value drops the entry."""
-        for row, col, value in zip(*_flat_lists(rows, cols, values)):
-            self._checked(self._highs.changeCoeff(row, col, value), "coefficient edit")
-
     def change_row_bounds(self, rows, lo, hi) -> None:
         """Set `lo <= a.x <= hi` on the given rows, all three broadcast together."""
-        for row, low, high in zip(*_flat_lists(rows, lo, hi)):
+        rows, lo, hi = (a.ravel().tolist() for a in np.broadcast_arrays(rows, lo, hi))
+        for row, low, high in zip(rows, lo, hi):
             self._checked(self._highs.changeRowBounds(row, low, high), "row-bound edit")
 
     def solve(self) -> SolveResult:

@@ -1,7 +1,6 @@
 """Master/subproblem oracles, the CCG loop, and the extensive form."""
 
 import time
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +16,14 @@ from edgeplan.ccg import (
     solve_subproblem_kkt,
     trace_to_csv,
 )
-from edgeplan.core import EnumerationCapError, FirstStagePlan, Scenario, demand_from_g
-from edgeplan.evaluation import solve_recourse
+from edgeplan.core import (
+    EnumerationCapError,
+    FirstStagePlan,
+    Scenario,
+    demand_from_g,
+    provisioning_cost,
+)
+from edgeplan.evaluation import solve_recourse, solve_recourse_batch
 from edgeplan.topology import generate_instance
 from helpers import (
     brute_force_worst,
@@ -67,8 +72,8 @@ def test_master_matches_exhaustive_plan_search():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4), st.integers(1, 4))
 def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
-    # the per-pair rows and zero bounds cut only fractional plans, so the
-    # master's optimum is the same with and without them
+    # the per-pair rows and zero bounds cut only fractional plans: for an
+    # integral plan a planning block costs what the rowless replay LP costs
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, ni, nj, gamma=ni, k=nj,
                            nominal_demand=rng.uniform(1, 6, ni) * (rng.random(ni) < 0.8),
@@ -76,15 +81,20 @@ def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
                            eligibility=(rng.random((ni, nj)) < 0.8).astype(int))
     pool = [Scenario(demand_from_g(inst, rng.integers(0, 2, ni)),
                      rng.integers(0, 2, nj).astype(np.int8)) for _ in range(pool_size)]
-    real = ccg._add_recourse_block
-
-    def without_rows(*args, strong, **kwargs):
-        return real(*args, strong=False, **kwargs)
-
-    strong = solve_master(inst, pool, mip_gap=1e-9)
-    with mock.patch.object(ccg, "_add_recourse_block", without_rows):
-        weak = solve_master(inst, pool, mip_gap=1e-9)
-    assert strong.objective == pytest.approx(weak.objective, rel=1e-7, abs=1e-9)
+    for plan in (random_plan(rng, inst) for _ in range(3)):
+        for scenario in pool:
+            model = milp.Model("fixed-plan")
+            t = model.add_vars(nj, lb=plan.placement, ub=plan.placement)
+            y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
+            x, q = ccg._add_recourse_block(model, inst, scenario, t, y, None)
+            model.set_objective(*ccg._recourse_cost(inst, x, q))
+            block = milp.ensure_optimal(milp.solve(model)).objective
+            replay = solve_recourse(inst, plan, scenario).second_stage_cost
+            assert block == pytest.approx(replay, rel=1e-7, abs=1e-9)
+    master = solve_master(inst, pool, mip_gap=1e-9)
+    worst = max(out.second_stage_cost for out in solve_recourse_batch(inst, master.plan, pool))
+    assert master.objective == pytest.approx(provisioning_cost(inst, master.plan) + worst,
+                                             rel=1e-7, abs=1e-9)
 
 
 def test_subproblem_no_capacity_drops_everything():
@@ -197,6 +207,26 @@ def test_run_ccg_failure_forces_no_placement():
 def test_run_ccg_demand_surge():
     res = run_ccg(tiny_instance(gamma=1))
     assert res.objective == pytest.approx(1.9, abs=1e-7)
+
+
+def test_run_ccg_takes_upper_bounds_from_a_limited_oracle_bound(monkeypatch):
+    # an oracle stopped at a limit proves only its bound: every UB is built
+    # from that bound, so the value alone would have closed this gap
+    inst = unit_example()
+    totals = []
+
+    def limited(instance, plan, **kwargs):
+        sub = solve_subproblem_duality(instance, plan, **kwargs)
+        totals.append(provisioning_cost(instance, plan) + sub.value)
+        return ccg.SubproblemSolution(sub.worst_scenario, sub.value, sub.value + 1.0, "limit")
+
+    monkeypatch.setitem(ccg._ORACLES, "duality", limited)
+    res = run_ccg(inst)
+    assert totals == pytest.approx([2.5, 1.3], abs=1e-7)
+    assert [rec.upper_bound for rec in res.state.trace] == pytest.approx([3.5, 2.3], abs=1e-7)
+    assert res.objective == pytest.approx(2.3, abs=1e-7)
+    assert not res.converged and res.message.startswith("stalled")
+    assert res.state.trace[-1].lower_bound == pytest.approx(1.3, abs=1e-7)
 
 
 def test_run_ccg_matches_extensive_form():

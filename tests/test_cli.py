@@ -299,6 +299,26 @@ def test_sweep_exits_3_when_every_cell_fails(tmp_path, capsys):
     assert (out / "sweep.csv").exists()  # rows with errors still land on disk
 
 
+def test_sweep_exits_2_when_every_cell_stops_at_a_limit(tmp_path, capsys, monkeypatch):
+    gen = _small(tmp_path, "gen")
+    out = tmp_path / "sweep"
+
+    def limited(*args, **kwargs):
+        raise SolverLimitError("stopped")
+
+    monkeypatch.setattr(evaluation, "plan_with_method", limited)
+    rc = cli.main(["sweep", "--instance", str(gen / "instance.json"),
+                   "--axis", "K", "--values", "0,1", "--methods", "det,heu",
+                   "--scenarios", "0", "--out", str(out)])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"] == "SweepFailed" and doc["exit_code"] == 2
+    # the limit flag stays out of the file
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert lines[0].split(",")[-1] == "error" and len(lines) == 5
+    assert all(line.endswith(",stopped") for line in lines[1:])
+
+
 def test_sweep_nonconverged_cells_do_not_fail_the_run(tmp_path):
     gen = _gen(tmp_path, "gen", areas=6, nodes=6, seed=0)
     out = tmp_path / "sweep"
@@ -321,6 +341,13 @@ def test_audit_prints_table(tmp_path, capsys):
     doc = json.loads((out / "audit.json").read_text())
     assert doc[1]["built"] == {"constraints": 88, "variables": 137}
     assert doc[1]["reference"] == {"constraints": 173, "variables": 128}
+
+
+@pytest.mark.parametrize("sizes", ["2.7", "1,2.5", "0", "inf"])
+def test_audit_refuses_sizes_that_are_not_positive_whole_numbers(tmp_path, capsys, sizes):
+    assert cli.main(["audit", "--sizes", sizes, "--out", str(tmp_path / "a")]) == 3
+    assert "whole numbers" in _stderr_doc(capsys)["message"]
+    assert not (tmp_path / "a").exists()
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):

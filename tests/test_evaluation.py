@@ -172,9 +172,9 @@ def test_recourse_batch_matches_dense_reference(monkeypatch, batch, num_calls, p
 
 
 def test_recourse_batch_keeps_no_row_of_its_first_scenario(monkeypatch):
-    # the batch builds its LP from the first scenario and re-solves it for the
-    # rest; a row or bound holding that scenario's zero demand and failed nodes
-    # (the planning models' linking rows) would strand the full-demand one
+    # the batch builds one LP and re-solves it for every scenario; a row or
+    # bound holding the first scenario's zero demand and failed nodes (the
+    # planning models' linking rows) would strand the full-demand one
     rng = np.random.default_rng(5)
     inst = random_instance(rng, 3, 4, gamma=3, k=4)
     ni, nj = inst.num_areas, inst.num_nodes
@@ -189,11 +189,22 @@ def test_recourse_batch_keeps_no_row_of_its_first_scenario(monkeypatch):
         built.append(real_model(name, **kwargs))
         return built[-1]
 
+    edits = []
+    real_edit = milp.Handle.change_row_bounds
+
+    def recorded_edit(handle, rows, lo, hi):
+        edits.append(len(rows))
+        real_edit(handle, rows, lo, hi)
+
     monkeypatch.setattr(milp, "Model", recorded_model)
+    monkeypatch.setattr(milp.Handle, "change_row_bounds", recorded_edit)
     outs = solve_recourse_batch(inst, plan, scenarios)
-    # capacity_rows and cover_rows index these rows
+    # one row per node and one cover row per area, over x and q only, and one
+    # edit of all of them per scenario
     assert [m.name for m in built] == ["recourse"]
-    assert built[0].num_constraints == 2 * nj + ni
+    assert built[0].num_constraints == nj + ni
+    assert built[0].num_vars == ni * nj + ni
+    assert edits == [nj + ni] * len(scenarios)
     assert outs[1].second_stage_cost > 0
     for out, s in zip(outs, scenarios):
         alone = solve_recourse(inst, plan, s).second_stage_cost

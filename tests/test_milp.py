@@ -181,25 +181,24 @@ def test_handle_edits_match_fresh_solve():
     rng = np.random.default_rng(7)
     cost = rng.uniform(1.0, 2.0, 4)
 
-    def build(coeffs, rhs):
+    def build(cover, cap):
         m = milp.Model("edit")
         x = m.add_vars(4, ub=10.0)
-        m.add_constr(x, coeffs, milp.GE, rhs)
-        m.add_constr(x[:2], [1.0, 1.0], milp.LE, 6.0)
+        m.add_constr(x, [2.0, 0.5, 1.0, 3.0], milp.GE, cover)
+        m.add_constr(x[:2], [1.0, 1.0], milp.LE, cap)
         m.add_constr(x[1:], [1.0, 2.0, 1.0], milp.GE, 2.0)
         m.set_objective(x, cost)
-        return m, x
+        return m
 
-    model, x = build([1.0, 1.0, 1.0, 1.0], 5.0)
-    handle = milp.Handle(model)
+    handle = milp.Handle(build(5.0, 6.0))
     assert handle.solve().status == "optimal"
-    # a zero drops an entry and a later edit brings it back
-    for coeffs, rhs in (([2.0, 0.5, 1.0, 3.0], 7.0), ([0.0, 1.5, 0.0, 2.0], 4.0),
-                        ([1.0, 2.0, 0.5, 0.0], 9.0), ([1.0, 1.0, 1.0, 1.0], 5.0)):
-        handle.change_coeffs(np.zeros(4, dtype=int), x, coeffs)
-        handle.change_row_bounds([0], rhs, np.inf)
+    # the lower bound of the GE row and the upper bound of the LE row, each
+    # taken to zero and back
+    for cover, cap in ((7.0, 6.0), (4.0, 0.0), (0.0, 3.0), (0.0, 0.0), (9.0, 2.5),
+                       (5.0, 6.0)):
+        handle.change_row_bounds([0, 1], [cover, -np.inf], [np.inf, cap])
         got = handle.solve()
-        want = milp.solve(build(coeffs, rhs)[0])
+        want = milp.solve(build(cover, cap))
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
         assert np.allclose(got.values, want.values, atol=1e-9)
