@@ -128,15 +128,21 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
 
     Links eta (epigraph) when given.  Returns the (x, q) id blocks so
     callers can price them in an objective instead (stochastic extensive
-    forms).  Rows come in this order: per node j a procurement row then a
-    capacity row, then one cover row per area, then the epigraph row when
-    eta is given, then the per-pair linking rows of capacitated facility
-    location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j, one per pair whose
-    bound is positive, in row-major pair order; a pair whose bound is zero
-    (ineligible, failed node or no demand) gets the column bound x_ij <= 0
-    instead.  Some block optimum of every integral plan meets them (serving
-    beyond demand never lowers the cost, and t_j = 1 already caps x_ij at
-    C_j), so no optimum changes and only the LP relaxation tightens.
+    forms).  Rows come in this order: one procurement row per node j,
+    sum_i x_ij <= y_j, then one cover row per area, then the epigraph row
+    when eta is given, then the per-pair linking rows of capacitated
+    facility location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j, one per
+    pair whose bound is positive, in row-major pair order; a pair whose
+    bound is zero (ineligible, failed node or no demand) gets the column
+    bound x_ij <= 0 instead.  Some block optimum of every integral plan
+    meets them (serving beyond demand never lowers the cost, and t_j = 1
+    already caps x_ij at C_j), so no optimum changes and only the LP
+    relaxation tightens.
+
+    Placed capacity, sum_i x_ij <= C_j t_j (1 - z_j), has no row: the
+    caller must carry `_build_first_stage`'s coupling row y_j <= C_j t_j,
+    which with the procurement row implies it, and a failed node's pairs
+    are already fixed at zero.
     """
     ni, nj = instance.num_areas, instance.num_nodes
     cap_ub = instance.eligibility * instance.capacity[None, :]
@@ -145,12 +151,8 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     cap_ub = np.where(link > 0, cap_ub, 0.0)
     x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
     q = model.add_vars(ni, lb=0.0)
-    # two rows per node j over x[:, j]: within procurement y_j, then within
-    # placed capacity C_j t_j (zero on a failed node)
-    plan_ids = np.column_stack([y, t]).ravel()
-    plan_coeffs = np.column_stack([-np.ones(nj), -instance.capacity * (1.0 - scenario.failures)])
-    model.add_constr(np.column_stack([np.repeat(x.T, 2, axis=0), plan_ids]),
-                     np.column_stack([np.ones((2 * nj, ni)), plan_coeffs.ravel()]), milp.LE, 0.0)
+    # node j serves within its procurement y_j
+    model.add_constr(np.column_stack([x.T, y]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
     # demand is served or dropped
     model.add_constr(np.column_stack([x, q]), 1.0, milp.GE, scenario.demand)
     if eta is not None:
@@ -288,32 +290,33 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
                          time_limit: float | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost via the inner LP's optimality system.
 
-    Each complementarity pair gets one binary and two big-M rows; the
+    The inner LP is the replay's (see `evaluation.solve_recourse_batch`):
+    one row per node caps sum_i x_ij at the live stock
+    min(y_j, C_j t_j)(1 - z_j), and one cover row per area.  Each
+    complementarity pair gets one binary and two big-M rows; the
     primal-side constants come from capacities and demand ceilings, the
     dual-side constants from the penalty scale (every dual vertex is
     bounded by max P, see the duality oracle).
     """
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
-    cap, proc, pen = instance.capacity, plan.procurement, instance.unmet_penalty
+    cap, pen = instance.capacity, instance.unmet_penalty
     acap = instance.eligibility * cap[None, :]
     p_max = float(pen.max(initial=0.0))
     demand_top = lam_bar + lam_tilde
-    cap_t = cap * plan.placement
+    live = np.minimum(plan.procurement, cap * plan.placement)
 
     model = milp.Model("subproblem-kkt", maximize=True)
     x = model.add_vars((ni, nj), lb=0.0, ub=acap)
     q = model.add_vars(ni, lb=0.0, ub=demand_top)
     s = model.add_vars(ni, lb=0.0, ub=pen)
     u1 = model.add_vars(nj, lb=0.0, ub=p_max)
-    u2 = model.add_vars(nj, lb=0.0, ub=p_max)
     pi = model.add_vars((ni, nj), lb=0.0, ub=p_max)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
     b1 = model.add_vars((ni, nj), kind=milp.BINARY)  # x > 0 forces tight stationarity
     b2 = model.add_vars(ni, kind=milp.BINARY)        # q > 0 forces s = P
-    b3 = model.add_vars(nj, kind=milp.BINARY)        # u1 > 0 forces tight capacity
-    b4 = model.add_vars(nj, kind=milp.BINARY)        # u2 > 0 forces tight procurement
+    b3 = model.add_vars(nj, kind=milp.BINARY)        # u1 > 0 forces tight live stock
     b5 = model.add_vars(ni, kind=milp.BINARY)        # s > 0 forces tight cover
     b6 = model.add_vars((ni, nj), kind=milp.BINARY)  # pi > 0 forces x at its box cap
 
@@ -322,16 +325,12 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
 
     # per node j
     ones_i = np.ones((nj, ni))
-    # primal: sum_i x_ij <= y_j and <= C_j t_j (1 - z_j)
-    model.add_constr(x.T, 1.0, milp.LE, proc)
-    model.add_constr(np.column_stack([x.T, z]), np.column_stack([ones_i, cap_t]), milp.LE, cap_t)
-    # capacity slack <= C_j (1-b3); u1 <= p_max b3
-    model.add_constr(np.column_stack([x.T, z, b3]), np.column_stack([-ones_i, -cap_t, cap]),
-                     milp.LE, cap - cap_t)
+    # primal: sum_i x_ij <= live_j (1 - z_j)
+    model.add_constr(np.column_stack([x.T, z]), np.column_stack([ones_i, live]), milp.LE, live)
+    # live-stock slack <= C_j (1-b3); u1 <= p_max b3
+    model.add_constr(np.column_stack([x.T, z, b3]), np.column_stack([-ones_i, -live, cap]),
+                     milp.LE, cap - live)
     model.add_constr(np.column_stack([u1, b3]), [1.0, -p_max], milp.LE, 0.0)
-    # procurement slack <= y_j (1-b4); u2 <= p_max b4
-    model.add_constr(np.column_stack([x.T, b4]), np.column_stack([-ones_i, proc]), milp.LE, 0.0)
-    model.add_constr(np.column_stack([u2, b4]), [1.0, -p_max], milp.LE, 0.0)
 
     # per area i
     ones_j = np.ones((ni, nj))
@@ -350,12 +349,12 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
 
     # per (i, j) in row-major order
     beta_d = (instance.beta * instance.delay).ravel()
-    duals = np.column_stack([np.tile(u1, ni), np.tile(u2, ni), pi.ravel(), np.repeat(s, nj)])
-    # stationarity of x_ij: 0 <= beta d + u1 + u2 + pi - s <= M1 (1-b1)
-    m1 = beta_d + 3.0 * p_max
-    model.add_constr(duals, [1.0, 1.0, 1.0, -1.0], milp.GE, -beta_d)
+    duals = np.column_stack([np.tile(u1, ni), pi.ravel(), np.repeat(s, nj)])
+    # stationarity of x_ij: 0 <= beta d + u1 + pi - s <= M1 (1-b1)
+    m1 = beta_d + 2.0 * p_max
+    model.add_constr(duals, [1.0, 1.0, -1.0], milp.GE, -beta_d)
     model.add_constr(np.column_stack([duals, b1.ravel()]),
-                     np.column_stack([np.broadcast_to([1.0, 1.0, 1.0, -1.0], (ni * nj, 4)), m1]),
+                     np.column_stack([np.broadcast_to([1.0, 1.0, -1.0], (ni * nj, 3)), m1]),
                      milp.LE, m1 - beta_d)
     model.add_constr(np.column_stack([x.ravel(), b1.ravel()]),
                      np.column_stack([np.ones(ni * nj), -acap.ravel()]), milp.LE, 0.0)
@@ -404,7 +403,6 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     seen: set[tuple] = set()
     lower, upper = -np.inf, np.inf
     incumbent: FirstStagePlan | None = None
-    plan = FirstStagePlan.empty(instance.num_nodes)
     converged = False
     message = ""
 
@@ -443,7 +441,7 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
         message = f"iteration cap {max_iterations} reached with gap {gap:.3e}"
 
     return CcgResult(
-        plan=incumbent if incumbent is not None else plan,
+        plan=incumbent,
         objective=upper,
         state=state,
         converged=converged,

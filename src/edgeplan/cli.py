@@ -190,8 +190,7 @@ def cmd_evaluate(args) -> int:
     written = []
     summaries = []
     for name, plan in loaded:
-        report = evaluation.monte_carlo(scoring, plan, scenarios, method=name,
-                                        oracle=args.oracle)
+        report = evaluation.monte_carlo(scoring, plan, scenarios, method=name)
         fname = f"eval_{name}.csv"
         core.atomic_write_text(os.path.join(args.out, fname),
                                evaluation.report_to_csv(report))
@@ -311,7 +310,6 @@ def build_parser() -> _Parser:
                    help="failure budget for test draws (default: instance K)")
     e.add_argument("--psi", type=float, default=1.0, help="evaluation penalty scale")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--oracle", choices=tuple(ccg._ORACLES), default="duality")
     e.add_argument("--out", required=True, help="output directory")
     e.set_defaults(func=cmd_evaluate)
 

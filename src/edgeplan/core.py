@@ -222,10 +222,6 @@ class FirstStagePlan:
         if cost > instance.budget + tol * max(1.0, instance.budget):
             raise InstanceError(f"plan cost {cost} exceeds budget {instance.budget}")
 
-    @staticmethod
-    def empty(num_nodes: int) -> "FirstStagePlan":
-        return FirstStagePlan(np.zeros(num_nodes, dtype=np.int8), np.zeros(num_nodes))
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -169,13 +169,13 @@ def certify_worst_case(instance: ProblemInstance, plan: FirstStagePlan, *,
 
 
 def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios, *,
-                method: str = "", certify: bool = True,
-                oracle: str = "duality") -> EvaluationReport:
+                method: str = "", certify: bool = True) -> EvaluationReport:
     """Score a plan on a scenario list; costs are provisioning + recourse.
 
     Each scenario is re-optimized with the recourse LP (see
-    `solve_recourse_batch`).  To score at penalty scale psi, pass
-    `instance.scaled_penalty(psi)`.
+    `solve_recourse_batch`); with `certify`, the duality oracle certifies
+    the worst case (see `certify_worst_case`).  To score at penalty scale
+    psi, pass `instance.scaled_penalty(psi)`.
     """
     scenarios = list(scenarios)
     prov = provisioning_cost(instance, plan)
@@ -183,7 +183,7 @@ def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios, *,
     recourse = np.array([out.second_stage_cost for out in outs])
     unmet = np.array([out.unmet.sum() for out in outs])
     totals = prov + recourse
-    certified = certify_worst_case(instance, plan, oracle=oracle) if certify else math.nan
+    certified = certify_worst_case(instance, plan) if certify else math.nan
     return EvaluationReport(
         method=method, provisioning=prov,
         scenario_costs=totals, recourse_costs=recourse, unmet_totals=unmet,
@@ -326,11 +326,16 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     size within the instance, so a larger size, like a fractional K, gamma,
     I or J value, is an error in its own row.  With `workers` > 1 the values
     run on that many threads; every value's cell is computed the same way
-    either way, so the rows do not depend on it.
+    either way, so the rows do not depend on it.  A `workers` below 1 or a
+    negative `num_test_scenarios` is refused before any cell runs.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
         raise ValueError("psi_mode must be 'both' or 'evaluation'")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if num_test_scenarios < 0:
+        raise ValueError(f"num_test_scenarios must be nonnegative, got {num_test_scenarios}")
     values = list(values)
     if not values:
         raise ValueError("no sweep values given")

@@ -97,6 +97,25 @@ def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
                                              rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("with_eta", [False, True])
+def test_recourse_block_row_count(with_eta):
+    # J node rows, I cover rows, the epigraph row when eta is given, and one
+    # linking row per positive link; placed capacity is implied, not a row
+    ni, nj = 4, 3
+    inst = random_instance(np.random.default_rng(5), ni, nj,
+                           nominal_demand=np.array([2.0, 0.0, 3.0, 1.0]),
+                           demand_deviation=np.zeros(ni),
+                           eligibility=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 1]]))
+    # node 1 fails and area 1 has no demand: links (0,0), (2,2), (3,0), (3,2) remain
+    scenario = Scenario(inst.nominal_demand, np.array([0, 1, 0], dtype=np.int8))
+    model = milp.Model()
+    t, y, _ = ccg._build_first_stage(model, inst)
+    eta = model.add_var() if with_eta else None
+    before = model.num_constraints
+    ccg._add_recourse_block(model, inst, scenario, t, y, eta)
+    assert model.num_constraints - before == nj + ni + with_eta + 4
+
+
 def test_subproblem_no_capacity_drops_everything():
     inst = tiny_instance(demand_deviation=[0.0])
     plan = FirstStagePlan(np.zeros(1, dtype=np.int8), np.zeros(1))
@@ -155,10 +174,19 @@ def test_subproblem_targets_placed_node():
 
 
 def test_subproblem_oracles_agree_with_brute_force():
+    # besides feasible plans: procurement above placed capacity on a node,
+    # and a node placed without procurement, where min(y, C t) matters
     rng = np.random.default_rng(42)
-    for trial in range(8):
+    for trial in range(12):
         inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         plan = random_plan(rng, inst)
+        node = int(rng.integers(inst.num_nodes))
+        t, y = plan.placement.copy(), plan.procurement.copy()
+        if trial % 3 == 1:
+            t[node], y[node] = 1, inst.capacity[node] + 5.0
+        elif trial % 3 == 2:
+            t[node], y[node] = 1, 0.0
+        plan = FirstStagePlan(t, y)
         expected = brute_force_worst(inst, plan)
         dual = solve_subproblem_duality(inst, plan)
         kkt = solve_subproblem_kkt(inst, plan)

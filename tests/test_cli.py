@@ -319,6 +319,20 @@ def test_sweep_exits_2_when_every_cell_stops_at_a_limit(tmp_path, capsys, monkey
     assert all(line.endswith(",stopped") for line in lines[1:])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"], ["--workers", "-3"], ["--scenarios", "-5"],
+    ["--values", ""], ["--values", "1,x"], ["--methods", "det,simplex"], ["--methods", ","],
+])
+def test_sweep_bad_input_exits_3_and_writes_nothing(tmp_path, capsys, flags):
+    gen = _small(tmp_path, "gen")
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--instance", str(gen / "instance.json"), "--axis", "K",
+            "--values", "0,1", "--methods", "det", "--out", str(out)]
+    assert cli.main(argv + flags) == 3
+    assert _stderr_doc(capsys)["exit_code"] == 3
+    assert not out.exists()
+
+
 def test_sweep_nonconverged_cells_do_not_fail_the_run(tmp_path):
     gen = _gen(tmp_path, "gen", areas=6, nodes=6, seed=0)
     out = tmp_path / "sweep"

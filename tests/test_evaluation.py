@@ -490,6 +490,17 @@ def test_sweep_records_per_cell_errors():
     assert math.isnan(rows[1]["objective"])
 
 
+@pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-3),
+                                    dict(num_test_scenarios=-5)])
+def test_sweep_refuses_bad_workers_or_scenarios_before_any_cell(monkeypatch, kwargs):
+    inst = random_instance(np.random.default_rng(149), 2, 2, gamma=1, k=1)
+    cells = []
+    monkeypatch.setattr(evaluation, "plan_with_method", lambda *a, **k: cells.append(a))
+    with pytest.raises(ValueError, match="workers|num_test_scenarios"):
+        sensitivity_sweep(inst, "K", [0, 1], methods=("det",), **kwargs)
+    assert cells == []
+
+
 def test_sweep_reports_nonconverged_cell():
     # a loose solver gap with a tiny eps makes CCG stall on a repeated vertex
     inst = generate_instance(6, 6, seed=0)
