@@ -21,8 +21,9 @@ budgets is at most one and the other is zero (the uncertainty set is
 then a simplex, where affine policies are lossless).
 
 The robust rows come in five families: the cost epigraph, demand cover
-per area, procurement and capacity per node (interleaved pairs), box and
-sign per allocation x_ij (interleaved pairs), and q >= 0 per area.  A
+per area, live stock sum_i x_ij <= y_j (1 - z_j) per node, sign x_ij >= 0
+per pair, and q >= 0 per area.  An ineligible pair (a_ij C_j = 0) has the
+zero map instead of a box row: its A, B and D entries are fixed at 0.  A
 family of R rows gives its constant part as id/coefficient arrays of
 shape (R, k), its demand part as (R, I, k) and its failure part as
 (R, J, k); `_add_robust_rows` adds the family's duals as one block and
@@ -115,25 +116,20 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     """Build the affine-policy MILP; returns the model and the id index."""
     ni, nj = instance.num_areas, instance.num_nodes
     lb, lt = instance.nominal_demand, instance.demand_deviation
-    pen, cap = instance.unmet_penalty, instance.capacity
-    beta_d = instance.beta * instance.delay
-    acap = instance.eligibility * cap[None, :]
+    pen, beta_d = instance.unmet_penalty, instance.beta * instance.delay
 
     model = milp.Model("adr")
     t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
     phi = model.add_var(lb=0.0)
-    free = -np.inf
-    a_v = model.add_vars((ni, nj, ni), lb=free)
-    b_v = model.add_vars((ni, nj, nj), lb=free)
-    d_v = model.add_vars((ni, nj), lb=free)
-    e_v = model.add_vars((ni, ni), lb=free)
-    f_v = model.add_vars((ni, nj), lb=free)
-    g_v = model.add_vars(ni, lb=free)
+    # the zero map x_ij = 0 on an ineligible pair; its sign row stays
+    free = np.where(instance.eligibility * instance.capacity > 0, np.inf, 0.0)
+    a_v = model.add_vars((ni, nj, ni), lb=-free[:, :, None], ub=free[:, :, None])
+    b_v = model.add_vars((ni, nj, nj), lb=-free[:, :, None], ub=free[:, :, None])
+    d_v = model.add_vars((ni, nj), lb=-free, ub=free)
+    e_v = model.add_vars((ni, ni), lb=-np.inf)
+    f_v = model.add_vars((ni, nj), lb=-np.inf)
+    g_v = model.add_vars(ni, lb=-np.inf)
     u = instance.uncertainty
-
-    def pairs(a):
-        # two robust rows per entry, interleaved
-        return np.repeat(a, 2, axis=0)
 
     # worst-case cost epigraph: P.q + beta d.x <= phi
     const = (np.concatenate([[phi], g_v, e_v.ravel(), d_v.ravel(), a_v.ravel()])[None],
@@ -153,30 +149,25 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     failure = (np.concatenate([b_v.transpose(0, 2, 1), f_v[:, :, None]], axis=2), -1.0, 0.0)
     _add_robust_rows(model, u, const, demand, failure)
 
-    # per node j, procurement sum_i x_ij <= y_j, then capacity
-    # sum_i x_ij <= C_j t_j (1 - z_j)
+    # live stock per node j: sum_i x_ij <= y_j (1 - z_j).  Given the rows
+    # 0 <= y_j <= C_j t_j of `_build_first_stage` (fractional t included), it
+    # holds at a binary (g, z) exactly when sum_i x_ij <= y_j and
+    # sum_i x_ij <= C_j t_j (1 - z_j) do, and the budget sets are integral, so
+    # the robust rows agree; with the sign rows it also implies x_ij <= C_j.
     served = np.hstack([d_v.T, a_v.transpose(1, 0, 2).reshape(nj, -1)])
-    const = (np.column_stack([pairs(served), np.column_stack([y, t]).ravel()]),
-             np.column_stack([np.tile(np.concatenate([np.ones(ni), np.tile(lb, ni)]), (2 * nj, 1)),
-                              np.column_stack([-np.ones(nj), -cap]).ravel()]), 0.0)
-    demand = (pairs(a_v.transpose(1, 2, 0)), lt[:, None], 0.0)
-    # the failed node's capacity row gains C_j t_j z_j; every other failure
-    # row carries t_j with a zero coefficient (HiGHS drops zeros on load)
-    on_failure = np.zeros((nj, 2, nj))
-    on_failure[:, 1] = np.diag(cap)
-    failure = (np.concatenate([pairs(b_v.transpose(1, 2, 0)),
-                               np.tile(pairs(t)[:, None, None], (1, nj, 1))], axis=2),
-               np.concatenate([np.ones((2 * nj, nj, ni)), on_failure.reshape(2 * nj, nj, 1)],
-                              axis=2), 0.0)
+    const = (np.column_stack([served, y]),
+             np.append(np.concatenate([np.ones(ni), np.tile(lb, ni)]), -1.0), 0.0)
+    demand = (a_v.transpose(1, 2, 0), lt[:, None], 0.0)
+    # z_j adds y_j to node j's row; other failures carry y_j at 0 (HiGHS drops it)
+    failure = (np.dstack([b_v.transpose(1, 2, 0), np.repeat(y[:, None], nj, axis=1)]),
+               np.dstack([np.ones((nj, nj, ni)), np.eye(nj)]), 0.0)
     _add_robust_rows(model, u, const, demand, failure)
 
-    # per (i, j), box x_ij <= a_ij C_j, then sign x_ij >= 0
-    sign = np.tile([1.0, -1.0], ni * nj)
-    const = (pairs(np.concatenate([d_v[:, :, None], a_v], axis=2).reshape(ni * nj, -1)),
-             sign[:, None] * np.concatenate([[1.0], lb]),
-             np.column_stack([-acap.ravel(), np.zeros(ni * nj)]).ravel())
-    demand = (pairs(a_v.reshape(ni * nj, ni))[:, :, None], sign[:, None, None] * lt[:, None], 0.0)
-    failure = (pairs(b_v.reshape(ni * nj, nj))[:, :, None], sign[:, None, None], 0.0)
+    # sign per (i, j): x_ij >= 0
+    const = (np.concatenate([d_v[:, :, None], a_v], axis=2).reshape(ni * nj, -1),
+             -np.concatenate([[1.0], lb]), 0.0)
+    demand = (a_v.reshape(ni * nj, ni)[:, :, None], -lt[:, None], 0.0)
+    failure = (b_v.reshape(ni * nj, nj)[:, :, None], -1.0, 0.0)
     _add_robust_rows(model, u, const, demand, failure)
 
     # q_i >= 0
@@ -239,11 +230,11 @@ def reference_counts(num_areas: int, num_nodes: int) -> tuple[int, int]:
 def predicted_counts(num_areas: int, num_nodes: int) -> tuple[int, int]:
     """Closed-form sizes of the model this module actually assembles.
 
-    2IJ+2I+2J+1 robust rows, each with I+J+1 constraints (aggregate plus
+    IJ+2I+J+1 robust rows, each with I+J+1 constraints (aggregate plus
     dual feasibility) and I+J+2 dual variables, plus the first stage.
     """
     i, j = num_areas, num_nodes
-    rows = 2 * i * j + 2 * i + 2 * j + 1
+    rows = i * j + 2 * i + j + 1
     constraints = 1 + j + rows * (i + j + 1)
     variables = (2 * j + 1) + (i * j * (i + j + 2)) + i * (i + 1) + rows * (i + j + 2)
     return constraints, variables

@@ -326,8 +326,9 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     size within the instance, so a larger size, like a fractional K, gamma,
     I or J value, is an error in its own row.  With `workers` > 1 the values
     run on that many threads; every value's cell is computed the same way
-    either way, so the rows do not depend on it.  A `workers` below 1 or a
-    negative `num_test_scenarios` is refused before any cell runs.
+    either way, so the rows do not depend on it.  A `workers` below 1, a
+    negative `num_test_scenarios`, and a planner input that a listed method
+    cannot use are refused before any cell runs.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
@@ -342,6 +343,10 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+    if "so" in methods and num_training_scenarios < 1:
+        raise ValueError(f"so needs num_training_scenarios >= 1, got {num_training_scenarios}")
+    if {"ccg-duality", "ccg-kkt"} & set(methods) and not eps > 0:
+        raise ValueError(f"a CCG method needs a positive eps, got {eps}")
 
     def rows_of(value) -> list[dict]:
         try:

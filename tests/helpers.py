@@ -56,6 +56,17 @@ def random_instance(rng, num_areas, num_nodes, gamma=None, k=None, **overrides):
     return ProblemInstance(**fields)
 
 
+def sparse_eligibility(rng, num_areas, num_nodes):
+    """A random eligibility mask with at least one ineligible pair that still
+    leaves every area an eligible node; needs two or more nodes."""
+    mask = rng.integers(0, 2, (num_areas, num_nodes)).astype(np.int8)
+    keep = rng.integers(0, num_nodes, num_areas)
+    mask[np.arange(num_areas), keep] = 1
+    i = int(rng.integers(num_areas))
+    mask[i, (keep[i] + 1 + int(rng.integers(num_nodes - 1))) % num_nodes] = 0
+    return mask
+
+
 def random_plan(rng, instance):
     """A random budget- and capacity-feasible first-stage plan."""
     t = rng.integers(0, 2, instance.num_nodes).astype(np.int8)

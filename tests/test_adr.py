@@ -13,7 +13,7 @@ from edgeplan.adr import (
 )
 from edgeplan.ccg import run_ccg
 from edgeplan.core import Scenario, provisioning_cost
-from helpers import random_instance, tiny_instance, vertex_scenarios
+from helpers import random_instance, sparse_eligibility, tiny_instance, vertex_scenarios
 
 
 def _zero_policy(ni, nj):
@@ -69,31 +69,33 @@ def test_size_audit_matches_documented_convention():
 def test_size_audit_known_values():
     audit = audit_model_size(2, 2)
     assert (audit.reference_constraints, audit.reference_variables) == (173, 128)
-    assert (audit.built_constraints, audit.built_variables) == (88, 137)
-    assert audit.constraint_delta == 85
-    assert audit.variable_delta == -9
+    # IJ+2I+J+1 = 11 robust rows of I+J+1 = 5 constraints and I+J+2 = 6
+    # duals; the first stage adds 1+J = 3 rows and 2J+1 = 5 columns, the
+    # maps IJ(I+J+2) + I(I+1) = 30 columns
+    assert (audit.built_constraints, audit.built_variables) == (3 + 55, 5 + 30 + 66)
+    assert audit.constraint_delta == 173 - 58
+    assert audit.variable_delta == 128 - 101
+
+
+def _assert_adr_matches_ccg(rng, gamma, k):
+    # four trials with every pair eligible, then four with ineligible pairs
+    for masked in (False, True):
+        for trial in range(4):
+            ni, nj = int(rng.integers(1, 4)), int(rng.integers(1 + masked, 4))
+            mask = dict(eligibility=sparse_eligibility(rng, ni, nj)) if masked else {}
+            inst = random_instance(rng, ni, nj, gamma=gamma, k=k, **mask)
+            exact = run_ccg(inst, eps=1e-8).objective
+            approx = solve_adr(inst).objective
+            scale = max(1.0, abs(exact))
+            assert abs(approx - exact) / scale < 1e-6, f"masked={masked} trial {trial}"
 
 
 def test_simplex_equality_single_deviation():
-    rng = np.random.default_rng(101)
-    for trial in range(4):
-        inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                               gamma=1, k=0)
-        exact = run_ccg(inst, eps=1e-8).objective
-        approx = solve_adr(inst).objective
-        scale = max(1.0, abs(exact))
-        assert abs(approx - exact) / scale < 1e-6, f"trial {trial}"
+    _assert_adr_matches_ccg(np.random.default_rng(101), gamma=1, k=0)
 
 
 def test_simplex_equality_single_failure():
-    rng = np.random.default_rng(103)
-    for trial in range(4):
-        inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
-                               gamma=0, k=1)
-        exact = run_ccg(inst, eps=1e-8).objective
-        approx = solve_adr(inst).objective
-        scale = max(1.0, abs(exact))
-        assert abs(approx - exact) / scale < 1e-6, f"trial {trial}"
+    _assert_adr_matches_ccg(np.random.default_rng(103), gamma=0, k=1)
 
 
 def test_upper_bound_on_general_sets():
@@ -106,12 +108,20 @@ def test_upper_bound_on_general_sets():
 
 
 @pytest.mark.parametrize("gamma,k", [(1, 1), (2, 2)])
-@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
-def test_solved_policy_feasible_at_all_vertices(shape, gamma, k):
+@pytest.mark.parametrize("shape,masked", [((2, 2), False), ((2, 3), False), ((3, 2), False),
+                                          ((2, 3), True), ((3, 3), True)],
+                         ids=["2x2", "2x3", "3x2", "2x3-masked", "3x3-masked"])
+def test_solved_policy_feasible_at_all_vertices(shape, masked, gamma, k):
     # non-square shapes and budgets above one catch a transposed id block
     rng = np.random.default_rng(109)
-    inst = random_instance(rng, *shape, gamma=gamma, k=k)
+    mask = dict(eligibility=sparse_eligibility(rng, *shape)) if masked else {}
+    inst = random_instance(rng, *shape, gamma=gamma, k=k, **mask)
     sol = solve_adr(inst)
+    # an ineligible pair has the zero map
+    ineligible = inst.eligibility == 0
+    assert ineligible.any() == masked
+    for coeffs in (sol.policy.A, sol.policy.B, sol.policy.D):
+        assert np.all(coeffs[ineligible] == 0)
     t = sol.plan.placement
     y = sol.plan.procurement
     tol = 1e-6

@@ -322,6 +322,8 @@ def test_sweep_exits_2_when_every_cell_stops_at_a_limit(tmp_path, capsys, monkey
 @pytest.mark.parametrize("flags", [
     ["--workers", "0"], ["--workers", "-3"], ["--scenarios", "-5"],
     ["--values", ""], ["--values", "1,x"], ["--methods", "det,simplex"], ["--methods", ","],
+    ["--methods", "so,det", "--training-scenarios", "-5"],
+    ["--methods", "ccg-kkt,det", "--eps", "0"],
 ])
 def test_sweep_bad_input_exits_3_and_writes_nothing(tmp_path, capsys, flags):
     gen = _small(tmp_path, "gen")
@@ -348,12 +350,12 @@ def test_audit_prints_table(tmp_path, capsys):
     assert cli.main(["audit"]) == 0
     stdout = capsys.readouterr().out
     assert stdout.splitlines()[0].startswith("areas,nodes,reference_constraints")
-    assert "2,2,173,128,88,137,85,-9" in stdout
+    assert "2,2,173,128,58,101,115,27" in stdout
     out = tmp_path / "audit"
     assert cli.main(["audit", "--sizes", "1,2", "--out", str(out)]) == 0
     assert (out / "audit.csv").exists()
     doc = json.loads((out / "audit.json").read_text())
-    assert doc[1]["built"] == {"constraints": 88, "variables": 137}
+    assert doc[1]["built"] == {"constraints": 58, "variables": 101}
     assert doc[1]["reference"] == {"constraints": 173, "variables": 128}
 
 

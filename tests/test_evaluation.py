@@ -490,15 +490,27 @@ def test_sweep_records_per_cell_errors():
     assert math.isnan(rows[1]["objective"])
 
 
-@pytest.mark.parametrize("kwargs", [dict(workers=0), dict(workers=-3),
-                                    dict(num_test_scenarios=-5)])
+@pytest.mark.parametrize("kwargs", [
+    dict(workers=0), dict(workers=-3), dict(num_test_scenarios=-5),
+    dict(methods=("so", "det"), num_training_scenarios=0),
+    dict(methods=("det", "so"), num_training_scenarios=-5),
+    dict(methods=("det", "ccg-duality"), eps=0.0),
+    dict(methods=("ccg-kkt",), eps=-1e-3),
+])
 def test_sweep_refuses_bad_workers_or_scenarios_before_any_cell(monkeypatch, kwargs):
     inst = random_instance(np.random.default_rng(149), 2, 2, gamma=1, k=1)
     cells = []
     monkeypatch.setattr(evaluation, "plan_with_method", lambda *a, **k: cells.append(a))
-    with pytest.raises(ValueError, match="workers|num_test_scenarios"):
-        sensitivity_sweep(inst, "K", [0, 1], methods=("det",), **kwargs)
+    with pytest.raises(ValueError, match="workers|num_test_scenarios|num_training|eps"):
+        sensitivity_sweep(inst, "K", [0, 1], **{"methods": ("det",), **kwargs})
     assert cells == []
+
+
+def test_sweep_ignores_planner_inputs_of_unlisted_methods():
+    inst = random_instance(np.random.default_rng(149), 2, 2, gamma=1, k=1)
+    rows = sensitivity_sweep(inst, "K", [1], methods=("det",), eps=0.0,
+                             num_training_scenarios=0, num_test_scenarios=0)
+    assert [r["error"] for r in rows] == [""]
 
 
 def test_sweep_reports_nonconverged_cell():
