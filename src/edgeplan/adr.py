@@ -22,13 +22,16 @@ then a simplex, where affine policies are lossless).
 
 The robust rows come in five families: the cost epigraph, demand cover
 per area, live stock sum_i x_ij <= y_j (1 - z_j) per node, sign x_ij >= 0
-per pair, and q >= 0 per area.  An ineligible pair (a_ij C_j = 0) has the
-zero map instead of a box row: its A, B and D entries are fixed at 0.  A
-family of R rows gives its constant part as id/coefficient arrays of
-shape (R, k), its demand part as (R, I, k) and its failure part as
-(R, J, k); `_add_robust_rows` adds the family's duals as one block and
-its aggregated, demand dual-feasibility and failure dual-feasibility
-rows as one block each.
+per served pair, and q >= 0 per area: L + 2I + J + 1 rows with L served
+pairs.  A dead pair of `ProblemInstance.served_capacity` has the zero map,
+with no A, B or D columns (`milp.PAD`) and no sign row.  That is the only
+feasible map where a_ij C_j = 0; where beta d_ij > P_i, adding x_ij's map
+to q_i's (E_i += A_ij, F_i += B_ij, G_i += D_ij) keeps every row and costs
+no more.  A family of R rows gives its constant part as id/coefficient
+arrays of shape (R, k), its demand part as (R, I, k) and its failure part
+as (R, J, k); `_add_robust_rows` adds the family's duals as one block and
+its aggregated, demand dual-feasibility and failure dual-feasibility rows
+as one block each.
 """
 
 from __future__ import annotations
@@ -121,11 +124,11 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     model = milp.Model("adr")
     t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
     phi = model.add_var(lb=0.0)
-    # the zero map x_ij = 0 on an ineligible pair; its sign row stays
-    free = np.where(instance.eligibility * instance.capacity > 0, np.inf, 0.0)
-    a_v = model.add_vars((ni, nj, ni), lb=-free[:, :, None], ub=free[:, :, None])
-    b_v = model.add_vars((ni, nj, nj), lb=-free[:, :, None], ub=free[:, :, None])
-    d_v = model.add_vars((ni, nj), lb=-free, ub=free)
+    # x's maps have columns on served pairs only, PAD (the zero map) elsewhere
+    served = instance.served_capacity > 0
+    a_v, b_v, d_v = (np.full((ni, nj) + tail, milp.PAD) for tail in ((ni,), (nj,), ()))
+    for block in (a_v, b_v, d_v):
+        block[served] = model.add_vars((int(served.sum()),) + block.shape[2:], lb=-np.inf)
     e_v = model.add_vars((ni, ni), lb=-np.inf)
     f_v = model.add_vars((ni, nj), lb=-np.inf)
     g_v = model.add_vars(ni, lb=-np.inf)
@@ -154,8 +157,8 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     # holds at a binary (g, z) exactly when sum_i x_ij <= y_j and
     # sum_i x_ij <= C_j t_j (1 - z_j) do, and the budget sets are integral, so
     # the robust rows agree; with the sign rows it also implies x_ij <= C_j.
-    served = np.hstack([d_v.T, a_v.transpose(1, 0, 2).reshape(nj, -1)])
-    const = (np.column_stack([served, y]),
+    outflow = np.hstack([d_v.T, a_v.transpose(1, 0, 2).reshape(nj, -1)])
+    const = (np.column_stack([outflow, y]),
              np.append(np.concatenate([np.ones(ni), np.tile(lb, ni)]), -1.0), 0.0)
     demand = (a_v.transpose(1, 2, 0), lt[:, None], 0.0)
     # z_j adds y_j to node j's row; other failures carry y_j at 0 (HiGHS drops it)
@@ -163,11 +166,11 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
                np.dstack([np.ones((nj, nj, ni)), np.eye(nj)]), 0.0)
     _add_robust_rows(model, u, const, demand, failure)
 
-    # sign per (i, j): x_ij >= 0
-    const = (np.concatenate([d_v[:, :, None], a_v], axis=2).reshape(ni * nj, -1),
+    # sign per served (i, j): x_ij >= 0
+    const = (np.concatenate([d_v[:, :, None], a_v], axis=2)[served],
              -np.concatenate([[1.0], lb]), 0.0)
-    demand = (a_v.reshape(ni * nj, ni)[:, :, None], -lt[:, None], 0.0)
-    failure = (b_v.reshape(ni * nj, nj)[:, :, None], -1.0, 0.0)
+    demand = (a_v[served][:, :, None], -lt[:, None], 0.0)
+    failure = (b_v[served][:, :, None], -1.0, 0.0)
     _add_robust_rows(model, u, const, demand, failure)
 
     # q_i >= 0
@@ -227,16 +230,20 @@ def reference_counts(num_areas: int, num_nodes: int) -> tuple[int, int]:
     return constraints, variables
 
 
-def predicted_counts(num_areas: int, num_nodes: int) -> tuple[int, int]:
+def predicted_counts(num_areas: int, num_nodes: int,
+                     served_pairs: int | None = None) -> tuple[int, int]:
     """Closed-form sizes of the model this module actually assembles.
 
-    IJ+2I+J+1 robust rows, each with I+J+1 constraints (aggregate plus
-    dual feasibility) and I+J+2 dual variables, plus the first stage.
+    With L served pairs (all I*J when not given): L+2I+J+1 robust rows,
+    each with I+J+1 constraints (aggregate plus dual feasibility) and
+    I+J+2 dual variables, plus the first stage; the maps take
+    L(I+J+1) columns for x and I(J+I+1) for q.
     """
     i, j = num_areas, num_nodes
-    rows = i * j + 2 * i + j + 1
+    n = i * j if served_pairs is None else served_pairs
+    rows = n + 2 * i + j + 1
     constraints = 1 + j + rows * (i + j + 1)
-    variables = (2 * j + 1) + (i * j * (i + j + 2)) + i * (i + 1) + rows * (i + j + 2)
+    variables = (2 * j + 1) + n * (i + j + 1) + i * (j + i + 1) + rows * (i + j + 2)
     return constraints, variables
 
 

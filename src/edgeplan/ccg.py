@@ -133,11 +133,12 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     when eta is given, then the per-pair linking rows of capacitated
     facility location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j, one per
     pair whose bound is positive, in row-major pair order; a pair whose
-    bound is zero (ineligible, failed node or no demand) gets the column
-    bound x_ij <= 0 instead.  Some block optimum of every integral plan
-    meets them (serving beyond demand never lowers the cost, and t_j = 1
-    already caps x_ij at C_j), so no optimum changes and only the LP
-    relaxation tightens.
+    bound is zero (failed node, no demand, or a dead pair of
+    `ProblemInstance.served_capacity`) gets the column bound x_ij <= 0
+    instead.  Some block optimum of every integral plan meets them
+    (serving beyond demand or a dominated pair never lowers the cost, and
+    t_j = 1 already caps x_ij at C_j), so no optimum changes and only the
+    LP relaxation tightens.
 
     Placed capacity, sum_i x_ij <= C_j t_j (1 - z_j), has no row: the
     caller must carry `_build_first_stage`'s coupling row y_j <= C_j t_j,
@@ -145,8 +146,8 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     are already fixed at zero.
     """
     ni, nj = instance.num_areas, instance.num_nodes
-    cap_ub = instance.eligibility * instance.capacity[None, :]
-    # a zero link (failed node, zero demand) is a column bound, not a row
+    cap_ub = instance.served_capacity
+    # a zero link (dead pair, failed node, zero demand) is a column bound, not a row
     link = np.minimum(scenario.demand[:, None], cap_ub) * (1.0 - scenario.failures)[None, :]
     cap_ub = np.where(link > 0, cap_ub, 0.0)
     x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
@@ -218,6 +219,10 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
          v_i = s_i g_i, U_j = z_j u1_j linearized with big-M
          sum g <= gamma, sum z <= failure_budget, g/z binary.
 
+    Only served pairs (`ProblemInstance.served_capacity`) get a row and a
+    pi_ij: a dead pair's row holds anyway (pi_ij costs nothing where
+    a_ij C_j = 0, and s_i <= P_i < beta d_ij where dominated).
+
     Every dual vertex satisfies u1, u2, pi <= max_i P_i (each positive
     coordinate sits in a tight x-column row whose slack is bounded by s),
     so bounding u1 by any `m_u >= max P` is exact: a u1_j above
@@ -225,20 +230,21 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
     objective.
     """
     ni, nj = instance.num_areas, instance.num_nodes
+    acap = instance.served_capacity
+    rows, cols = np.nonzero(acap)
     model = milp.Model("subproblem-duality", maximize=True)
     s = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
     v = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
     u1 = model.add_vars(nj, lb=0.0, ub=m_u)
     u2 = model.add_vars(nj, lb=0.0)
     uu = model.add_vars(nj, lb=0.0, ub=m_u)
-    pi = model.add_vars((ni, nj), lb=0.0)
+    pi = model.add_vars(rows.size, lb=0.0)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
 
-    # column of x_ij, one row per (i, j) in row-major order
-    model.add_constr(np.column_stack([np.repeat(s, nj), np.tile(u1, ni), np.tile(u2, ni),
-                                      pi.ravel()]),
-                     [1.0, -1.0, -1.0, -1.0], milp.LE, instance.beta * instance.delay.ravel())
+    # column of x_ij, one row per served (i, j) in row-major order
+    model.add_constr(np.column_stack([s[rows], u1[cols], u2[cols], pi]),
+                     [1.0, -1.0, -1.0, -1.0], milp.LE, instance.beta * instance.delay[rows, cols])
     for ii in range(ni):
         # v_i = s_i g_i
         big = instance.unmet_penalty[ii]
@@ -254,14 +260,14 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
     cap_t = instance.capacity * plan.placement
-    ids = np.concatenate([s, v, uu, u1, u2, pi.ravel()])
+    ids = np.concatenate([s, v, uu, u1, u2, pi])
     coeffs = np.concatenate([
         instance.nominal_demand,
         instance.demand_deviation,
         cap_t,
         -cap_t,
         -plan.procurement,
-        -(instance.eligibility * instance.capacity[None, :]).ravel(),
+        -acap[rows, cols],
     ])
     model.set_objective(ids, coeffs)
     return model, dict(s=s, v=v, u1=u1, u2=u2, U=uu, pi=pi, g=g, z=z)
@@ -271,10 +277,10 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
                              mip_gap: float | None = None,
                              time_limit: float | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost for a plan, via the dual MILP."""
-    # any box at or above max P is exact (see _build_duality_model); the width
-    # only decides which of tied worst-case vertices HiGHS returns, so changing
-    # it changes which vertex CCG adds and with it the trace
-    m_u = 10.0 * max(float(instance.unmet_penalty.max(initial=0.0)), 1.0)
+    # the tightest exact box (see _build_duality_model); a wider one gives the
+    # same maximum with a weaker LP relaxation.  Among tied worst vertices the
+    # width can change which one HiGHS returns, and with it the CCG trace
+    m_u = float(instance.unmet_penalty.max(initial=0.0))
     model, blocks = _build_duality_model(instance, plan, m_u)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
     return _worst_case_answer(instance, result, blocks["g"], blocks["z"],
@@ -292,7 +298,9 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
 
     The inner LP is the replay's (see `evaluation.solve_recourse_batch`):
     one row per node caps sum_i x_ij at the live stock
-    min(y_j, C_j t_j)(1 - z_j), and one cover row per area.  Each
+    min(y_j, C_j t_j)(1 - z_j), and one cover row per area.  Only the
+    served pairs of `ProblemInstance.served_capacity` get an x_ij, which
+    keeps the inner optimum (a dead pair is 0 in every one).  Each
     complementarity pair gets one binary and two big-M rows; the
     primal-side constants come from capacities and demand ceilings, the
     dual-side constants from the penalty scale (every dual vertex is
@@ -301,24 +309,29 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
     cap, pen = instance.capacity, instance.unmet_penalty
-    acap = instance.eligibility * cap[None, :]
+    acap = instance.served_capacity
+    rows, cols = np.nonzero(acap)
+    cap_s, n_served = acap[rows, cols], rows.size
     p_max = float(pen.max(initial=0.0))
     demand_top = lam_bar + lam_tilde
     live = np.minimum(plan.procurement, cap * plan.placement)
 
     model = milp.Model("subproblem-kkt", maximize=True)
-    x = model.add_vars((ni, nj), lb=0.0, ub=acap)
+    # x, pi, b1 and b6 run over the served pairs; x's (I, J) view has PAD on dead ones
+    x_s = model.add_vars(n_served, lb=0.0, ub=cap_s)
+    x = np.full((ni, nj), milp.PAD)
+    x[rows, cols] = x_s
     q = model.add_vars(ni, lb=0.0, ub=demand_top)
     s = model.add_vars(ni, lb=0.0, ub=pen)
     u1 = model.add_vars(nj, lb=0.0, ub=p_max)
-    pi = model.add_vars((ni, nj), lb=0.0, ub=p_max)
+    pi = model.add_vars(n_served, lb=0.0, ub=p_max)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
-    b1 = model.add_vars((ni, nj), kind=milp.BINARY)  # x > 0 forces tight stationarity
+    b1 = model.add_vars(n_served, kind=milp.BINARY)  # x > 0 forces tight stationarity
     b2 = model.add_vars(ni, kind=milp.BINARY)        # q > 0 forces s = P
     b3 = model.add_vars(nj, kind=milp.BINARY)        # u1 > 0 forces tight live stock
     b5 = model.add_vars(ni, kind=milp.BINARY)        # s > 0 forces tight cover
-    b6 = model.add_vars((ni, nj), kind=milp.BINARY)  # pi > 0 forces x at its box cap
+    b6 = model.add_vars(n_served, kind=milp.BINARY)  # pi > 0 forces x at its box cap
 
     model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
@@ -337,8 +350,9 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     # primal cover: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i
     model.add_constr(np.column_stack([x, q, g]), np.column_stack([ones_j, np.ones(ni), -lam_tilde]),
                      milp.GE, lam_bar)
-    # cover slack <= M5 (1-b5); s <= P_i b5
-    m5 = demand_top + acap.sum(axis=1)
+    # cover slack <= M5 (1-b5); s <= P_i b5.  The served pairs' capacity would
+    # also bound it, but moves where HiGHS stops within its gap (5e-8 at 7x7)
+    m5 = demand_top + (instance.eligibility * cap[None, :]).sum(axis=1)
     model.add_constr(np.column_stack([x, q, g, b5]),
                      np.column_stack([ones_j, np.ones(ni), -lam_tilde, m5]), milp.LE, lam_bar + m5)
     model.add_constr(np.column_stack([s, b5]), np.column_stack([np.ones(ni), -pen]), milp.LE, 0.0)
@@ -347,21 +361,21 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     model.add_constr(np.column_stack([q, b2]), np.column_stack([np.ones(ni), -demand_top]),
                      milp.LE, 0.0)
 
-    # per (i, j) in row-major order
-    beta_d = (instance.beta * instance.delay).ravel()
-    duals = np.column_stack([np.tile(u1, ni), pi.ravel(), np.repeat(s, nj)])
+    # per served (i, j) in row-major order
+    beta_d = instance.beta * instance.delay[rows, cols]
+    duals = np.column_stack([u1[cols], pi, s[rows]])
     # stationarity of x_ij: 0 <= beta d + u1 + pi - s <= M1 (1-b1)
     m1 = beta_d + 2.0 * p_max
     model.add_constr(duals, [1.0, 1.0, -1.0], milp.GE, -beta_d)
-    model.add_constr(np.column_stack([duals, b1.ravel()]),
-                     np.column_stack([np.broadcast_to([1.0, 1.0, -1.0], (ni * nj, 3)), m1]),
+    model.add_constr(np.column_stack([duals, b1]),
+                     np.column_stack([np.broadcast_to([1.0, 1.0, -1.0], (n_served, 3)), m1]),
                      milp.LE, m1 - beta_d)
-    model.add_constr(np.column_stack([x.ravel(), b1.ravel()]),
-                     np.column_stack([np.ones(ni * nj), -acap.ravel()]), milp.LE, 0.0)
+    model.add_constr(np.column_stack([x_s, b1]),
+                     np.column_stack([np.ones(n_served), -cap_s]), milp.LE, 0.0)
     # pi > 0 forces x at the box cap: a C - x <= a C (1-b6); pi <= p_max b6
-    model.add_constr(np.column_stack([x.ravel(), b6.ravel()]),
-                     np.column_stack([np.ones(ni * nj), -acap.ravel()]), milp.GE, 0.0)
-    model.add_constr(np.column_stack([pi.ravel(), b6.ravel()]), [1.0, -p_max], milp.LE, 0.0)
+    model.add_constr(np.column_stack([x_s, b6]),
+                     np.column_stack([np.ones(n_served), -cap_s]), milp.GE, 0.0)
+    model.add_constr(np.column_stack([pi, b6]), [1.0, -p_max], milp.LE, 0.0)
 
     model.set_objective(*_recourse_cost(instance, x, q))
 

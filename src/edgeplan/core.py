@@ -173,6 +173,14 @@ class ProblemInstance:
             raise ValueError("psi must be positive")
         return self.replace(unmet_penalty=psi * self.unmet_penalty)
 
+    @property
+    def served_capacity(self) -> np.ndarray:
+        """a_ij C_j, or 0 on a pair dominated by dropping (beta d_ij > P_i):
+        moving its flow to q_i lowers the cost and loosens node j's row, so
+        every recourse optimum leaves it at 0.  A tie keeps the pair."""
+        dominated = self.beta * self.delay > self.unmet_penalty[:, None]
+        return np.where(dominated, 0.0, self.eligibility * self.capacity[None, :])
+
     def subset(self, areas: int | None = None, nodes: int | None = None) -> "ProblemInstance":
         """The first `areas` areas and first `nodes` nodes, with gamma and
         the failure budget clamped to the smaller sizes."""

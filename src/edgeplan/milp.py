@@ -3,7 +3,8 @@
 Every optimization module in the package builds its model through this
 layer.  Variables are dense integer ids in creation order, with bounds and
 integrality stored per `add_vars` block; rows are `lo <= a.x <= hi`, added
-one at a time or as a block of equal-length rows (a 2-D id array).  A
+one at a time or as a block of rows (a 2-D id array) in which the id
+`PAD` leaves a term out, so that a block's rows may differ in length.  A
 `Handle` assembles one model into a column-wise sparse matrix and passes it
 to HiGHS through scipy's bundled binding, the package's one HiGHS call
 site; `solve` opens a handle and solves once.  A handle re-solves after
@@ -38,6 +39,10 @@ GE = ">="
 
 DEFAULT_MIP_GAP = 1e-6
 
+# an id that stands for no variable: its term is left out of a row or an
+# objective, and `SolveResult.value` reads it as 0
+PAD = -1
+
 
 class BackendError(RuntimeError):
     """The solver backend failed or returned an unrecognized status."""
@@ -56,10 +61,14 @@ class SolverLimitError(RuntimeError):
 
 
 def _checked_terms(ids, coeffs, num_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The terms as flat arrays, `PAD` terms left out."""
     ids = np.asarray(ids, dtype=np.int64).ravel()
     coeffs = np.asarray(coeffs, dtype=float).ravel()
     if ids.shape != coeffs.shape:
         raise ValueError("ids and coeffs length mismatch")
+    kept = ids != PAD
+    if not kept.all():
+        ids, coeffs = ids[kept], coeffs[kept]
     if ids.size and (ids.min() < 0 or ids.max() >= num_vars):
         raise ValueError(f"{what} references undeclared variable")
     return ids, coeffs
@@ -82,7 +91,7 @@ class Model:
         self._integer: list[np.ndarray] = []
         self._row_ids: list[np.ndarray] = []
         self._row_coeffs: list[np.ndarray] = []
-        self._row_shapes: list[tuple[int, int]] = []  # (rows, length) per add_constr
+        self._row_sizes: list = []  # term count of each row, one sequence per add_constr
         self._row_lo: list[float] = []
         self._row_hi: list[float] = []
         self._obj = (np.empty(0, dtype=np.int64), np.empty(0))
@@ -122,16 +131,18 @@ class Model:
         """Add the row `coeffs.x[ids] <sense> rhs`, or a block of rows.
 
         A 2-D `ids` adds one row per line, in order: `coeffs` broadcasts
-        against the block and `rhs` against the row count.
+        against the block and `rhs` against the row count.  A `PAD` id
+        leaves its term out of the row.
         """
         if sense not in (LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim == 2:
-            shape, coeffs = ids.shape, np.broadcast_to(coeffs, ids.shape)
-            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), shape[:1]).tolist()
+            coeffs = np.broadcast_to(coeffs, ids.shape)
+            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), ids.shape[:1]).tolist()
+            sizes = np.count_nonzero(ids != PAD, axis=1)
         else:
-            shape, rhs = (1, ids.size), [float(rhs)]
+            rhs, sizes = [float(rhs)], [np.count_nonzero(ids != PAD)]
         ids, coeffs = _checked_terms(ids, coeffs, self.num_vars, "constraint")
         if not np.isfinite(coeffs).all():
             raise ValueError("non-finite constraint coefficient")
@@ -139,12 +150,13 @@ class Model:
             raise ValueError("non-finite right-hand side")
         self._row_ids.append(ids)
         self._row_coeffs.append(coeffs)
-        self._row_shapes.append(shape)
-        self._row_lo.extend(rhs if sense == GE else [-np.inf] * shape[0])
-        self._row_hi.extend(rhs if sense == LE else [np.inf] * shape[0])
+        self._row_sizes.append(sizes)
+        self._row_lo.extend(rhs if sense == GE else [-np.inf] * len(rhs))
+        self._row_hi.extend(rhs if sense == LE else [np.inf] * len(rhs))
 
     def set_objective(self, ids, coeffs) -> None:
-        """Replace the objective; coefficients of a repeated id are summed."""
+        """Replace the objective; coefficients of a repeated id are summed and
+        a `PAD` term is left out."""
         self._obj = _checked_terms(ids, coeffs, self.num_vars, "objective")
 
 
@@ -165,13 +177,14 @@ class SolveResult:
     gap: float
 
     def value(self, ids) -> np.ndarray | float:
-        """Primal values for an id array (shape preserved) or a single id."""
+        """Primal values for an id array (shape preserved, `PAD` reads 0) or
+        a single id."""
         if self.values is None:
             raise ValueError(f"no primal solution available (status={self.status})")
         if np.isscalar(ids):
             return float(self.values[ids])
         ids = np.asarray(ids, dtype=np.int64)
-        return self.values[ids.ravel()].reshape(ids.shape)
+        return np.where(ids == PAD, 0.0, self.values[ids])
 
 
 # HiGHS model status -> package status; any other status is a backend error.
@@ -202,8 +215,7 @@ class Handle:
         self._sign = -1.0 if model.maximize else 1.0
         obj_ids, obj_coeffs = model._obj
         # the empty heads let a model without rows assemble too
-        shapes = np.array(model._row_shapes, dtype=np.int64).reshape(-1, 2)
-        sizes = np.repeat(shapes[:, 1], shapes[:, 0])
+        sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes])
         a = sparse.coo_matrix(
             (np.concatenate([np.empty(0), *model._row_coeffs]),
              (np.repeat(np.arange(m, dtype=np.int64), sizes),

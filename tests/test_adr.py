@@ -5,6 +5,7 @@ import pytest
 
 from edgeplan.adr import (
     AffinePolicy,
+    assemble_adr_milp,
     audit_model_size,
     evaluate_policy,
     predicted_counts,
@@ -13,6 +14,7 @@ from edgeplan.adr import (
 )
 from edgeplan.ccg import run_ccg
 from edgeplan.core import Scenario, provisioning_cost
+from edgeplan.topology import generate_instance
 from helpers import random_instance, sparse_eligibility, tiny_instance, vertex_scenarios
 
 
@@ -64,6 +66,15 @@ def test_size_audit_matches_documented_convention():
                 audit.reference_variables) == reference_counts(n, n)
     asym = audit_model_size(2, 3)
     assert (asym.built_constraints, asym.built_variables) == predicted_counts(2, 3)
+
+
+def test_generated_model_counts_served_pairs():
+    # at generator defaults nearly only the local pairs are served
+    inst = generate_instance(10, 10, seed=0)
+    served = int(np.count_nonzero(inst.served_capacity))
+    assert served < 100
+    model, _ = assemble_adr_milp(inst)
+    assert (model.num_constraints, model.num_vars) == predicted_counts(10, 10, served)
 
 
 def test_size_audit_known_values():

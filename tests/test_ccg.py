@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan import ccg, milp
+from edgeplan.adr import solve_adr
 from edgeplan.ccg import (
     run_ccg,
     solve_extensive_form,
@@ -20,6 +21,7 @@ from edgeplan.core import (
     EnumerationCapError,
     FirstStagePlan,
     Scenario,
+    UncertaintyModel,
     demand_from_g,
     provisioning_cost,
 )
@@ -200,13 +202,16 @@ def test_subproblem_oracles_agree_with_brute_force():
 
 
 def test_duality_box_at_max_penalty_is_exact():
-    # u1 <= max P loses nothing: a 10x larger box gives the same optimum
+    # u1 <= max P loses nothing: the oracle's box at max P and a 10x larger
+    # box give the same optimum; odd trials at beta 0.3 have dead pairs
     rng = np.random.default_rng(7)
-    tight = 0
+    tight = dead = 0
     for trial in range(20):
-        inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                               beta=0.3 if trial % 2 else 0.1)
         plan = random_plan(rng, inst)
         p_max = float(inst.unmet_penalty.max())
+        dead += int(np.count_nonzero(inst.served_capacity == 0))
         objectives = []
         for m_u in (p_max, 10.0 * max(p_max, 1.0)):
             model, blocks = ccg._build_duality_model(inst, plan, m_u)
@@ -214,8 +219,63 @@ def test_duality_box_at_max_penalty_is_exact():
             objectives.append(result.objective)
             if m_u == p_max:
                 tight += bool(np.any(result.value(blocks["u1"]) >= p_max - 1e-6))
-        assert objectives[1] == pytest.approx(objectives[0], rel=1e-9, abs=1e-9), f"trial {trial}"
+        objectives.append(solve_subproblem_duality(inst, plan).value)
+        assert objectives == pytest.approx([objectives[1]] * 3, rel=1e-9, abs=1e-9), \
+            f"trial {trial}"
     assert tight > 0  # some trials put u1 on the box, where the bound matters
+    assert dead > 0
+
+
+def _oracles_match_brute_force(inst, plan):
+    expected = brute_force_worst(inst, plan)
+    for solver in (solve_subproblem_duality, solve_subproblem_kkt):
+        value = solver(inst, plan, mip_gap=1e-9).value
+        assert value == pytest.approx(expected, rel=1e-7, abs=1e-7), solver.__name__
+
+
+@pytest.mark.parametrize("offset", [1e-3, 0.0, -1e-3], ids=["above", "tie", "below"])
+def test_pair_dropped_only_when_serving_costs_more_than_dropping(offset):
+    # beta d_ij sits just above, at or just below P_i = 0.5 on the remote
+    # pairs; only above is the pair dead.  Units cost less than the 1e-3 that
+    # remote service saves below the tie, so plans stock for it.  The brute
+    # force replays through solve_recourse_batch, which keeps every pair.
+    inst = random_instance(np.random.default_rng(3), 2, 2, gamma=1, k=1, beta=0.5,
+                           price=np.array([1e-4, 1e-4]),
+                           delay=np.array([[0.0, 1.0 + offset], [1.0 + offset, 0.0]]),
+                           unmet_penalty=np.array([0.5, 0.5]), capacity=np.array([9.0, 9.0]),
+                           nominal_demand=np.array([4.0, 3.0]),
+                           demand_deviation=np.array([2.0, 2.0]), budget=20.0)
+    assert inst.beta * 1.0 == inst.unmet_penalty[0]  # the tie is exact
+    dead = inst.served_capacity == 0
+    assert dead.tolist() == [[False, offset > 0], [offset > 0, False]]
+    for t, y in (([1, 1], [4.0, 4.0]), ([1, 1], [9.0, 1.0]), ([1, 0], [7.0, 0.0])):
+        _oracles_match_brute_force(inst, FirstStagePlan(np.array(t), np.array(y)))
+    # a single failure makes a simplex set, where the affine policy is exact
+    simplex = inst.replace(uncertainty=UncertaintyModel(0, 1))
+    sol = solve_adr(simplex)
+    assert sol.objective == pytest.approx(
+        provisioning_cost(simplex, sol.plan) + brute_force_worst(simplex, sol.plan), rel=1e-7)
+    assert sol.objective == pytest.approx(solve_extensive_form(simplex).objective, rel=1e-6)
+    for coeffs in (sol.policy.A, sol.policy.B, sol.policy.D):
+        assert np.all(coeffs[dead] == 0)
+
+
+def test_dead_pairs_keep_oracles_and_adr_exact():
+    # criterion-2-style instances at beta 0.3, where most pairs are dead
+    rng = np.random.default_rng(2403)
+    dead = pairs = 0
+    for trial in range(12):
+        ni, nj = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        inst = random_instance(rng, ni, nj, beta=0.3)
+        served = inst.served_capacity > 0
+        dead, pairs = dead + int(np.count_nonzero(~served)), pairs + ni * nj
+        _oracles_match_brute_force(inst, random_plan(rng, inst))
+        sol = solve_adr(inst)
+        exact = solve_extensive_form(inst).objective
+        assert sol.objective >= exact - 1e-6 * max(1.0, abs(exact)), f"trial {trial}"
+        for coeffs in (sol.policy.A, sol.policy.B, sol.policy.D):
+            assert np.all(coeffs[~served] == 0), f"trial {trial}"
+    assert 2 * dead > pairs
 
 
 def test_run_ccg_nominal_example():

@@ -140,6 +140,28 @@ def test_block_rows_match_single_rows():
     assert optima[0] == optima[1]
 
 
+def test_pad_leaves_terms_out():
+    # a padded block equals its ragged rows added one at a time
+    rng = np.random.default_rng(6)
+    cost = rng.uniform(1.0, 2.0, 3)
+    optima = []
+    for padded in (False, True):
+        m = milp.Model("pad")
+        x = m.add_vars(3, ub=10.0)
+        if padded:
+            m.add_constr([[x[0], milp.PAD, x[2]], [milp.PAD, x[1], milp.PAD]],
+                         [[1.0, 5.0, 2.0], [5.0, 1.0, 5.0]], milp.GE, [4.0, 3.0])
+        else:
+            m.add_constr([x[0], x[2]], [1.0, 2.0], milp.GE, 4.0)
+            m.add_constr([x[1]], [1.0], milp.GE, 3.0)
+        m.set_objective(np.append(x, milp.PAD), np.append(cost, 9.0))
+        assert m.num_constraints == 2
+        result = milp.solve(m)
+        optima.append(result.objective)
+    assert optima[0] == optima[1]
+    assert result.value(np.array([[x[1], milp.PAD]])).tolist() == [[result.value(x[1]), 0.0]]
+
+
 def test_mip_gap_is_honored_loosely():
     # a loose gap may stop early but the dual bound stays valid
     rng = np.random.default_rng(11)
