@@ -3,8 +3,9 @@
 The master MILP optimizes the first stage against a growing pool of
 uncertainty vertices (lower bound); the subproblem finds the worst vertex
 for the current plan (upper bound via its certified cost).  Two
-interchangeable subproblem oracles are provided: a dual reformulation of
-the inner allocation LP with linearized bilinear terms, and a KKT
+interchangeable subproblem oracles reformulate the replay's allocation LP
+and its one live-stock row per node: its dual with linearized bilinear
+terms (one dual per node, none for the box that row implies), and a KKT
 (Fortuny-Amat) reformulation.  The extensive-form MILP over the full
 vertex set serves as the exactness oracle for both.
 """
@@ -209,68 +210,59 @@ def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
     )
 
 
-def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: float):
-    """Dual of the inner allocation LP with the worst-case selectors.
+def _add_product(model: milp.Model, w: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 big) -> None:
+    """w = a b for a binary b and 0 <= a <= big, as its three McCormick row blocks."""
+    n = w.size
+    big = np.broadcast_to(big, w.shape)
+    model.add_constr(np.column_stack([w, a]), [1.0, -1.0], milp.LE, 0.0)
+    model.add_constr(np.column_stack([w, b]), np.column_stack([np.ones(n), -big]), milp.LE, 0.0)
+    model.add_constr(np.column_stack([w, a, b]), np.column_stack([np.ones(n), -np.ones(n), -big]),
+                     milp.GE, -big)
 
-    max  lam_bar.s + lam_tilde.v + sum_j C_j t_j U_j - sum_j C_j t_j u1_j
-         - sum_j y_j u2_j - sum_ij a_ij C_j pi_ij
-    s.t. s_i - u1_j - u2_j - pi_ij <= beta d_ij          (column of x_ij)
+
+def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: float):
+    """Dual of the replay's allocation LP (`evaluation.solve_recourse_batch`:
+    sum_i x_ij <= live_j (1 - z_j) per node, live = `FirstStagePlan.live_stock`,
+    and one cover row per area) with the worst-case selectors:
+
+    max  lam_bar.s + lam_tilde.v + sum_j live_j (U_j - u_j)
+    s.t. s_i - u_j <= beta d_ij                          (column of x_ij)
          s_i <= P_i                                      (column of q_i)
-         v_i = s_i g_i, U_j = z_j u1_j linearized with big-M
+         v_i = s_i g_i, U_j = z_j u_j linearized with big-M
          sum g <= gamma, sum z <= failure_budget, g/z binary.
 
-    Only served pairs (`ProblemInstance.served_capacity`) get a row and a
-    pi_ij: a dead pair's row holds anyway (pi_ij costs nothing where
-    a_ij C_j = 0, and s_i <= P_i < beta d_ij where dominated).
+    The replay's box x_ij <= a_ij C_j gets no dual: live_j <= C_j, so the
+    node row implies it.  Only served pairs (`ProblemInstance.served_capacity`)
+    get an x-column row: a dominated pair's holds anyway (s_i <= P_i < beta d_ij).
 
-    Every dual vertex satisfies u1, u2, pi <= max_i P_i (each positive
-    coordinate sits in a tight x-column row whose slack is bounded by s),
-    so bounding u1 by any `m_u >= max P` is exact: a u1_j above
-    max_i (s_i - beta d_ij)+ can be lowered without losing feasibility or
-    objective.
+    u_j is priced at -live_j (1 - z_j) <= 0, so some optimum has
+    u_j = max(0, max_i s_i - beta d_ij) <= max_i P_i, and bounding u by any
+    `m_u >= max P` is exact.
     """
     ni, nj = instance.num_areas, instance.num_nodes
-    acap = instance.served_capacity
-    rows, cols = np.nonzero(acap)
+    rows, cols = np.nonzero(instance.served_capacity)
     model = milp.Model("subproblem-duality", maximize=True)
     s = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
     v = model.add_vars(ni, lb=0.0, ub=instance.unmet_penalty)
-    u1 = model.add_vars(nj, lb=0.0, ub=m_u)
-    u2 = model.add_vars(nj, lb=0.0)
+    u = model.add_vars(nj, lb=0.0, ub=m_u)
     uu = model.add_vars(nj, lb=0.0, ub=m_u)
-    pi = model.add_vars(rows.size, lb=0.0)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
 
     # column of x_ij, one row per served (i, j) in row-major order
-    model.add_constr(np.column_stack([s[rows], u1[cols], u2[cols], pi]),
-                     [1.0, -1.0, -1.0, -1.0], milp.LE, instance.beta * instance.delay[rows, cols])
-    for ii in range(ni):
-        # v_i = s_i g_i
-        big = instance.unmet_penalty[ii]
-        model.add_constr([v[ii], s[ii]], [1.0, -1.0], milp.LE, 0.0)
-        model.add_constr([v[ii], g[ii]], [1.0, -big], milp.LE, 0.0)
-        model.add_constr([v[ii], s[ii], g[ii]], [1.0, -1.0, -big], milp.GE, -big)
-    for jj in range(nj):
-        # U_j = z_j u1_j
-        model.add_constr([uu[jj], u1[jj]], [1.0, -1.0], milp.LE, 0.0)
-        model.add_constr([uu[jj], z[jj]], [1.0, -m_u], milp.LE, 0.0)
-        model.add_constr([uu[jj], u1[jj], z[jj]], [1.0, -1.0, -m_u], milp.GE, -m_u)
+    model.add_constr(np.column_stack([s[rows], u[cols]]), [1.0, -1.0], milp.LE,
+                     instance.beta * instance.delay[rows, cols])
+    _add_product(model, v, s, g, instance.unmet_penalty)
+    _add_product(model, uu, u, z, m_u)
     model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
-    cap_t = instance.capacity * plan.placement
-    ids = np.concatenate([s, v, uu, u1, u2, pi])
-    coeffs = np.concatenate([
-        instance.nominal_demand,
-        instance.demand_deviation,
-        cap_t,
-        -cap_t,
-        -plan.procurement,
-        -acap[rows, cols],
-    ])
-    model.set_objective(ids, coeffs)
-    return model, dict(s=s, v=v, u1=u1, u2=u2, U=uu, pi=pi, g=g, z=z)
+    live = plan.live_stock(instance)
+    model.set_objective(np.concatenate([s, v, uu, u]),
+                        np.concatenate([instance.nominal_demand, instance.demand_deviation,
+                                        live, -live]))
+    return model, dict(s=s, v=v, u=u, U=uu, g=g, z=z)
 
 
 def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
@@ -305,6 +297,11 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     primal-side constants come from capacities and demand ceilings, the
     dual-side constants from the penalty scale (every dual vertex is
     bounded by max P, see the duality oracle).
+
+    The live-stock row implies the box x_ij <= a_ij C_j, so dropping its
+    complementarity (pi, b6) keeps every worst-case value; it stays until
+    benchmark pairs measure that change, which makes HiGHS return other
+    vertices among ties and so moves CCG traces and KKT-planned objectives.
     """
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
@@ -314,7 +311,7 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     cap_s, n_served = acap[rows, cols], rows.size
     p_max = float(pen.max(initial=0.0))
     demand_top = lam_bar + lam_tilde
-    live = np.minimum(plan.procurement, cap * plan.placement)
+    live = plan.live_stock(instance)
 
     model = milp.Model("subproblem-kkt", maximize=True)
     # x, pi, b1 and b6 run over the served pairs; x's (I, J) view has PAD on dead ones

@@ -219,6 +219,10 @@ class FirstStagePlan:
             raise InstanceError("placement entries must be bits")
         _check_nonneg("procurement", self.procurement)
 
+    def live_stock(self, instance: ProblemInstance) -> np.ndarray:
+        """Units node j can serve while it is up: min(y_j, C_j t_j)."""
+        return np.minimum(self.procurement, instance.capacity * self.placement)
+
     def validate(self, instance: ProblemInstance) -> None:
         """Check the coupling y <= C t and the budget row (y may be fractional)."""
         if self.placement.shape[0] != instance.num_nodes:

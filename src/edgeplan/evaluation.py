@@ -98,7 +98,7 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     model.set_objective(ids, coeffs)
     handle = milp.Handle(model)
     rows = np.arange(nj + ni)
-    stock = np.minimum(plan.procurement, instance.capacity * plan.placement)
+    stock = plan.live_stock(instance)
     outcomes = []
     for scenario in scenarios:
         handle.change_row_bounds(rows, np.append(np.full(nj, -np.inf), scenario.demand),

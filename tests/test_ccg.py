@@ -25,7 +25,7 @@ from edgeplan.core import (
     demand_from_g,
     provisioning_cost,
 )
-from edgeplan.evaluation import solve_recourse, solve_recourse_batch
+from edgeplan.evaluation import plan_with_method, solve_recourse, solve_recourse_batch
 from edgeplan.topology import generate_instance
 from helpers import (
     brute_force_worst,
@@ -202,7 +202,7 @@ def test_subproblem_oracles_agree_with_brute_force():
 
 
 def test_duality_box_at_max_penalty_is_exact():
-    # u1 <= max P loses nothing: the oracle's box at max P and a 10x larger
+    # u <= max P loses nothing: the oracle's box at max P and a 10x larger
     # box give the same optimum; odd trials at beta 0.3 have dead pairs
     rng = np.random.default_rng(7)
     tight = dead = 0
@@ -218,12 +218,23 @@ def test_duality_box_at_max_penalty_is_exact():
             result = milp.ensure_optimal(milp.solve(model))
             objectives.append(result.objective)
             if m_u == p_max:
-                tight += bool(np.any(result.value(blocks["u1"]) >= p_max - 1e-6))
+                tight += bool(np.any(result.value(blocks["u"]) >= p_max - 1e-6))
         objectives.append(solve_subproblem_duality(inst, plan).value)
         assert objectives == pytest.approx([objectives[1]] * 3, rel=1e-9, abs=1e-9), \
             f"trial {trial}"
-    assert tight > 0  # some trials put u1 on the box, where the bound matters
+    assert tight > 0  # some trials put u on the box, where the bound matters
     assert dead > 0
+
+
+def test_duality_model_has_one_dual_per_node_and_no_box_duals():
+    # s, v, g per area and u, U, z per node; one x-column row per served pair,
+    # three McCormick rows per product and the two budget rows
+    inst = generate_instance(10, 10, seed=0)
+    plan = plan_with_method(inst, "det").plan
+    model, blocks = ccg._build_duality_model(inst, plan, float(inst.unmet_penalty.max()))
+    assert np.count_nonzero(inst.served_capacity) == 10
+    assert (model.num_vars, model.num_constraints) == (60, 10 + 3 * 10 + 3 * 10 + 2)
+    assert sorted(blocks) == ["U", "g", "s", "u", "v", "z"]
 
 
 def _oracles_match_brute_force(inst, plan):
