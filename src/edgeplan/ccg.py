@@ -3,11 +3,13 @@
 The master MILP optimizes the first stage against a growing pool of
 uncertainty vertices (lower bound); the subproblem finds the worst vertex
 for the current plan (upper bound via its certified cost).  Two
-interchangeable subproblem oracles reformulate the replay's allocation LP
-and its one live-stock row per node: its dual with linearized bilinear
-terms (one dual per node, none for the box that row implies), and a KKT
-(Fortuny-Amat) reformulation.  The extensive-form MILP over the full
-vertex set serves as the exactness oracle for both.
+interchangeable subproblem oracles reformulate the same LP, the replay's
+allocation LP with its one live-stock row per node: its dual with
+linearized bilinear terms (one dual per node), and a KKT (Fortuny-Amat)
+system that complements the node, cover, x-column and q-column rows only.
+Neither prices the box x_ij <= a_ij C_j, which the node row implies.  The
+extensive-form MILP over the full vertex set serves as the exactness
+oracle for both.
 """
 
 from __future__ import annotations
@@ -283,25 +285,38 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
 # KKT-based subproblem
 
 
+def _add_complement(model: milp.Model, a: np.ndarray, a_big, ids: np.ndarray, coeffs,
+                    hi: np.ndarray, slack_big) -> None:
+    """a_r = 0 or row r of coeffs.x[ids] <= hi tight, for 0 <= a <= a_big and
+    a slack at most slack_big: one binary b per row, a <= a_big b and
+    hi - coeffs.x <= slack_big (1 - b) (Fortuny-Amat)."""
+    n = a.size
+    a_big, slack_big = np.broadcast_to(a_big, (n,)), np.broadcast_to(slack_big, (n,))
+    b = model.add_vars(n, kind=milp.BINARY)
+    model.add_constr(np.column_stack([ids, b]),
+                     np.column_stack([-np.broadcast_to(coeffs, ids.shape), slack_big]),
+                     milp.LE, slack_big - hi)
+    model.add_constr(np.column_stack([a, b]), np.column_stack([np.ones(n), -a_big]), milp.LE, 0.0)
+
+
 def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
                          mip_gap: float | None = None,
                          time_limit: float | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost via the inner LP's optimality system.
 
-    The inner LP is the replay's (see `evaluation.solve_recourse_batch`):
-    one row per node caps sum_i x_ij at the live stock
-    min(y_j, C_j t_j)(1 - z_j), and one cover row per area.  Only the
-    served pairs of `ProblemInstance.served_capacity` get an x_ij, which
-    keeps the inner optimum (a dead pair is 0 in every one).  Each
-    complementarity pair gets one binary and two big-M rows; the
-    primal-side constants come from capacities and demand ceilings, the
-    dual-side constants from the penalty scale (every dual vertex is
-    bounded by max P, see the duality oracle).
-
-    The live-stock row implies the box x_ij <= a_ij C_j, so dropping its
-    complementarity (pi, b6) keeps every worst-case value; it stays until
-    benchmark pairs measure that change, which makes HiGHS return other
-    vertices among ties and so moves CCG traces and KKT-planned objectives.
+    The inner LP is the one the duality oracle dualizes, the replay's (see
+    `evaluation.solve_recourse_batch`): one row per node caps sum_i x_ij at
+    the live stock min(y_j, C_j t_j)(1 - z_j), and one cover row per area.
+    Only the served pairs of `ProblemInstance.served_capacity` get an x_ij,
+    which keeps the inner optimum (a dead pair is 0 in every one).  The
+    model is primal feasibility (node and cover rows), dual feasibility
+    (x-column rows s_i - u_j <= beta d_ij) and four complementarity blocks,
+    built by `_add_complement`: u with the node rows, s with the cover rows,
+    x with the x-column rows and q with the q-column rows s_i <= P_i.  The
+    node row implies the box x_ij <= a_ij C_j (live_j <= C_j), which is
+    therefore only a column bound, with no complementarity.  Primal-side
+    big-Ms come from capacities and demand ceilings, dual-side ones from
+    max P, which bounds every dual vertex (see the duality oracle).
     """
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
@@ -314,65 +329,33 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     live = plan.live_stock(instance)
 
     model = milp.Model("subproblem-kkt", maximize=True)
-    # x, pi, b1 and b6 run over the served pairs; x's (I, J) view has PAD on dead ones
+    # x runs over the served pairs; its (I, J) view has PAD on dead ones
     x_s = model.add_vars(n_served, lb=0.0, ub=cap_s)
     x = np.full((ni, nj), milp.PAD)
     x[rows, cols] = x_s
     q = model.add_vars(ni, lb=0.0, ub=demand_top)
     s = model.add_vars(ni, lb=0.0, ub=pen)
-    u1 = model.add_vars(nj, lb=0.0, ub=p_max)
-    pi = model.add_vars(n_served, lb=0.0, ub=p_max)
+    u = model.add_vars(nj, lb=0.0, ub=p_max)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
-    b1 = model.add_vars(n_served, kind=milp.BINARY)  # x > 0 forces tight stationarity
-    b2 = model.add_vars(ni, kind=milp.BINARY)        # q > 0 forces s = P
-    b3 = model.add_vars(nj, kind=milp.BINARY)        # u1 > 0 forces tight live stock
-    b5 = model.add_vars(ni, kind=milp.BINARY)        # s > 0 forces tight cover
-    b6 = model.add_vars(n_served, kind=milp.BINARY)  # pi > 0 forces x at its box cap
-
     model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
 
-    # per node j
-    ones_i = np.ones((nj, ni))
-    # primal: sum_i x_ij <= live_j (1 - z_j)
-    model.add_constr(np.column_stack([x.T, z]), np.column_stack([ones_i, live]), milp.LE, live)
-    # live-stock slack <= C_j (1-b3); u1 <= p_max b3
-    model.add_constr(np.column_stack([x.T, z, b3]), np.column_stack([-ones_i, -live, cap]),
-                     milp.LE, cap - live)
-    model.add_constr(np.column_stack([u1, b3]), [1.0, -p_max], milp.LE, 0.0)
-
-    # per area i
-    ones_j = np.ones((ni, nj))
-    # primal cover: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i
-    model.add_constr(np.column_stack([x, q, g]), np.column_stack([ones_j, np.ones(ni), -lam_tilde]),
-                     milp.GE, lam_bar)
-    # cover slack <= M5 (1-b5); s <= P_i b5.  The served pairs' capacity would
-    # also bound it, but moves where HiGHS stops within its gap (5e-8 at 7x7)
-    m5 = demand_top + (instance.eligibility * cap[None, :]).sum(axis=1)
-    model.add_constr(np.column_stack([x, q, g, b5]),
-                     np.column_stack([ones_j, np.ones(ni), -lam_tilde, m5]), milp.LE, lam_bar + m5)
-    model.add_constr(np.column_stack([s, b5]), np.column_stack([np.ones(ni), -pen]), milp.LE, 0.0)
-    # q > 0 forces the q-column tight (s_i = P_i): P_i - s_i <= P_i (1-b2)
-    model.add_constr(np.column_stack([s, b2]), np.column_stack([np.ones(ni), -pen]), milp.GE, 0.0)
-    model.add_constr(np.column_stack([q, b2]), np.column_stack([np.ones(ni), -demand_top]),
-                     milp.LE, 0.0)
-
-    # per served (i, j) in row-major order
+    # node row: sum_i x_ij + live_j z_j <= live_j
+    node = (np.column_stack([x.T, z]), np.column_stack([np.ones((nj, ni)), live]), live)
+    # cover row: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i, as a <= row
+    cover = (np.column_stack([x, q, g]),
+             np.column_stack([-np.ones((ni, nj + 1)), lam_tilde]), -lam_bar)
+    # column of x_ij, one row per served (i, j) in row-major order
     beta_d = instance.beta * instance.delay[rows, cols]
-    duals = np.column_stack([u1[cols], pi, s[rows]])
-    # stationarity of x_ij: 0 <= beta d + u1 + pi - s <= M1 (1-b1)
-    m1 = beta_d + 2.0 * p_max
-    model.add_constr(duals, [1.0, 1.0, -1.0], milp.GE, -beta_d)
-    model.add_constr(np.column_stack([duals, b1]),
-                     np.column_stack([np.broadcast_to([1.0, 1.0, -1.0], (n_served, 3)), m1]),
-                     milp.LE, m1 - beta_d)
-    model.add_constr(np.column_stack([x_s, b1]),
-                     np.column_stack([np.ones(n_served), -cap_s]), milp.LE, 0.0)
-    # pi > 0 forces x at the box cap: a C - x <= a C (1-b6); pi <= p_max b6
-    model.add_constr(np.column_stack([x_s, b6]),
-                     np.column_stack([np.ones(n_served), -cap_s]), milp.GE, 0.0)
-    model.add_constr(np.column_stack([pi, b6]), [1.0, -p_max], milp.LE, 0.0)
+    column = (np.column_stack([s[rows], u[cols]]), [1.0, -1.0], beta_d)
+    for ids, coeffs, hi in (node, cover, column):
+        model.add_constr(ids, coeffs, milp.LE, hi)
+    _add_complement(model, u, p_max, *node, cap)
+    _add_complement(model, s, pen, *cover, demand_top + acap.sum(axis=1))
+    _add_complement(model, x_s, cap_s, *column, beta_d + p_max)
+    # column of q_i, s_i <= P_i, is s's bound
+    _add_complement(model, q, demand_top, s[:, None], 1.0, pen, pen)
 
     model.set_objective(*_recourse_cost(instance, x, q))
 
@@ -403,7 +386,7 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     bound).  Solver gaps default to one tenth of eps so bound noise cannot
     mask convergence.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if max_iterations < 1:
         raise ValueError("need at least one iteration")

@@ -241,7 +241,9 @@ class Handle:
             options["time_limit"] = float(time_limit)
         self._highs = highs._Highs()
         for name, value in options.items():
-            if self._highs.setOptionValue(name, value) == highs.HighsStatus.kError:
+            # HiGHS's range check lets NaN through
+            if math.isnan(value) or (self._highs.setOptionValue(name, value)
+                                     == highs.HighsStatus.kError):
                 raise ValueError(f"invalid solver option {name}={value!r}")
         self._checked(self._highs.passModel(lp), f"model {model.name!r}")
 

@@ -1,5 +1,6 @@
 """Master/subproblem oracles, the CCG loop, and the extensive form."""
 
+import math
 import time
 
 import numpy as np
@@ -179,6 +180,7 @@ def test_subproblem_oracles_agree_with_brute_force():
     # besides feasible plans: procurement above placed capacity on a node,
     # and a node placed without procurement, where min(y, C t) matters
     rng = np.random.default_rng(42)
+    cases = []
     for trial in range(12):
         inst = random_instance(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         plan = random_plan(rng, inst)
@@ -188,7 +190,12 @@ def test_subproblem_oracles_agree_with_brute_force():
             t[node], y[node] = 1, inst.capacity[node] + 5.0
         elif trial % 3 == 2:
             t[node], y[node] = 1, 0.0
-        plan = FirstStagePlan(t, y)
+        cases.append((inst, FirstStagePlan(t, y)))
+    # one area, one node stocked above C = 8 against demand up to 11: the worst
+    # case serves x = C, the box x <= a C that the KKT oracle does not complement
+    cases.append((tiny_instance(gamma=1, demand_deviation=[6.0]),
+                  FirstStagePlan(np.array([1], dtype=np.int8), np.array([12.0]))))
+    for trial, (inst, plan) in enumerate(cases):
         expected = brute_force_worst(inst, plan)
         dual = solve_subproblem_duality(inst, plan)
         kkt = solve_subproblem_kkt(inst, plan)
@@ -199,6 +206,8 @@ def test_subproblem_oracles_agree_with_brute_force():
         for sub in (dual, kkt):
             attained = solve_recourse(inst, plan, sub.worst_scenario).second_stage_cost
             assert attained == pytest.approx(sub.value, abs=1e-6)
+    # the box case's worst vertex serves 8 at beta d = 0.1 and drops 3 at P = 0.5
+    assert expected == pytest.approx(0.1 * 8.0 + 0.5 * 3.0)
 
 
 def test_duality_box_at_max_penalty_is_exact():
@@ -235,6 +244,28 @@ def test_duality_model_has_one_dual_per_node_and_no_box_duals():
     assert np.count_nonzero(inst.served_capacity) == 10
     assert (model.num_vars, model.num_constraints) == (60, 10 + 3 * 10 + 3 * 10 + 2)
     assert sorted(blocks) == ["U", "g", "s", "u", "v", "z"]
+
+
+def test_kkt_model_complements_four_row_blocks(monkeypatch):
+    # x, b_x per served pair; q, s, g, b_s, b_q per area; u, z, b_u per node.
+    # Rows: node, cover and x-column feasibility, two per complementarity
+    # pair (u-node, s-cover, x-column, q-column) and the two budget rows
+    inst = generate_instance(10, 10, seed=0)
+    plan = plan_with_method(inst, "det").plan
+    sizes = []
+    solve = milp.solve
+
+    def recorded(model, **kwargs):
+        sizes.append((model.num_vars, model.num_constraints,
+                      int(np.concatenate(model._integer).sum())))
+        return solve(model, **kwargs)
+
+    monkeypatch.setattr(milp, "solve", recorded)
+    solve_subproblem_kkt(inst, plan)
+    n_pairs, ni, nj = np.count_nonzero(inst.served_capacity), 10, 10
+    assert n_pairs == 10
+    assert sizes == [(2 * n_pairs + 5 * ni + 3 * nj, 3 * n_pairs + 5 * ni + 3 * nj + 2,
+                      n_pairs + 3 * ni + 2 * nj)] == [(100, 112, 60)]
 
 
 def _oracles_match_brute_force(inst, plan):
@@ -448,8 +479,9 @@ def test_trace_csv_format():
 
 def test_run_ccg_rejects_bad_arguments():
     inst = tiny_instance()
-    with pytest.raises(ValueError):
-        run_ccg(inst, eps=0.0)
+    for eps in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            run_ccg(inst, eps=eps)
     with pytest.raises(ValueError):
         run_ccg(inst, oracle="magic")
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Solver layer contract: statuses, bounds, determinism, model validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -192,11 +194,17 @@ def test_time_limit_reports_limit():
         assert r.status == "limit" and r.values is None
         with pytest.raises(milp.SolverLimitError):
             milp.ensure_optimal(r)
-    # an out-of-range limit or gap is refused, not silently dropped
+    # an out-of-range or NaN limit or gap is refused, not silently dropped;
+    # an infinite limit is no limit
+    assert milp.solve(lp, time_limit=math.inf).status == "optimal"
     with pytest.raises(ValueError, match="time_limit"):
         milp.solve(lp, time_limit=-1.0)
     with pytest.raises(ValueError, match="mip_rel_gap"):
         milp.solve(m, mip_gap=-0.5)
+    with pytest.raises(ValueError, match="time_limit"):
+        milp.solve(lp, time_limit=math.nan)
+    with pytest.raises(ValueError, match="mip_rel_gap"):
+        milp.solve(m, mip_gap=math.nan)
 
 
 def test_handle_edits_match_fresh_solve():
