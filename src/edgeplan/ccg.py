@@ -224,7 +224,8 @@ def _add_product(model: milp.Model, w: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: float):
-    """Dual of the replay's allocation LP (`evaluation.solve_recourse_batch`:
+    """Dual of the replay's allocation LP over the served pairs
+    (`evaluation.solve_recourse_batch`, its w and r at their bounds:
     sum_i x_ij <= live_j (1 - z_j) per node, live = `FirstStagePlan.live_stock`,
     and one cover row per area) with the worst-case selectors:
 
@@ -234,9 +235,10 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
          v_i = s_i g_i, U_j = z_j u_j linearized with big-M
          sum g <= gamma, sum z <= failure_budget, g/z binary.
 
-    The replay's box x_ij <= a_ij C_j gets no dual: live_j <= C_j, so the
-    node row implies it.  Only served pairs (`ProblemInstance.served_capacity`)
-    get an x-column row: a dominated pair's holds anyway (s_i <= P_i < beta d_ij).
+    The replay's box x_ij <= a_ij C_j on a served pair gets no dual:
+    live_j <= C_j, so the node row implies it.  As in the replay, only served
+    pairs (`ProblemInstance.served_capacity`) have an x, here an x-column
+    row: a dominated pair's holds anyway (s_i <= P_i < beta d_ij).
 
     u_j is priced at -live_j (1 - z_j) <= 0, so some optimum has
     u_j = max(0, max_i s_i - beta d_ij) <= max_i P_i, and bounding u by any
@@ -305,15 +307,16 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     """Worst-case second-stage cost via the inner LP's optimality system.
 
     The inner LP is the one the duality oracle dualizes, the replay's (see
-    `evaluation.solve_recourse_batch`): one row per node caps sum_i x_ij at
-    the live stock min(y_j, C_j t_j)(1 - z_j), and one cover row per area.
-    Only the served pairs of `ProblemInstance.served_capacity` get an x_ij,
-    which keeps the inner optimum (a dead pair is 0 in every one).  The
-    model is primal feasibility (node and cover rows), dual feasibility
-    (x-column rows s_i - u_j <= beta d_ij) and four complementarity blocks,
-    built by `_add_complement`: u with the node rows, s with the cover rows,
-    x with the x-column rows and q with the q-column rows s_i <= P_i.  The
-    node row implies the box x_ij <= a_ij C_j (live_j <= C_j), which is
+    `evaluation.solve_recourse_batch`, its w and r at their bounds): one row
+    per node caps sum_i x_ij at the live stock min(y_j, C_j t_j)(1 - z_j),
+    and one cover row per area.  As in the replay, only the served pairs of
+    `ProblemInstance.served_capacity` get an x_ij, which keeps the inner
+    optimum (a dead pair is 0 in every one).  The model is primal
+    feasibility (node and cover rows), dual feasibility (x-column rows
+    s_i - u_j <= beta d_ij) and four complementarity blocks, built by
+    `_add_complement`: u with the node rows, s with the cover rows, x with
+    the x-column rows and q with the q-column rows s_i <= P_i.  The node
+    row implies the box x_ij <= a_ij C_j (live_j <= C_j), which is
     therefore only a column bound, with no complementarity.  Primal-side
     big-Ms come from capacities and demand ceilings, dual-side ones from
     max P, which bounds every dual vertex (see the duality oracle).

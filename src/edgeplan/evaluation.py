@@ -77,11 +77,14 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
                          scenarios) -> list[RecourseOutcome]:
     """Optimal allocations for a fixed plan, one per realized scenario.
 
-    One allocation LP is built and passed to HiGHS once: x within its
-    box a_ij C_j, q unbounded above, one row per node j capping
-    sum_i x_ij at the plan's live stock min(y_j, C_j t_j)(1 - z_j), and one
-    cover row per area.  The plan and the scenario enter only through those
-    row bounds, so each scenario sets all of them and re-solves from the
+    One allocation LP is built and passed to HiGHS once.  Only served pairs
+    (`ProblemInstance.served_capacity`) get an x_ij, boxed by that value; a
+    dead pair is 0 in every optimum and reads 0 here.  A column w_j, bounded
+    by the plan's live stock min(y_j, C_j t_j)(1 - z_j), caps node j's row
+    sum_i x_ij - w_j <= 0, and a column r_i, bounded below by the demand,
+    sets area i's cover row sum_j x_ij + q_i - r_i >= 0; q is unbounded
+    above.  The plan and the scenario enter only through the bounds of w
+    and r, so each scenario sets them in one edit and re-solves from the
     previous basis.  Always feasible (x=0, q=lambda); scenarios may lie
     outside the planning uncertainty set.
     """
@@ -89,23 +92,28 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     if not scenarios:
         return []
     ni, nj = instance.num_areas, instance.num_nodes
+    cap = instance.served_capacity
+    rows, cols = np.nonzero(cap)
     model = milp.Model("recourse")
-    x = model.add_vars((ni, nj), lb=0.0, ub=instance.eligibility * instance.capacity[None, :])
+    x = np.full((ni, nj), milp.PAD)
+    x[rows, cols] = model.add_vars(rows.size, lb=0.0, ub=cap[rows, cols])
     q = model.add_vars(ni, lb=0.0)
-    model.add_constr(x.T, 1.0, milp.LE, 0.0)
-    model.add_constr(np.column_stack([x, q]), 1.0, milp.GE, 0.0)
+    w = model.add_vars(nj, lb=0.0)
+    r = model.add_vars(ni, lb=0.0)
+    model.add_constr(np.column_stack([x.T, w]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
+    model.add_constr(np.column_stack([x, q, r]), np.append(np.ones(nj + 1), -1.0), milp.GE, 0.0)
     ids, coeffs = ccg._recourse_cost(instance, x, q)
     model.set_objective(ids, coeffs)
     handle = milp.Handle(model)
-    rows = np.arange(nj + ni)
+    edited = np.append(w, r)
     stock = plan.live_stock(instance)
     outcomes = []
     for scenario in scenarios:
-        handle.change_row_bounds(rows, np.append(np.full(nj, -np.inf), scenario.demand),
+        handle.change_col_bounds(edited, np.append(np.zeros(nj), scenario.demand),
                                  np.append(stock * (1.0 - scenario.failures), np.full(ni, np.inf)))
         result = milp.ensure_optimal(handle.solve(), "recourse LP")
         outcomes.append(RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
-                                        second_stage_cost=result.values[ids] @ coeffs))
+                                        second_stage_cost=result.value(ids) @ coeffs))
     return outcomes
 
 

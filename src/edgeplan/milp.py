@@ -8,7 +8,7 @@ one at a time or as a block of rows (a 2-D id array) in which the id
 `Handle` assembles one model into a column-wise sparse matrix and passes it
 to HiGHS through scipy's bundled binding, the package's one HiGHS call
 site; `solve` opens a handle and solves once.  A handle re-solves after
-row-bound edits, starting from the previous basis.
+column-bound edits, starting from the previous basis.
 Results carry primal values and bounds only: no dual values are reported.
 """
 
@@ -202,9 +202,9 @@ _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 
 class Handle:
-    """One model passed to HiGHS, re-solvable after row-bound edits.
+    """One model passed to HiGHS, re-solvable after column-bound edits.
 
-    `solve` after `change_row_bounds` starts from the previous basis.  A
+    `solve` after `change_col_bounds` starts from the previous basis.  A
     handle belongs to the call that opened it: sweeps run cells on threads,
     so never cache or share one.
     """
@@ -252,11 +252,13 @@ class Handle:
         if status == highs.HighsStatus.kError:
             raise BackendError(f"HiGHS rejected the {what}")
 
-    def change_row_bounds(self, rows, lo, hi) -> None:
-        """Set `lo <= a.x <= hi` on the given rows, all three broadcast together."""
-        rows, lo, hi = (a.ravel().tolist() for a in np.broadcast_arrays(rows, lo, hi))
-        for row, low, high in zip(rows, lo, hi):
-            self._checked(self._highs.changeRowBounds(row, low, high), "row-bound edit")
+    def change_col_bounds(self, cols, lo, hi) -> None:
+        """Set `lo <= x <= hi` on the given columns, all three broadcast
+        together, in one binding call."""
+        cols, lo, hi = (a.ravel() for a in np.broadcast_arrays(cols, lo, hi))
+        self._checked(self._highs.changeColsBounds(cols.size, cols.astype(np.int32),
+                                                   lo.astype(float), hi.astype(float)),
+                      "column-bound edit")
 
     def solve(self) -> SolveResult:
         """Solve; never raises for infeasible/unbounded, see `SolveResult.status`."""

@@ -280,7 +280,8 @@ def test_pair_dropped_only_when_serving_costs_more_than_dropping(offset):
     # beta d_ij sits just above, at or just below P_i = 0.5 on the remote
     # pairs; only above is the pair dead.  Units cost less than the 1e-3 that
     # remote service saves below the tie, so plans stock for it.  The brute
-    # force replays through solve_recourse_batch, which keeps every pair.
+    # force replays through solve_recourse_batch, which drops the same dead
+    # pairs; test_evaluation checks that replay against an all-pairs LP.
     inst = random_instance(np.random.default_rng(3), 2, 2, gamma=1, k=1, beta=0.5,
                            price=np.array([1e-4, 1e-4]),
                            delay=np.array([[0.0, 1.0 + offset], [1.0 + offset, 0.0]]),

@@ -190,26 +190,65 @@ def test_recourse_batch_keeps_no_row_of_its_first_scenario(monkeypatch):
         return built[-1]
 
     edits = []
-    real_edit = milp.Handle.change_row_bounds
+    real_edit = milp.Handle.change_col_bounds
 
-    def recorded_edit(handle, rows, lo, hi):
-        edits.append(len(rows))
-        real_edit(handle, rows, lo, hi)
+    def recorded_edit(handle, cols, lo, hi):
+        edits.append(len(cols))
+        real_edit(handle, cols, lo, hi)
 
     monkeypatch.setattr(milp, "Model", recorded_model)
-    monkeypatch.setattr(milp.Handle, "change_row_bounds", recorded_edit)
+    monkeypatch.setattr(milp.Handle, "change_col_bounds", recorded_edit)
     outs = solve_recourse_batch(inst, plan, scenarios)
-    # one row per node and one cover row per area, over x and q only, and one
-    # edit of all of them per scenario
+    # one row per node and one cover row per area, over x on the served
+    # pairs, q, and the level columns w and r; one edit of the J + I level
+    # bounds per scenario
+    num_served = np.count_nonzero(inst.served_capacity)
     assert [m.name for m in built] == ["recourse"]
     assert built[0].num_constraints == nj + ni
-    assert built[0].num_vars == ni * nj + ni
+    assert built[0].num_vars == num_served + 2 * ni + nj
     assert edits == [nj + ni] * len(scenarios)
     assert outs[1].second_stage_cost > 0
     for out, s in zip(outs, scenarios):
         alone = solve_recourse(inst, plan, s).second_stage_cost
         assert out.second_stage_cost == pytest.approx(alone, rel=1e-9, abs=1e-12)
         ref = _dense_recourse(inst, plan, s, 1.0)
+        assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("psi", [0.3, 1.0, 1.7])
+def test_recourse_batch_gives_dead_pairs_no_column(monkeypatch, psi):
+    # beta d_ij against P_i = (0.5, 1.0, 2.0) at psi 1: pair (0, 1) ties and
+    # is kept, pairs (0, 2) and (1, 2) are dominated, and (2, 0), though
+    # closest, is ineligible.  psi scales P, so it moves the served set:
+    # 3 pairs at psi 0.3, 6 at 1.0 and 7 at 1.7
+    inst = random_instance(np.random.default_rng(19), 3, 3, gamma=3, k=1, beta=0.5,
+                           delay=np.array([[0.2, 1.0, 3.0], [0.5, 1.5, 3.0], [0.1, 0.4, 3.0]]),
+                           unmet_penalty=np.array([0.5, 1.0, 2.0]),
+                           capacity=np.array([3.0, 4.0, 5.0]),
+                           eligibility=np.array([[1, 1, 1], [1, 1, 1], [0, 1, 1]]))
+    assert inst.beta * inst.delay[0, 1] == inst.unmet_penalty[0]  # the tie is exact
+    scored = inst.scaled_penalty(psi)
+    served = scored.served_capacity > 0
+    assert np.count_nonzero(served) == {0.3: 3, 1.0: 6, 1.7: 7}[psi]
+    assert not served[2, 0] and served[0, 1] == (psi >= 1.0)
+    plan = _plan([1, 1, 1], [3.0, 2.0, 5.0])
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=6, seed=3))
+    scenarios += [Scenario(inst.nominal_demand + inst.demand_deviation,
+                           np.array([1, 0, 0], dtype=np.int8))]
+    built = []
+    real_model = milp.Model
+
+    def recorded_model(name, **kwargs):
+        built.append(real_model(name, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(milp, "Model", recorded_model)
+    outs = solve_recourse_batch(scored, plan, scenarios)
+    ni, nj = inst.num_areas, inst.num_nodes
+    assert built[0].num_vars == np.count_nonzero(served) + 2 * ni + nj
+    for out, s in zip(outs, scenarios):
+        assert np.all(out.allocation[~served] == 0.0)
+        ref = _dense_recourse(inst, plan, s, psi)
         assert abs(out.second_stage_cost - ref) <= 1e-9 * max(1.0, abs(ref))
 
 

@@ -212,23 +212,32 @@ def test_handle_edits_match_fresh_solve():
     cost = rng.uniform(1.0, 2.0, 4)
 
     def build(cover, cap):
+        # the GE row's level is column c, bounded below by cover; the LE
+        # row's is column k, bounded above by cap
         m = milp.Model("edit")
         x = m.add_vars(4, ub=10.0)
-        m.add_constr(x, [2.0, 0.5, 1.0, 3.0], milp.GE, cover)
-        m.add_constr(x[:2], [1.0, 1.0], milp.LE, cap)
+        c = m.add_var(lb=cover)
+        k = m.add_var(ub=cap)
+        m.add_constr(np.append(x, c), [2.0, 0.5, 1.0, 3.0, -1.0], milp.GE, 0.0)
+        m.add_constr([x[0], x[1], k], [1.0, 1.0, -1.0], milp.LE, 0.0)
         m.add_constr(x[1:], [1.0, 2.0, 1.0], milp.GE, 2.0)
         m.set_objective(x, cost)
-        return m
+        return m, [c, k]
 
-    handle = milp.Handle(build(5.0, 6.0))
+    model, edited = build(5.0, 6.0)
+    handle = milp.Handle(model)
     assert handle.solve().status == "optimal"
-    # the lower bound of the GE row and the upper bound of the LE row, each
-    # taken to zero and back
+    # the lower bound of c and the upper bound of k, each taken to zero and back
     for cover, cap in ((7.0, 6.0), (4.0, 0.0), (0.0, 3.0), (0.0, 0.0), (9.0, 2.5),
                        (5.0, 6.0)):
-        handle.change_row_bounds([0, 1], [cover, -np.inf], [np.inf, cap])
+        handle.change_col_bounds(edited, [cover, 0.0], [np.inf, cap])
         got = handle.solve()
-        want = milp.solve(build(cover, cap))
+        want = milp.solve(build(cover, cap)[0])
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
-        assert np.allclose(got.values, want.values, atol=1e-9)
+        # x is unique; the levels c and k need only respect their new bounds
+        assert np.allclose(got.values[:4], want.values[:4], atol=1e-9)
+        assert got.values[4] >= cover - 1e-9 and got.values[5] <= cap + 1e-9
+    # a column the model does not have is refused, not ignored
+    with pytest.raises(milp.BackendError, match="column-bound edit"):
+        handle.change_col_bounds(6, 0.0, 1.0)
