@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from . import ccg, milp
 from .adr import solve_adr
@@ -124,9 +124,10 @@ def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan,
 
 
 def _truncated_lognormal(rng, lo, hi, median, sigma, size):
-    dist = stats.lognorm(s=sigma, scale=median)
-    u = rng.uniform(dist.cdf(lo), dist.cdf(hi), size=size)
-    return np.clip(dist.ppf(u), lo, hi)
+    # inverse cdf of the lognormal on [lo, hi]; a zero `lo` has cdf 0
+    with np.errstate(divide="ignore"):
+        u = rng.uniform(*ndtr(np.log(np.array([lo, hi]) / median) / sigma), size=size)
+    return np.clip(np.exp(sigma * ndtri(u)) * median, lo, hi)
 
 
 def generate_test_scenarios(instance: ProblemInstance,
@@ -154,9 +155,10 @@ def generate_test_scenarios(instance: ProblemInstance,
         elif config.distribution == "normal":
             center = 0.5 * (lo[i] + hi[i])
             sigma = SIGMA * instance.demand_deviation[i]
-            a, b = (lo[i] - center) / sigma, (hi[i] - center) / sigma
+            # inverse cdf of the normal on [lo, hi]
+            pa, pb = ndtr((lo[i] - center) / sigma), ndtr((hi[i] - center) / sigma)
             u = rng.uniform(size=n)
-            demands[:, i] = stats.truncnorm.ppf(u, a, b, loc=center, scale=sigma)
+            demands[:, i] = np.clip(center + sigma * ndtri(pa + u * (pb - pa)), lo[i], hi[i])
         else:
             demands[:, i] = rng.uniform(lo[i], hi[i], size=n)
     k_test = instance.uncertainty.failure_budget if config.k_test is None else config.k_test

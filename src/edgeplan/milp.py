@@ -15,7 +15,7 @@ Results carry primal values and bounds only: no dual values are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
@@ -175,16 +175,21 @@ class SolveResult:
     values: np.ndarray | None
     dual_bound: float
     gap: float
+    # `values` followed by one 0, which the id `PAD` (-1) reads
+    _padded: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._padded = self.values
+        if self.values is not None:
+            self._padded = np.append(self.values, 0.0)
+            self.values = self._padded[:-1]
 
     def value(self, ids) -> np.ndarray | float:
         """Primal values for an id array (shape preserved, `PAD` reads 0) or
         a single id."""
-        if self.values is None:
+        if self._padded is None:
             raise ValueError(f"no primal solution available (status={self.status})")
-        if np.isscalar(ids):
-            return float(self.values[ids])
-        ids = np.asarray(ids, dtype=np.int64)
-        return np.where(ids == PAD, 0.0, self.values[ids])
+        return self._padded[ids]
 
 
 # HiGHS model status -> package status; any other status is a backend error.
@@ -274,7 +279,7 @@ class Handle:
             status == "limit" and self._is_mip and info.objective_function_value != highs.kHighsInf)
         if not solved:
             return SolveResult(status, np.nan, None, np.nan, np.nan)
-        values = np.array(self._highs.getSolution().col_value)
+        values = self._highs.getSolution().col_value
         objective = self._sign * info.objective_function_value
         # LPs report no MIP bound: their optimum is its own bound
         dual_bound = (self._sign * info.mip_dual_bound

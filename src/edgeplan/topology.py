@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 
 from .core import InstanceError, ProblemInstance, UncertaintyModel
 
@@ -25,12 +26,6 @@ class NetworkGraph:
     edges: tuple[tuple[int, int, float], ...]  # (u, v, delay_ms)
     seed: int
 
-    def to_networkx(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_nodes))
-        g.add_weighted_edges_from(self.edges, weight="delay")
-        return g
-
 
 def generate_ba_graph(n: int, m: int, seed: int) -> NetworkGraph:
     """Preferential-attachment graph with uniform link delays.
@@ -39,33 +34,48 @@ def generate_ba_graph(n: int, m: int, seed: int) -> NetworkGraph:
     remaining n-m-1 nodes to m existing nodes proportionally to degree,
     yielding exactly m*(n-m) edges.  Delays are drawn uniformly from
     `DELAY_RANGE`, one draw per edge, ordered by sorted edge key so the
-    same seed reproduces the same weighted graph bit for bit.
+    same seed reproduces the same weighted graph bit for bit.  The
+    attachment draws are those of networkx's `barabasi_albert_graph`.
     """
     if m < 1 or n <= m:
         raise TopologyError(f"need n > m >= 1, got n={n}, m={m}")
-    g = nx.barabasi_albert_graph(n, m, seed=seed)
+    if seed < 0:
+        raise TopologyError(f"seed must be nonnegative, got {seed}")
+    draw = random.Random(seed).choice
+    edges = [(0, v) for v in range(1, m + 1)]
+    # every node once per incident edge, so a uniform pick is degree-proportional
+    repeated = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(draw(repeated))
+        edges.extend((t, source) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+    edges.sort()
     rng = np.random.default_rng(seed)
-    edges = sorted((min(u, v), max(u, v)) for u, v in g.edges())
     weights = rng.uniform(*DELAY_RANGE, len(edges))
     return NetworkGraph(n, tuple((u, v, float(w)) for (u, v), w in zip(edges, weights)), seed)
 
 
 def all_pairs_delays(graph: NetworkGraph, ap_nodes, en_nodes) -> np.ndarray:
-    """Shortest-path delay matrix d[i][j] between AP and EN anchor nodes."""
-    g = graph.to_networkx()
+    """Shortest-path delay matrix d[i][j] between AP and EN anchor nodes.
+
+    The whole graph must be connected, not just the anchors' component.
+    """
     ap_nodes = [int(v) for v in ap_nodes]
     en_nodes = [int(v) for v in en_nodes]
     for v in ap_nodes + en_nodes:
         if v < 0 or v >= graph.num_nodes:
             raise TopologyError(f"node {v} outside the graph")
-    if graph.num_nodes and not nx.is_connected(g):
+    n = graph.num_nodes
+    ends = np.array([(u, v) for u, v, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
+    weights = np.array([w for _, _, w in graph.edges], dtype=float)
+    adjacency = coo_matrix((weights, (ends[:, 0], ends[:, 1])), shape=(n, n)).tocsr()
+    if n and csgraph.connected_components(adjacency, directed=False)[0] > 1:
         raise TopologyError("graph is not connected")
-    d = np.zeros((len(ap_nodes), len(en_nodes)))
-    for i, src in enumerate(ap_nodes):
-        lengths = nx.single_source_dijkstra_path_length(g, src, weight="delay")
-        for j, dst in enumerate(en_nodes):
-            d[i, j] = lengths[dst]
-    return d
+    d = csgraph.dijkstra(adjacency, directed=False, indices=ap_nodes)
+    return d[:, en_nodes]
 
 
 def generate_instance(num_areas: int, num_nodes: int, *, seed: int,

@@ -59,6 +59,15 @@ def test_generate_rejects_bad_size(tmp_path, capsys):
     assert doc["exit_code"] == 3 and doc["command"] == "generate"
 
 
+def test_generate_refuses_a_negative_seed(tmp_path, capsys):
+    rc = cli.main(["generate", "--seed", "-1", "--out", str(tmp_path / "neg")])
+    assert rc == 3
+    doc = _stderr_doc(capsys)
+    assert doc["error"] == "TopologyError" and doc["exit_code"] == 3
+    assert doc["message"] == "seed must be nonnegative, got -1"
+    assert not (tmp_path / "neg").exists()
+
+
 def test_solve_ccg_outputs(tmp_path):
     gen = _small(tmp_path, "gen")
     out = tmp_path / "ccg"

@@ -1,6 +1,8 @@
 """Recourse replay, Monte-Carlo scoring, certification, and sweeps."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +321,56 @@ def test_scenarios_respect_box_and_seed(distribution):
     other = generate_test_scenarios(inst, EvaluationConfig(
         num_scenarios=100, distribution=distribution, seed=8))
     assert any(a.key() != b.key() for a, b in zip(scenarios, other))
+
+
+# SHA-256 digests of the demand and failure bytes of 200 draws on
+# generate_instance(6, 6, seed=0), pinned from scipy.stats' inverse cdfs
+SCENARIO_DIGESTS = {
+    ("lognormal", 0): "1865445ffb3c858b0c89adb96933d21679ae812ca21957dbd9166e704d49dd70",
+    ("lognormal", 1): "8001ae954fde26b0ee450c2ae15ddb2d7c606d0a4990ec7c4710a7b058a3833e",
+    ("uniform", 0): "98e769046b9f9988451edc8bc7b7d8626e41cb3243c1864e7a34f4fa036c8c52",
+    ("uniform", 1): "5dcd5adc8ac25482dcc7aa16897cb9d5ef27b442600d8057c8f6d69307199e19",
+}
+
+# four normal draws on generate_instance(3, 3, seed=0) at seed 0, as
+# scipy.stats.truncnorm.ppf gave them; the closed form differs in the last bits
+NORMAL_DRAWS = [
+    [39.58236760523973, 32.45245936761558, 12.857444262593013],
+    [35.55461608123619, 33.85177435978218, 14.718237747906105],
+    [31.344646293847852, 30.471649444635457, 13.94564502750052],
+    [30.33884100322248, 31.571295124027042, 9.84019634826307],
+]
+
+
+@pytest.mark.parametrize("distribution, seed", list(SCENARIO_DIGESTS))
+def test_scenarios_match_pinned_draws(distribution, seed):
+    inst = generate_instance(6, 6, seed=0)
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(
+        num_scenarios=200, distribution=distribution, seed=seed))
+    data = (np.array([s.demand for s in scenarios]).tobytes()
+            + np.array([s.failures for s in scenarios]).tobytes())
+    assert hashlib.sha256(data).hexdigest() == SCENARIO_DIGESTS[distribution, seed]
+
+
+def test_normal_draws_match_pinned_values_inside_the_box():
+    inst = generate_instance(3, 3, seed=0)
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(
+        num_scenarios=4, distribution="normal", seed=0))
+    demands = np.array([s.demand for s in scenarios])
+    assert np.allclose(demands, NORMAL_DRAWS, rtol=1e-15, atol=0)
+    assert np.all(demands >= inst.nominal_demand)
+    assert np.all(demands <= inst.nominal_demand + inst.demand_deviation)
+
+
+def test_lognormal_draws_from_a_zero_lower_end():
+    inst = random_instance(np.random.default_rng(5), 2, 2, nominal_demand=np.array([0.0, 2.0]),
+                           demand_deviation=np.array([3.0, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=50))
+    demands = np.array([s.demand for s in scenarios])
+    assert np.all((demands >= 0.0) & (demands <= [3.0, 3.0]))
+    assert np.all(demands[:, 0] > 0.0)
 
 
 def test_scenarios_k_test_override():

@@ -1,4 +1,5 @@
-"""Imports: every module uses each name it imports; the solver layer names its scipy floor."""
+"""Imports: every module uses each name it imports; the solver layer names its scipy floor;
+the package loads neither networkx nor scipy.stats."""
 
 import ast
 import os
@@ -38,3 +39,20 @@ def test_missing_highs_binding_names_the_scipy_floor():
     floor = re.search(r'"(scipy>=[0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     assert proc.returncode != 0
     assert f"ImportError: edgeplan needs {floor} " in proc.stderr
+
+
+def test_no_networkx_or_scipy_stats_is_loaded():
+    # a module set to None in sys.modules fails on import, a lazy one included
+    code = ("import sys; sys.modules['networkx'] = None; sys.modules['scipy.stats'] = None\n"
+            "import edgeplan.cli\n"
+            "from edgeplan.evaluation import DISTRIBUTIONS, EvaluationConfig, "
+            "generate_test_scenarios\n"
+            "from edgeplan.topology import generate_instance\n"
+            "inst = generate_instance(6, 6, seed=0)\n"
+            "for d in DISTRIBUTIONS:\n"
+            "    cfg = EvaluationConfig(num_scenarios=5, distribution=d)\n"
+            "    print(d, len(generate_test_scenarios(inst, cfg)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "lognormal 5\nnormal 5\nuniform 5\n"

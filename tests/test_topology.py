@@ -1,11 +1,12 @@
 """Scale-free topology generation and shortest-path delay matrices."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from edgeplan.core import InstanceError
+from edgeplan.core import InstanceError, save_instance
 from edgeplan.topology import (
     NetworkGraph,
     TopologyError,
@@ -71,6 +72,10 @@ def test_disconnected_rejected():
     g = NetworkGraph(4, ((0, 1, 2.0), (2, 3, 2.0)), seed=0)
     with pytest.raises(TopologyError):
         all_pairs_delays(g, [0], [3])
+    # the whole graph must be connected, not only the anchors' component
+    g = NetworkGraph(5, ((0, 1, 2.0), (1, 2, 3.0), (3, 4, 2.0)), seed=0)
+    with pytest.raises(TopologyError, match="not connected"):
+        all_pairs_delays(g, [0, 1], [2])
 
 
 def _floyd_warshall(graph: NetworkGraph) -> np.ndarray:
@@ -153,3 +158,51 @@ def test_generate_instance_local_node_is_free():
     assert np.allclose(np.diag(wide.delay), 0.0)
     tall = generate_instance(6, 3, seed=21)
     assert np.allclose(np.diag(tall.delay), 0.0)
+
+
+def test_negative_seed_is_refused_by_name():
+    with pytest.raises(TopologyError, match="seed must be nonnegative, got -1"):
+        generate_ba_graph(10, 2, seed=-1)
+    with pytest.raises(TopologyError, match="got -3"):
+        generate_instance(3, 3, seed=-3)
+
+
+# SHA-256 digests of repr(graph.edges), as networkx 3.6.1's
+# barabasi_albert_graph and numpy's delay draws built them
+BA_DIGESTS = {
+    (100, 2, 0): "843023a18d98069c1946d5ae6f899349bafe9c3e329f83112c61e563310014ff",
+    (100, 2, 1): "c0f25b203f087c6bf830b881e996c238d552bcc65c0855bf86e0dda9a3d5a799",
+    (100, 2, 2): "4dc9a357117c7b9ee612fdbfae6ce35a92043c28d2f406ff4383d958f10b5822",
+    (50, 3, 0): "90d00c129186730338fad9b2c7c31e87e4dc01c62670fd3f20722bc62d8b311e",
+    (50, 3, 1): "10d4b72a44051a3e8c166acd726b4fe2e2793454ad2545597b0a21b3be2324ec",
+    (50, 3, 2): "808a80ef408faef50fc38eabc14430e71218e6c144c64e022404b0e3830d89c7",
+    (30, 1, 0): "f3f03f926afbfca1af98926a8a44d072ddcabcd59c76027e0cb7bb0dbdedfde5",
+    (30, 1, 1): "5d15f95f218ebac83f8d0688fabd1be593bff47401470b3a4bc6b39c433d7032",
+    (30, 1, 2): "f30dee408c2696bf7ea1a6813760c7e44d113edf5b8d70e2649d450212291774",
+}
+
+# SHA-256 digests of save_instance(generate_instance(areas, nodes, seed=, dmax=)),
+# pinned from the networkx-built graphs
+INSTANCE_DIGESTS = {
+    (5, 5, 0, np.inf): "c1bb4e97201dad4c7b8227ff4661a58a3fc695ed3924677b6d21e4bd42a1b292",
+    (5, 5, 1, np.inf): "8916969871dbd0de4c697b83de7476cb8ef23a850e2827e97668d7dca62aa2f3",
+    (10, 10, 0, np.inf): "342949a04fffbcef3c25484e5de9d5b684a86bf62329afdb8594ba8c53245295",
+    (10, 10, 1, np.inf): "5d2dc404eccec19eb60894145acb25c8e2d0147fbbcab986335fe52cecf489d5",
+    (20, 20, 0, np.inf): "b37d758d743ac626f514094422070e441ae09586ba0fe834cb9795eb0f22213e",
+    (20, 20, 1, np.inf): "5fc3c6756c95f063e73d0caf601b75c58b94a80aac3cc265c342994df2e4b188",
+    (6, 6, 0, 8.0): "6f49b5c275fd8447d99f0bd7441050e20492e128402f5e33293690199579a398",
+}
+
+
+@pytest.mark.parametrize("n, m, seed", list(BA_DIGESTS))
+def test_ba_graph_matches_pinned_edges(n, m, seed):
+    edges = generate_ba_graph(n, m, seed).edges
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == BA_DIGESTS[n, m, seed]
+
+
+@pytest.mark.parametrize("areas, nodes, seed, dmax", list(INSTANCE_DIGESTS))
+def test_generated_instance_file_matches_pinned_bytes(tmp_path, areas, nodes, seed, dmax):
+    path = tmp_path / "instance.json"
+    save_instance(generate_instance(areas, nodes, seed=seed, dmax=dmax), str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == INSTANCE_DIGESTS[areas, nodes, seed, dmax]
