@@ -124,11 +124,8 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
     model = milp.Model("adr")
     t, y, (prov_ids, prov_coeffs) = _build_first_stage(model, instance)
     phi = model.add_var(lb=0.0)
-    # x's maps have columns on served pairs only, PAD (the zero map) elsewhere
     served = instance.served_capacity > 0
-    a_v, b_v, d_v = (np.full((ni, nj) + tail, milp.PAD) for tail in ((ni,), (nj,), ()))
-    for block in (a_v, b_v, d_v):
-        block[served] = model.add_vars((int(served.sum()),) + block.shape[2:], lb=-np.inf)
+    a_v, b_v, d_v = (model.add_masked_vars(served, tail, lb=-np.inf) for tail in ((ni,), (nj,), ()))
     e_v = model.add_vars((ni, ni), lb=-np.inf)
     f_v = model.add_vars((ni, nj), lb=-np.inf)
     g_v = model.add_vars(ni, lb=-np.inf)

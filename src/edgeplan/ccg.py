@@ -34,8 +34,8 @@ from .core import (
 DEFAULT_EPS = 1e-6
 DEFAULT_MAX_ITERATIONS = 500
 _DEGENERATE_UB = 1e-9
-# recourse columns (vertices times I*J + I) the extensive form may build: on a 2-vCPU
-# host, generated 7x7 (194,880) took 15 s and 537 MB, 8x8 (583,416) 100 s and 1.6 GB
+# recourse columns (vertices times L + I, L served pairs) the extensive form may build:
+# on a 2-vCPU host, generated 7x7 (48,720) took 6-9 s and 300 MB, 8x8 (129,648) 41-51 s and 654 MB
 EXTENSIVE_COLUMN_CAP = 250_000
 
 
@@ -127,33 +127,27 @@ def _recourse_cost(instance: ProblemInstance, x: np.ndarray, q: np.ndarray, *,
 def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: Scenario,
                         t: np.ndarray, y: np.ndarray,
                         eta: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Allocation LP of one scenario against the plan columns t, y.
+    """Allocation LP of one scenario against the plan columns t, y; returns
+    the (x, q) id blocks, so that callers can price them in an objective
+    (stochastic extensive forms) instead of linking eta.
 
-    Links eta (epigraph) when given.  Returns the (x, q) id blocks so
-    callers can price them in an objective instead (stochastic extensive
-    forms).  Rows come in this order: one procurement row per node j,
-    sum_i x_ij <= y_j, then one cover row per area, then the epigraph row
-    when eta is given, then the per-pair linking rows of capacitated
-    facility location, x_ij <= min(lambda_i, C_j)(1 - z_j) t_j, one per
-    pair whose bound is positive, in row-major pair order; a pair whose
-    bound is zero (failed node, no demand, or a dead pair of
-    `ProblemInstance.served_capacity`) gets the column bound x_ij <= 0
-    instead.  Some block optimum of every integral plan meets them
-    (serving beyond demand or a dominated pair never lowers the cost, and
-    t_j = 1 already caps x_ij at C_j), so no optimum changes and only the
-    LP relaxation tightens.
-
-    Placed capacity, sum_i x_ij <= C_j t_j (1 - z_j), has no row: the
-    caller must carry `_build_first_stage`'s coupling row y_j <= C_j t_j,
-    which with the procurement row implies it, and a failed node's pairs
-    are already fixed at zero.
+    x_ij has a column, boxed by s_ij = `ProblemInstance.served_capacity`,
+    only where its link bound min(lambda_i, s_ij)(1 - z_j) is positive;
+    elsewhere (failed node, no demand, or a dead pair) it is `milp.PAD`.
+    Rows, in order: one procurement row per node, sum_i x_ij <= y_j; one
+    cover row per area; the epigraph row when eta is given; and one linking
+    row of capacitated facility location per x column, x_ij <= link_ij t_j,
+    in row-major pair order.  Some block optimum of every integral plan
+    meets them (serving beyond demand or a dominated pair never lowers the
+    cost, and t_j = 1 already caps x_ij at C_j), so only the LP relaxation
+    tightens.  Placed capacity, sum_i x_ij <= C_j t_j (1 - z_j), needs no
+    row: the caller's coupling row y_j <= C_j t_j (`_build_first_stage`)
+    and the procurement row imply it.
     """
-    ni, nj = instance.num_areas, instance.num_nodes
-    cap_ub = instance.served_capacity
-    # a zero link (dead pair, failed node, zero demand) is a column bound, not a row
-    link = np.minimum(scenario.demand[:, None], cap_ub) * (1.0 - scenario.failures)[None, :]
-    cap_ub = np.where(link > 0, cap_ub, 0.0)
-    x = model.add_vars((ni, nj), lb=0.0, ub=cap_ub)
+    ni = instance.num_areas
+    cap = instance.served_capacity
+    link = np.minimum(scenario.demand[:, None], cap) * (1.0 - scenario.failures)[None, :]
+    x = model.add_masked_vars(link > 0, ub=cap)
     q = model.add_vars(ni, lb=0.0)
     # node j serves within its procurement y_j
     model.add_constr(np.column_stack([x.T, y]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
@@ -163,7 +157,7 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
         # eta >= second-stage cost of this vertex
         ids, coeffs = _recourse_cost(instance, x, q)
         model.add_constr(np.append(eta, ids), np.append(1.0, -coeffs), milp.GE, 0.0)
-    rows, cols = np.nonzero(cap_ub)
+    rows, cols = np.nonzero(link)
     model.add_constr(np.column_stack([x[rows, cols], t[cols]]),
                      np.column_stack([np.ones(rows.size), -link[rows, cols]]), milp.LE, 0.0)
     return x, q
@@ -326,16 +320,12 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     cap, pen = instance.capacity, instance.unmet_penalty
     acap = instance.served_capacity
     rows, cols = np.nonzero(acap)
-    cap_s, n_served = acap[rows, cols], rows.size
     p_max = float(pen.max(initial=0.0))
     demand_top = lam_bar + lam_tilde
     live = plan.live_stock(instance)
 
     model = milp.Model("subproblem-kkt", maximize=True)
-    # x runs over the served pairs; its (I, J) view has PAD on dead ones
-    x_s = model.add_vars(n_served, lb=0.0, ub=cap_s)
-    x = np.full((ni, nj), milp.PAD)
-    x[rows, cols] = x_s
+    x = model.add_masked_vars(acap > 0, ub=acap)
     q = model.add_vars(ni, lb=0.0, ub=demand_top)
     s = model.add_vars(ni, lb=0.0, ub=pen)
     u = model.add_vars(nj, lb=0.0, ub=p_max)
@@ -356,7 +346,7 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
         model.add_constr(ids, coeffs, milp.LE, hi)
     _add_complement(model, u, p_max, *node, cap)
     _add_complement(model, s, pen, *cover, demand_top + acap.sum(axis=1))
-    _add_complement(model, x_s, cap_s, *column, beta_d + p_max)
+    _add_complement(model, x[rows, cols], acap[rows, cols], *column, beta_d + p_max)
     # column of q_i, s_i <= P_i, is s's bound
     _add_complement(model, q, demand_top, s[:, None], 1.0, pen, pen)
 
@@ -454,7 +444,8 @@ def solve_extensive_form(instance: ProblemInstance, *, mip_gap: float | None = N
     more than `EXTENSIVE_COLUMN_CAP` recourse columns.  Used as the
     ground-truth oracle for CCG and ADR tests.
     """
-    columns = iteration_bound(instance) * instance.num_areas * (instance.num_nodes + 1)
+    columns = iteration_bound(instance) * (np.count_nonzero(instance.served_capacity)
+                                           + instance.num_areas)
     if columns > EXTENSIVE_COLUMN_CAP:
         raise EnumerationCapError(f"extensive form infeasible: {columns} recourse columns "
                                   f"exceed the cap of {EXTENSIVE_COLUMN_CAP}")

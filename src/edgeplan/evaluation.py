@@ -59,6 +59,8 @@ class EvaluationConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if self.k_test is not None and self.k_test < 0:
             raise ValueError("k_test must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,8 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
         return []
     ni, nj = instance.num_areas, instance.num_nodes
     cap = instance.served_capacity
-    rows, cols = np.nonzero(cap)
     model = milp.Model("recourse")
-    x = np.full((ni, nj), milp.PAD)
-    x[rows, cols] = model.add_vars(rows.size, lb=0.0, ub=cap[rows, cols])
+    x = model.add_masked_vars(cap > 0, ub=cap)
     q = model.add_vars(ni, lb=0.0)
     w = model.add_vars(nj, lb=0.0)
     r = model.add_vars(ni, lb=0.0)

@@ -2,13 +2,14 @@
 
 Every optimization module in the package builds its model through this
 layer.  Variables are dense integer ids in creation order, with bounds and
-integrality stored per `add_vars` block; rows are `lo <= a.x <= hi`, added
-one at a time or as a block of rows (a 2-D id array) in which the id
-`PAD` leaves a term out, so that a block's rows may differ in length.  A
-`Handle` assembles one model into a column-wise sparse matrix and passes it
-to HiGHS through scipy's bundled binding, the package's one HiGHS call
-site; `solve` opens a handle and solves once.  A handle re-solves after
-column-bound edits, starting from the previous basis.
+integrality stored per `add_vars` block; `add_masked_vars` numbers a block
+only on the true entries of a mask, with the id `PAD` elsewhere.  Rows are
+`lo <= a.x <= hi`, added one at a time or as a block of rows (a 2-D id
+array) in which `PAD` leaves a term out, so that a block's rows may differ
+in length.  A `Handle` assembles one model into a column-wise sparse matrix
+and passes it to HiGHS through scipy's bundled binding, the package's one
+HiGHS call site; `solve` opens a handle and solves once.  A handle
+re-solves after column-bound edits, starting from the previous basis.
 Results carry primal values and bounds only: no dual values are reported.
 """
 
@@ -106,8 +107,7 @@ class Model:
     def add_vars(self, shape, *, kind: str = CONTINUOUS, lb=0.0, ub=np.inf) -> np.ndarray:
         """Add a block of variables; returns an integer id array of `shape`.
 
-        `lb`/`ub` broadcast against `shape`, so per-variable bounds can be
-        passed as arrays (e.g. capacity upper bounds for an allocation block).
+        `lb`/`ub` broadcast against `shape`, so bounds may be per variable.
         """
         if kind not in (CONTINUOUS, INTEGER, BINARY):
             raise ValueError(f"unknown variable kind {kind!r}")
@@ -126,6 +126,16 @@ class Model:
         self._ub.append(ub_arr)
         self._integer.append(np.full(lb_arr.size, kind != CONTINUOUS, dtype=np.int64))
         return np.arange(start, self.num_vars, dtype=np.int64).reshape(shape)
+
+    def add_masked_vars(self, mask: np.ndarray, tail=(), *, lb=0.0, ub=np.inf) -> np.ndarray:
+        """Continuous variables on the true entries of a boolean `mask`, a
+        `tail` block each in row-major order: ids of shape `mask.shape + tail`,
+        `PAD` off the mask.  `lb`/`ub` broadcast against that shape."""
+        shape = mask.shape + tuple(tail)
+        lb, ub = (np.broadcast_to(bound, shape)[mask] for bound in (lb, ub))
+        ids = np.full(shape, PAD, dtype=np.int64)
+        ids[mask] = self.add_vars(lb.shape, lb=lb, ub=ub)
+        return ids
 
     def add_constr(self, ids, coeffs, sense: str, rhs) -> None:
         """Add the row `coeffs.x[ids] <sense> rhs`, or a block of rows.

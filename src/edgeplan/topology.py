@@ -70,6 +70,11 @@ def all_pairs_delays(graph: NetworkGraph, ap_nodes, en_nodes) -> np.ndarray:
             raise TopologyError(f"node {v} outside the graph")
     n = graph.num_nodes
     ends = np.array([(u, v) for u, v, _ in graph.edges], dtype=np.int64).reshape(-1, 2)
+    seen = set()
+    for edge in ((min(u, v), max(u, v)) for u, v, _ in graph.edges):
+        if edge in seen:
+            raise TopologyError(f"edge {edge} is repeated")
+        seen.add(edge)
     weights = np.array([w for _, _, w in graph.edges], dtype=float)
     adjacency = coo_matrix((weights, (ends[:, 0], ends[:, 1])), shape=(n, n)).tocsr()
     if n and csgraph.connected_components(adjacency, directed=False)[0] > 1:

@@ -75,7 +75,7 @@ def test_master_matches_exhaustive_plan_search():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4), st.integers(1, 4))
 def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
-    # the per-pair rows and zero bounds cut only fractional plans: for an
+    # the per-pair rows and missing dead-pair columns cut only fractional plans: for an
     # integral plan a planning block costs what the rowless replay LP costs
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, ni, nj, gamma=ni, k=nj,
@@ -103,20 +103,35 @@ def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
 @pytest.mark.parametrize("with_eta", [False, True])
 def test_recourse_block_row_count(with_eta):
     # J node rows, I cover rows, the epigraph row when eta is given, and one
-    # linking row per positive link; placed capacity is implied, not a row
+    # linking row per positive link; placed capacity is implied, not a row.
+    # Columns: one x per positive link and one q per area
     ni, nj = 4, 3
     inst = random_instance(np.random.default_rng(5), ni, nj,
                            nominal_demand=np.array([2.0, 0.0, 3.0, 1.0]),
                            demand_deviation=np.zeros(ni),
                            eligibility=np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1], [1, 0, 1]]))
     # node 1 fails and area 1 has no demand: links (0,0), (2,2), (3,0), (3,2) remain
+    live = np.zeros((ni, nj), dtype=bool)
+    live[[0, 2, 3, 3], [0, 2, 0, 2]] = True
     scenario = Scenario(inst.nominal_demand, np.array([0, 1, 0], dtype=np.int8))
     model = milp.Model()
-    t, y, _ = ccg._build_first_stage(model, inst)
+    t, y, (ids, coeffs) = ccg._build_first_stage(model, inst)
     eta = model.add_var() if with_eta else None
-    before = model.num_constraints
-    ccg._add_recourse_block(model, inst, scenario, t, y, eta)
-    assert model.num_constraints - before == nj + ni + with_eta + 4
+    rows, cols = model.num_constraints, model.num_vars
+    x, q = ccg._add_recourse_block(model, inst, scenario, t, y, eta)
+    assert model.num_constraints - rows == nj + ni + with_eta + 4
+    assert model.num_vars - cols == 4 + ni
+    assert np.array_equal(x != milp.PAD, live)
+    # a dead pair has no column and reads exactly 0
+    if with_eta:
+        model.set_objective(np.append(ids, eta), np.append(coeffs, 1.0))
+    else:
+        cost_ids, cost_coeffs = ccg._recourse_cost(inst, x, q)
+        model.set_objective(np.append(ids, cost_ids), np.append(coeffs, cost_coeffs))
+    result = milp.ensure_optimal(milp.solve(model))
+    allocation = result.value(x)
+    assert np.all(allocation[~live] == 0.0) and np.all(allocation >= 0.0)
+    assert allocation.sum() + result.value(q).sum() == pytest.approx(inst.nominal_demand.sum())
 
 
 def test_subproblem_no_capacity_drops_everything():
@@ -441,7 +456,8 @@ def test_extensive_refuses_oversized_sets():
 
 
 def test_extensive_refuses_by_built_size_before_enumerating(monkeypatch):
-    # 35,728 vertices, far below VERTEX_CAP, but 110 recourse columns each
+    # 35,728 vertices, far below VERTEX_CAP, but up to 20 recourse columns
+    # each: 10 served pairs and 10 areas
     inst = generate_instance(10, 10, seed=0)
 
     def refuse(*args):
@@ -449,7 +465,7 @@ def test_extensive_refuses_by_built_size_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(ccg, "enumerate_vertices", refuse)
     start = time.perf_counter()
-    with pytest.raises(EnumerationCapError, match="3930080 recourse columns"):
+    with pytest.raises(EnumerationCapError, match="714560 recourse columns"):
         solve_extensive_form(inst)
     assert time.perf_counter() - start < 1.0
 

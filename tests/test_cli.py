@@ -68,6 +68,25 @@ def test_generate_refuses_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "solve-so"])
+def test_scenario_draws_refuse_a_negative_seed(tmp_path, capsys, command):
+    gen = _small(tmp_path, "gen")
+    inst = str(gen / "instance.json")
+    if command == "evaluate":
+        plan = tmp_path / "plan.json"
+        save_plan(FirstStagePlan(np.zeros(2, dtype=np.int8), np.zeros(2)), str(plan),
+                  method="empty", objective=0.0)
+        argv = ["evaluate", "--instance", inst, "--plan", str(plan), "--scenarios", "5"]
+    else:
+        argv = ["solve", "--instance", inst, "--method", "so", "--scenarios", "5"]
+    out = tmp_path / "neg"
+    capsys.readouterr()
+    assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 3
+    doc = _stderr_doc(capsys)
+    assert doc["exit_code"] == 3 and doc["message"] == "seed must be nonnegative, got -1"
+    assert not out.exists()
+
+
 def test_solve_ccg_outputs(tmp_path):
     gen = _small(tmp_path, "gen")
     out = tmp_path / "ccg"

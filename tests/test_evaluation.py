@@ -304,6 +304,8 @@ def test_config_validation():
         EvaluationConfig(distribution="gamma")
     with pytest.raises(ValueError):
         EvaluationConfig(k_test=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        EvaluationConfig(seed=-1)
 
 
 @pytest.mark.parametrize("distribution", evaluation.DISTRIBUTIONS)

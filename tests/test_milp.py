@@ -164,6 +164,21 @@ def test_pad_leaves_terms_out():
     assert result.value(np.array([[x[1], milp.PAD]])).tolist() == [[result.value(x[1]), 0.0]]
 
 
+def test_masked_vars_number_the_mask_in_row_major_order():
+    m = milp.Model("masked")
+    m.add_var()
+    mask = np.array([[True, False, True], [False, False, True]])
+    ub = np.arange(6.0).reshape(2, 3)
+    x = m.add_masked_vars(mask, ub=ub)
+    assert x.tolist() == [[1, milp.PAD, 2], [milp.PAD, milp.PAD, 3]]
+    # bounds are read on the mask only
+    assert np.concatenate(m._ub)[1:].tolist() == [0.0, 2.0, 5.0]
+    # a tail gives each masked entry a block of ids
+    block = m.add_masked_vars(mask, (2,), lb=-np.inf)
+    assert block.shape == (2, 3, 2) and block[mask].ravel().tolist() == list(range(4, 10))
+    assert (block[~mask] == milp.PAD).all() and m.num_vars == 10
+
+
 def test_mip_gap_is_honored_loosely():
     # a loose gap may stop early but the dual bound stays valid
     rng = np.random.default_rng(11)

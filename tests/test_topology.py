@@ -78,6 +78,13 @@ def test_disconnected_rejected():
         all_pairs_delays(g, [0, 1], [2])
 
 
+@pytest.mark.parametrize("second", [(0, 1, 3.0), (1, 0, 3.0)], ids=["same", "reversed"])
+def test_repeated_edge_rejected(second):
+    g = NetworkGraph(3, ((0, 1, 2.0), (1, 2, 1.0), second), seed=0)
+    with pytest.raises(TopologyError, match=r"edge \(0, 1\) is repeated"):
+        all_pairs_delays(g, [0], [1])
+
+
 def _floyd_warshall(graph: NetworkGraph) -> np.ndarray:
     n = graph.num_nodes
     d = np.full((n, n), np.inf)
