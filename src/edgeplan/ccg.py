@@ -33,6 +33,8 @@ from .core import (
 
 DEFAULT_EPS = 1e-6
 DEFAULT_MAX_ITERATIONS = 500
+# MIP gap of the first CCG masters; run_ccg tightens it toward the oracle's
+_START_GAP = 1e-2
 _DEGENERATE_UB = 1e-9
 # recourse columns (vertices times L + I, L served pairs) the extensive form may build:
 # on a 2-vCPU host, generated 7x7 (48,720) took 6-9 s and 300 MB, 8x8 (129,648) 41-51 s and 654 MB
@@ -45,6 +47,7 @@ class MasterSolution:
     eta: float
     lower_bound: float
     objective: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,8 @@ class IterationRecord:
     master_seconds: float
     subproblem_seconds: float
     scenario_repeated: bool
+    master_gap: float
+    master_solves: int
 
 
 @dataclass
@@ -183,7 +188,8 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
     milp.ensure_optimal(result, "CCG master (is the instance consistent?)")
     plan = _extract_plan(instance, result, t, y)
     return MasterSolution(plan=plan, eta=float(result.value(eta)),
-                          lower_bound=result.dual_bound, objective=result.objective)
+                          lower_bound=result.dual_bound, objective=result.objective,
+                          gap=result.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +382,28 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     r vertices, so the counter never exceeds the vertex count.  Terminates
     when (UB-LB)/UB <= eps; the returned plan is the incumbent whose
     certified worst case equals the returned objective (the final upper
-    bound).  Solver gaps default to one tenth of eps so bound noise cannot
-    mask convergence.
+    bound).
+
+    The oracle solves at the floor gap, `mip_gap` or else one tenth of eps
+    (at most `milp.DEFAULT_MIP_GAP`), so bound noise cannot mask
+    convergence.  The masters are inexact (Tsang, Shehadeh & Curtis, Oper.
+    Res. Lett. 2023): the first solve at `_START_GAP` (never below the
+    floor), and the master gap falls tenfold, down to the floor, after each
+    iteration whose CCG gap is below twice it.  LB is the best master dual
+    bound and UB the best certified worst case, both valid at any master
+    gap.  A loose master's plan can draw a pooled vertex again without
+    being optimal over the pool, so such a repeat re-solves that
+    iteration's master at the floor, where the gap then stays, and calls
+    the oracle again only if the plan changed; only a repeat under a
+    master at the floor stops the run as stalled.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     if max_iterations < 1:
         raise ValueError("need at least one iteration")
     subproblem = worst_case_oracle(oracle)
-    gap_setting = mip_gap if mip_gap is not None else min(milp.DEFAULT_MIP_GAP, eps / 10.0)
+    floor = mip_gap if mip_gap is not None else min(milp.DEFAULT_MIP_GAP, eps / 10.0)
+    master_gap = max(_START_GAP, floor)
 
     state = CcgState()
     seen: set[tuple] = set()
@@ -394,36 +413,49 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     message = ""
 
     for r in range(0, max_iterations + 1):
-        start = time.perf_counter()
-        master = solve_master(instance, state.pool, mip_gap=gap_setting, time_limit=time_limit)
-        middle = time.perf_counter()
-        plan = master.plan
-        lower = max(lower, master.lower_bound)
+        master_seconds = subproblem_seconds = 0.0
+        plan = sub = None
+        for master_solves in (1, 2):
+            start = time.perf_counter()
+            master = solve_master(instance, state.pool, mip_gap=master_gap,
+                                  time_limit=time_limit)
+            middle = time.perf_counter()
+            lower = max(lower, master.lower_bound)
+            if plan is None or not (np.array_equal(master.plan.placement, plan.placement) and
+                                    np.array_equal(master.plan.procurement, plan.procurement)):
+                plan = master.plan
+                sub = subproblem(instance, plan, mip_gap=floor, time_limit=time_limit)
+                candidate = provisioning_cost(instance, plan) + sub.bound
+                if candidate < upper:
+                    upper = candidate
+                    incumbent = plan
+            end = time.perf_counter()
+            master_seconds += middle - start
+            subproblem_seconds += end - middle
+            key = sub.worst_scenario.key()
+            repeated = key in seen
+            gap, converged = _gap_and_convergence(lower, upper, eps)
+            if converged or not repeated or master_gap <= floor:
+                break
+            master_gap = floor
 
-        sub = subproblem(instance, plan, mip_gap=gap_setting, time_limit=time_limit)
-        end = time.perf_counter()
-        candidate = provisioning_cost(instance, plan) + sub.bound
-        if candidate < upper:
-            upper = candidate
-            incumbent = plan
-
-        key = sub.worst_scenario.key()
-        repeated = key in seen
-        gap, converged = _gap_and_convergence(lower, upper, eps)
         state.trace.append(IterationRecord(
             iteration=r, lower_bound=lower, upper_bound=upper, gap=gap,
-            master_seconds=middle - start, subproblem_seconds=end - middle,
-            scenario_repeated=repeated))
+            master_seconds=master_seconds, subproblem_seconds=subproblem_seconds,
+            scenario_repeated=repeated, master_gap=master.gap, master_solves=master_solves))
         if converged:
             message = f"converged at iteration {r}"
             break
         if repeated:
-            # a repeated vertex certifies LB=UB in exact arithmetic; reaching
-            # this line means solver noise exceeded eps, so stop honestly
+            # a repeated vertex under a master at the floor certifies LB=UB in
+            # exact arithmetic; reaching this line means solver noise exceeded
+            # eps, so stop honestly
             message = f"stalled: repeated worst-case scenario at iteration {r} with gap {gap:.3e}"
             break
         seen.add(key)
         state.pool.append(sub.worst_scenario)
+        if gap < 2.0 * master_gap:
+            master_gap = max(master_gap / 10.0, floor)
     else:
         message = f"iteration cap {max_iterations} reached with gap {gap:.3e}"
 
@@ -460,8 +492,9 @@ def iteration_bound(instance: ProblemInstance) -> int:
 
 
 def trace_to_csv(state: CcgState) -> str:
-    lines = ["iteration,LB,UB,gap,master_seconds,subproblem_seconds"]
+    lines = ["iteration,LB,UB,gap,master_seconds,subproblem_seconds,master_gap,master_solves"]
     for rec in state.trace:
         lines.append(f"{rec.iteration},{rec.lower_bound:.12g},{rec.upper_bound:.12g},"
-                     f"{rec.gap:.12g},{rec.master_seconds:.6f},{rec.subproblem_seconds:.6f}")
+                     f"{rec.gap:.12g},{rec.master_seconds:.6f},{rec.subproblem_seconds:.6f},"
+                     f"{rec.master_gap:.6g},{rec.master_solves}")
     return "\n".join(lines) + "\n"

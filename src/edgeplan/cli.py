@@ -289,7 +289,9 @@ def build_parser() -> _Parser:
     s.add_argument("--instance", required=True)
     s.add_argument("--method", required=True, choices=evaluation.METHODS)
     s.add_argument("--eps", type=float, default=1e-6, help="relative gap target")
-    s.add_argument("--gap", type=float, default=None, help="solver MIP gap")
+    s.add_argument("--gap", type=float, default=None,
+                   help="solver MIP gap; for CCG, the oracle's gap and the floor of the "
+                        "master gap, which starts at 1e-2 (default min(1e-6, eps/10))")
     s.add_argument("--time-limit", type=float, default=None, help="per-solve seconds")
     s.add_argument("--max-iterations", type=int, default=ccg.DEFAULT_MAX_ITERATIONS)
     s.add_argument("--seed", type=int, default=0, help="training draw seed (so)")

@@ -337,8 +337,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     I or J value, is an error in its own row.  With `workers` > 1 the values
     run on that many threads; every value's cell is computed the same way
     either way, so the rows do not depend on it.  A `workers` below 1, a
-    negative `num_test_scenarios`, and a planner input that a listed method
-    cannot use are refused before any cell runs.
+    negative `num_test_scenarios` or `seed`, and a planner input that a
+    listed method cannot use are refused before any cell runs.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
@@ -347,6 +347,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
         raise ValueError(f"workers must be at least 1, got {workers}")
     if num_test_scenarios < 0:
         raise ValueError(f"num_test_scenarios must be nonnegative, got {num_test_scenarios}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     values = list(values)
     if not values:
         raise ValueError("no sweep values given")

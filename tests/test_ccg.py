@@ -1,5 +1,6 @@
 """Master/subproblem oracles, the CCG loop, and the extensive form."""
 
+import dataclasses
 import math
 import time
 
@@ -375,8 +376,22 @@ def test_run_ccg_takes_upper_bounds_from_a_limited_oracle_bound(monkeypatch):
     assert res.state.trace[-1].lower_bound == pytest.approx(1.3, abs=1e-7)
 
 
-def test_run_ccg_matches_extensive_form():
+def _record_masters(monkeypatch) -> list[tuple[int, float]]:
+    """Route run_ccg's masters through a recorder of (pool size, MIP gap)."""
+    calls = []
+    real = ccg.solve_master
+
+    def recorded(instance, pool, **kwargs):
+        calls.append((len(pool), kwargs["mip_gap"]))
+        return real(instance, pool, **kwargs)
+
+    monkeypatch.setattr(ccg, "solve_master", recorded)
+    return calls
+
+
+def test_run_ccg_matches_extensive_form(monkeypatch):
     rng = np.random.default_rng(77)
+    calls = _record_masters(monkeypatch)
     for size in (2, 3):
         for trial in range(2):
             inst = random_instance(rng, size, size,
@@ -384,10 +399,72 @@ def test_run_ccg_matches_extensive_form():
                                    k=int(rng.integers(0, 2)))
             ext = solve_extensive_form(inst)
             for oracle in ("duality", "kkt"):
+                calls.clear()
                 res = run_ccg(inst, oracle=oracle, eps=1e-7)
                 scale = max(1.0, abs(ext.objective))
-                assert abs(res.objective - ext.objective) / scale < 1e-6, \
-                    f"size {size} trial {trial} oracle {oracle}"
+                where = f"size {size} trial {trial} oracle {oracle}"
+                assert abs(res.objective - ext.objective) / scale < 1e-6, where
+                # a loose master's dual bound is still a lower bound
+                assert all(rec.lower_bound <= ext.objective + 1e-9 * scale
+                           for rec in res.state.trace), where
+                # the iteration number counts pool vertices, not master solves
+                assert [pool for pool, _ in calls] == [
+                    rec.iteration for rec in res.state.trace
+                    for _ in range(rec.master_solves)], where
+
+
+def test_master_gap_schedule(monkeypatch):
+    calls = _record_masters(monkeypatch)
+    floor = 1e-7  # eps / 10 at the default eps
+    for n in (5, 6):
+        calls.clear()
+        res = run_ccg(generate_instance(n, n, seed=0))
+        assert res.converged
+        gaps = iter(gap for _, gap in calls)
+        expected = ccg._START_GAP
+        for rec in res.state.trace:
+            row = [next(gaps) for _ in range(rec.master_solves)]
+            assert row[0] == expected
+            # a second solve re-solves a loose master at the floor
+            assert row[1:] == [floor] * (len(row) - 1) and (len(row) == 1 or row[0] > floor)
+            expected = max(row[-1] / 10, floor) if rec.gap < 2 * row[-1] else row[-1]
+    # an explicit gap is the floor; at the start gap it leaves nothing to tighten
+    calls.clear()
+    res = run_ccg(generate_instance(5, 5, seed=0), mip_gap=1e-2)
+    assert [gap for _, gap in calls] == [1e-2] * len(res.state.trace)
+    assert all(rec.master_solves == 1 for rec in res.state.trace)
+
+
+def test_loose_master_repeating_a_vertex_re_solves_at_the_floor(monkeypatch):
+    # a loose master may return any plan within its gap; this one hands back
+    # the previous plan, whose worst vertex is already pooled
+    real, plans = ccg.solve_master, []
+
+    def stale(instance, pool, **kwargs):
+        sol = real(instance, pool, **kwargs)
+        if pool and kwargs["mip_gap"] > 1e-7:
+            sol = dataclasses.replace(sol, plan=plans[-1])
+        plans.append(sol.plan)
+        return sol
+
+    monkeypatch.setattr(ccg, "solve_master", stale)
+    oracle_plans = []
+
+    def oracle(instance, plan, **kwargs):
+        oracle_plans.append(plan.placement.tolist())
+        return solve_subproblem_duality(instance, plan, **kwargs)
+
+    monkeypatch.setitem(ccg._ORACLES, "duality", oracle)
+    res = run_ccg(unit_example())
+    assert res.converged and res.message == "converged at iteration 1"
+    assert res.objective == pytest.approx(1.3, abs=1e-7)
+    first, second = res.state.trace
+    assert (first.master_solves, second.master_solves) == (1, 2)
+    assert second.iteration == 1 and len(res.state.pool) == 1
+    assert second.lower_bound == pytest.approx(1.3, abs=1e-7)
+    # the stale plan, then the floor master's new one, each priced once
+    assert [plan.placement.tolist() for plan in plans] == [[0], [0], [1]]
+    assert oracle_plans == [[0], [0], [1]]
 
 
 def test_bounds_monotone_and_sandwiched():
@@ -487,11 +564,12 @@ def test_trace_csv_format():
     res = run_ccg(unit_example())
     text = trace_to_csv(res.state)
     lines = text.strip().splitlines()
-    assert lines[0] == "iteration,LB,UB,gap,master_seconds,subproblem_seconds"
+    assert lines[0] == ("iteration,LB,UB,gap,master_seconds,subproblem_seconds,"
+                        "master_gap,master_solves")
     assert len(lines) == len(res.state.trace) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert len(first) == 6
+    assert len(first) == 8
 
 
 def test_run_ccg_rejects_bad_arguments():

@@ -68,7 +68,7 @@ def test_generate_refuses_a_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "neg").exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "solve-so"])
+@pytest.mark.parametrize("command", ["evaluate", "solve-so", "sweep"])
 def test_scenario_draws_refuse_a_negative_seed(tmp_path, capsys, command):
     gen = _small(tmp_path, "gen")
     inst = str(gen / "instance.json")
@@ -77,8 +77,12 @@ def test_scenario_draws_refuse_a_negative_seed(tmp_path, capsys, command):
         save_plan(FirstStagePlan(np.zeros(2, dtype=np.int8), np.zeros(2)), str(plan),
                   method="empty", objective=0.0)
         argv = ["evaluate", "--instance", inst, "--plan", str(plan), "--scenarios", "5"]
-    else:
+    elif command == "solve-so":
         argv = ["solve", "--instance", inst, "--method", "so", "--scenarios", "5"]
+    else:
+        # refused before any cell plans
+        argv = ["sweep", "--instance", inst, "--axis", "K", "--values", "0",
+                "--methods", "det", "--scenarios", "5"]
     out = tmp_path / "neg"
     capsys.readouterr()
     assert cli.main(argv + ["--seed", "-1", "--out", str(out)]) == 3
@@ -98,7 +102,8 @@ def test_solve_ccg_outputs(tmp_path):
     assert plan["converged"] is True
     assert len(plan["t"]) == 2 and len(plan["y"]) == 2
     trace = (out / "trace.csv").read_text().strip().splitlines()
-    assert trace[0] == "iteration,LB,UB,gap,master_seconds,subproblem_seconds"
+    assert trace[0] == ("iteration,LB,UB,gap,master_seconds,subproblem_seconds,"
+                        "master_gap,master_solves")
     assert len(trace) >= 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["files"]) == {"plan.json", "trace.csv"}
