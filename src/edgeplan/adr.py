@@ -187,7 +187,6 @@ def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
     exact two-stage optimum (equal on simplex uncertainty sets)."""
     model, index = assemble_adr_milp(instance)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    milp.ensure_optimal(result, "affine policy model")
     plan = _extract_plan(instance, result, index["t"], index["y"])
     policy = AffinePolicy(
         A=result.value(index["A"]), B=result.value(index["B"]), D=result.value(index["D"]),

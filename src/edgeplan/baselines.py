@@ -20,8 +20,11 @@ SCENARIO_CAP = 2000
 
 @dataclass(frozen=True)
 class BaselineSolution:
+    """A baseline plan; `status` is the solver's, or "heuristic" for greedy."""
+
     plan: FirstStagePlan
     objective: float
+    status: str
 
 
 def solve_deterministic(instance: ProblemInstance, *, mip_gap: float | None = None,
@@ -45,8 +48,8 @@ def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], 
         obj_coeffs.append(coeffs)
     model.set_objective(np.concatenate(obj_ids), np.concatenate(obj_coeffs))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    milp.ensure_optimal(result, "stochastic extensive form")
-    return BaselineSolution(plan=_extract_plan(instance, result, t, y), objective=result.objective)
+    return BaselineSolution(plan=_extract_plan(instance, result, t, y), objective=result.objective,
+                            status=result.status)
 
 
 def solve_stochastic(instance: ProblemInstance, scenarios, *, mip_gap: float | None = None,

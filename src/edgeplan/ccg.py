@@ -48,6 +48,7 @@ class MasterSolution:
     lower_bound: float
     objective: float
     gap: float
+    status: str
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,7 @@ class IterationRecord:
     scenario_repeated: bool
     master_gap: float
     master_solves: int
+    master_status: str
 
 
 @dataclass
@@ -177,7 +179,7 @@ def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
 
 def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
                  mip_gap: float | None = None, time_limit: float | None = None) -> MasterSolution:
-    """Master MILP over the pooled vertices; its bound is the global LB."""
+    """Master MILP over the pooled vertices; its dual bound is the global LB."""
     model = milp.Model("ccg-master")
     t, y, (ids, coeffs) = _build_first_stage(model, instance)
     eta = model.add_var(lb=0.0)
@@ -185,11 +187,10 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
         _add_recourse_block(model, instance, scenario, t, y, eta)
     model.set_objective(np.append(ids, eta), np.append(coeffs, 1.0))
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    milp.ensure_optimal(result, "CCG master (is the instance consistent?)")
     plan = _extract_plan(instance, result, t, y)
     return MasterSolution(plan=plan, eta=float(result.value(eta)),
                           lower_bound=result.dual_bound, objective=result.objective,
-                          gap=result.gap)
+                          gap=result.gap, status=result.status)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +198,14 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
 
 
 def _worst_case_answer(instance: ProblemInstance, result: milp.SolveResult,
-                       g: np.ndarray, z: np.ndarray, what: str) -> SubproblemSolution:
+                       g: np.ndarray, z: np.ndarray) -> SubproblemSolution:
     """An oracle's answer: the worst vertex from its g/z bits.  A limit with an
     incumbent is a degraded answer whose bound exceeds its value."""
-    if result.status not in ("optimal", "limit") or result.values is None:
-        milp.ensure_optimal(result, what)
     g_val = np.clip(np.round(result.value(g)), 0, 1)
     z_val = np.clip(np.round(result.value(z)), 0, 1).astype(np.int8)
-    return SubproblemSolution(
-        worst_scenario=Scenario(demand_from_g(instance, g_val), z_val),
-        value=result.objective,
-        bound=result.dual_bound if np.isfinite(result.dual_bound) else result.objective,
-        status=result.status,
-    )
+    return SubproblemSolution(worst_scenario=Scenario(demand_from_g(instance, g_val), z_val),
+                              value=result.objective, bound=result.dual_bound,
+                              status=result.status)
 
 
 def _add_product(model: milp.Model, w: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -279,8 +275,7 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
     m_u = float(instance.unmet_penalty.max(initial=0.0))
     model, blocks = _build_duality_model(instance, plan, m_u)
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    return _worst_case_answer(instance, result, blocks["g"], blocks["z"],
-                              "duality subproblem")
+    return _worst_case_answer(instance, result, blocks["g"], blocks["z"])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,7 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     model.set_objective(*_recourse_cost(instance, x, q))
 
     result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    return _worst_case_answer(instance, result, g, z, "KKT subproblem")
+    return _worst_case_answer(instance, result, g, z)
 
 
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}
@@ -391,11 +386,11 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     floor), and the master gap falls tenfold, down to the floor, after each
     iteration whose CCG gap is below twice it.  LB is the best master dual
     bound and UB the best certified worst case, both valid at any master
-    gap.  A loose master's plan can draw a pooled vertex again without
-    being optimal over the pool, so such a repeat re-solves that
+    gap and status.  A loose master's plan can draw a pooled vertex again
+    without being optimal over the pool, so such a repeat re-solves that
     iteration's master at the floor, where the gap then stays, and calls
-    the oracle again only if the plan changed; only a repeat under a
-    master at the floor stops the run as stalled.
+    the oracle again only if the plan changed; a repeat under a master at
+    the floor, or stopped at its solver limit, stops the run.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -435,22 +430,25 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
             key = sub.worst_scenario.key()
             repeated = key in seen
             gap, converged = _gap_and_convergence(lower, upper, eps)
-            if converged or not repeated or master_gap <= floor:
+            if converged or not repeated or master_gap <= floor or master.status == "limit":
                 break
             master_gap = floor
 
         state.trace.append(IterationRecord(
             iteration=r, lower_bound=lower, upper_bound=upper, gap=gap,
             master_seconds=master_seconds, subproblem_seconds=subproblem_seconds,
-            scenario_repeated=repeated, master_gap=master.gap, master_solves=master_solves))
+            scenario_repeated=repeated, master_gap=master.gap, master_solves=master_solves,
+            master_status=master.status))
         if converged:
             message = f"converged at iteration {r}"
             break
         if repeated:
             # a repeated vertex under a master at the floor certifies LB=UB in
             # exact arithmetic; reaching this line means solver noise exceeded
-            # eps, so stop honestly
-            message = f"stalled: repeated worst-case scenario at iteration {r} with gap {gap:.3e}"
+            # eps, so stop honestly.  Under a master stopped at its limit it
+            # proves nothing
+            why = "master stopped at its solver limit" if master.status == "limit" else "stalled"
+            message = f"{why}: repeated worst-case scenario at iteration {r} with gap {gap:.3e}"
             break
         seen.add(key)
         state.pool.append(sub.worst_scenario)
@@ -492,9 +490,10 @@ def iteration_bound(instance: ProblemInstance) -> int:
 
 
 def trace_to_csv(state: CcgState) -> str:
-    lines = ["iteration,LB,UB,gap,master_seconds,subproblem_seconds,master_gap,master_solves"]
+    lines = ["iteration,LB,UB,gap,master_seconds,subproblem_seconds,master_gap,master_solves,"
+             "master_status"]
     for rec in state.trace:
         lines.append(f"{rec.iteration},{rec.lower_bound:.12g},{rec.upper_bound:.12g},"
                      f"{rec.gap:.12g},{rec.master_seconds:.6f},{rec.subproblem_seconds:.6f},"
-                     f"{rec.master_gap:.6g},{rec.master_solves}")
+                     f"{rec.master_gap:.6g},{rec.master_solves},{rec.master_status}")
     return "\n".join(lines) + "\n"

@@ -3,9 +3,10 @@
 Each command writes into one output directory and finishes with a
 manifest.json recording the resolved configuration, library versions, and
 a sha256 per written file.  Exit codes: 0 success, 2 nonconvergence or a
-solver limit, 3 invalid input, 4 backend failure.  Failures print a
-one-object error JSON to stderr; files are written atomically, so a
-failed run never leaves a partial artifact behind.
+solver limit, 3 invalid input, 4 backend failure; a solve that stops
+early with a plan writes it first.  Failures print a one-object error
+JSON to stderr; files are written atomically, so a failed run never
+leaves a partial artifact behind.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     for scenario in scenarios:
         handle.change_col_bounds(edited, np.append(np.zeros(nj), scenario.demand),
                                  np.append(stock * (1.0 - scenario.failures), np.full(ni, np.inf)))
-        result = milp.ensure_optimal(handle.solve(), "recourse LP")
+        result = handle.solve()
         outcomes.append(RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
                                         second_stage_cost=result.value(ids) @ coeffs))
     return outcomes
@@ -295,29 +295,35 @@ def plan_with_method(instance: ProblemInstance, method: str, *, eps: float = DEF
         converged, trace = res.converged, trace_to_csv(res.state)
         extras = {"converged": res.converged, "iterations": last.iteration, "gap": last.gap,
                   "lower_bound": last.lower_bound, "message": res.message}
-    elif method == "adr":
-        res = solve_adr(instance, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"status": res.status, "worst_recourse": res.phi}
-    elif method == "extensive":
-        res = solve_extensive_form(instance, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"num_vertices": ccg.iteration_bound(instance)}
-    elif method == "det":
-        res = solve_deterministic(instance, mip_gap=mip_gap, time_limit=time_limit)
-    elif method == "so":
-        training = generate_test_scenarios(instance, EvaluationConfig(
-            num_scenarios=num_training, distribution="normal", seed=seed))
-        res = solve_stochastic(instance, training, mip_gap=mip_gap, time_limit=time_limit)
-        extras = {"training_scenarios": num_training}
     elif method == "heu":
         plan = heuristic_placement(instance)
         nominal = Scenario(instance.nominal_demand,
                            np.zeros(instance.num_nodes, dtype=np.int8))
         out = solve_recourse(instance, plan, nominal)
         # greedy plans carry no solver objective; report the nominal-scenario total
-        res = BaselineSolution(plan, provisioning_cost(instance, plan) + out.second_stage_cost)
+        res = BaselineSolution(plan, provisioning_cost(instance, plan) + out.second_stage_cost,
+                               "heuristic")
         extras = {"objective_kind": "nominal-scenario total"}
     else:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        if method == "adr":
+            res = solve_adr(instance, mip_gap=mip_gap, time_limit=time_limit)
+            extras = {"worst_recourse": res.phi}
+        elif method == "extensive":
+            res = solve_extensive_form(instance, mip_gap=mip_gap, time_limit=time_limit)
+            extras = {"num_vertices": ccg.iteration_bound(instance)}
+        elif method == "det":
+            res = solve_deterministic(instance, mip_gap=mip_gap, time_limit=time_limit)
+        elif method == "so":
+            training = generate_test_scenarios(instance, EvaluationConfig(
+                num_scenarios=num_training, distribution="normal", seed=seed))
+            res = solve_stochastic(instance, training, mip_gap=mip_gap, time_limit=time_limit)
+            extras = {"training_scenarios": num_training}
+        else:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        extras["status"] = res.status
+        if res.status == "limit":
+            converged = False
+            extras["message"] = f"{method} stopped at its solver limit before proving optimality"
     extras["wall_seconds"] = time.perf_counter() - start
     return PlanResult(res.plan, res.objective, converged, extras, trace)
 
@@ -337,8 +343,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     I or J value, is an error in its own row.  With `workers` > 1 the values
     run on that many threads; every value's cell is computed the same way
     either way, so the rows do not depend on it.  A `workers` below 1, a
-    negative `num_test_scenarios` or `seed`, and a planner input that a
-    listed method cannot use are refused before any cell runs.
+    negative `num_test_scenarios` or `seed`, a solver option or a planner
+    input that a listed method cannot use is refused before any cell runs.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
@@ -349,6 +355,7 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
         raise ValueError(f"num_test_scenarios must be nonnegative, got {num_test_scenarios}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    milp.check_options(mip_gap=mip_gap, time_limit=time_limit)
     values = list(values)
     if not values:
         raise ValueError("no sweep values given")

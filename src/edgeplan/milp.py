@@ -10,7 +10,8 @@ in length.  A `Handle` assembles one model into a column-wise sparse matrix
 and passes it to HiGHS through scipy's bundled binding, the package's one
 HiGHS call site; `solve` opens a handle and solves once.  A handle
 re-solves after column-bound edits, starting from the previous basis.
-Results carry primal values and bounds only: no dual values are reported.
+A solve returns a point (the optimum, or a MIP incumbent at a limit) or
+raises an error naming the model; results carry no dual values.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class UnboundedModelError(RuntimeError):
 
 
 class SolverLimitError(RuntimeError):
-    """A solve stopped at its time or iteration limit without proving optimality."""
+    """A solve stopped at its time or iteration limit before it had a point."""
 
 
 def _checked_terms(ids, coeffs, num_vars: int, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -172,48 +173,60 @@ class Model:
 
 @dataclass
 class SolveResult:
-    """Outcome of one solve.
+    """A point from one solve: the optimum, or a MIP's incumbent at a time or
+    iteration limit (status "limit").
 
-    `objective` and `dual_bound` are in the model's own sense; for a MIP
-    stopped early, `dual_bound` is the proven bound and `gap` the relative
-    distance between the two.  An LP solved to optimality has
+    `objective` and `dual_bound` are in the model's own sense; at a limit,
+    `dual_bound` is the proven bound (infinite if none) and `gap` the
+    relative distance between the two.  An LP optimum has
     `dual_bound == objective` and `gap == 0`.
     """
 
     status: str
     objective: float
-    values: np.ndarray | None
+    values: np.ndarray
     dual_bound: float
     gap: float
     # `values` followed by one 0, which the id `PAD` (-1) reads
-    _padded: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._padded = self.values
-        if self.values is not None:
-            self._padded = np.append(self.values, 0.0)
-            self.values = self._padded[:-1]
+        self._padded = np.append(self.values, 0.0)
+        self.values = self._padded[:-1]
 
     def value(self, ids) -> np.ndarray | float:
         """Primal values for an id array (shape preserved, `PAD` reads 0) or
         a single id."""
-        if self._padded is None:
-            raise ValueError(f"no primal solution available (status={self.status})")
         return self._padded[ids]
 
 
-# HiGHS model status -> package status; any other status is a backend error.
-# HiGHS reports "unbounded or infeasible" when presolve finds no bounded
-# optimum without telling which; the package has always called that unbounded.
+# HiGHS model status -> (status of a point, error of a solve without one), else a
+# backend error.  HiGHS reports "unbounded or infeasible" when presolve finds no
+# bounded optimum without telling which; the package has always called that unbounded.
 _STATUS = {
-    highs.HighsModelStatus.kOptimal: "optimal",
-    highs.HighsModelStatus.kInfeasible: "infeasible",
-    highs.HighsModelStatus.kUnbounded: "unbounded",
-    highs.HighsModelStatus.kUnboundedOrInfeasible: "unbounded",
-    highs.HighsModelStatus.kTimeLimit: "limit",
-    highs.HighsModelStatus.kIterationLimit: "limit",
+    highs.HighsModelStatus.kOptimal: ("optimal", BackendError),
+    highs.HighsModelStatus.kInfeasible: (None, InfeasibleModelError),
+    highs.HighsModelStatus.kUnbounded: (None, UnboundedModelError),
+    highs.HighsModelStatus.kUnboundedOrInfeasible: (None, UnboundedModelError),
+    highs.HighsModelStatus.kTimeLimit: ("limit", SolverLimitError),
+    highs.HighsModelStatus.kIterationLimit: ("limit", SolverLimitError),
 }
 _VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+
+
+def check_options(*, mip_gap: float | None = None,
+                  time_limit: float | None = None) -> highs._Highs:
+    """A HiGHS instance set to these options; `ValueError` if HiGHS refuses one."""
+    h = highs._Highs()
+    options = {"log_to_console": False,
+               "mip_rel_gap": DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap)}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    for name, value in options.items():
+        # HiGHS's range check lets NaN through
+        if math.isnan(value) or h.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise ValueError(f"invalid solver option {name}={value!r}")
+    return h
 
 
 class Handle:
@@ -227,6 +240,7 @@ class Handle:
     def __init__(self, model: Model, *, mip_gap: float | None = None,
                  time_limit: float | None = None):
         n, m = model.num_vars, model.num_constraints
+        self._name = model.name
         self._sign = -1.0 if model.maximize else 1.0
         obj_ids, obj_coeffs = model._obj
         # the empty heads let a model without rows assemble too
@@ -250,16 +264,7 @@ class Handle:
         self._is_mip = bool(integrality.any())
         if self._is_mip:
             lp.integrality_ = [_VAR_TYPES[k] for k in integrality.tolist()]
-        options = {"log_to_console": False,
-                   "mip_rel_gap": DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap)}
-        if time_limit is not None:
-            options["time_limit"] = float(time_limit)
-        self._highs = highs._Highs()
-        for name, value in options.items():
-            # HiGHS's range check lets NaN through
-            if math.isnan(value) or (self._highs.setOptionValue(name, value)
-                                     == highs.HighsStatus.kError):
-                raise ValueError(f"invalid solver option {name}={value!r}")
+        self._highs = check_options(mip_gap=mip_gap, time_limit=time_limit)
         self._checked(self._highs.passModel(lp), f"model {model.name!r}")
 
     @staticmethod
@@ -276,46 +281,30 @@ class Handle:
                       "column-bound edit")
 
     def solve(self) -> SolveResult:
-        """Solve; never raises for infeasible/unbounded, see `SolveResult.status`."""
+        """Return the optimum or a MIP's incumbent at a limit; without a
+        point, raise the `_STATUS` error, naming the model."""
         self._highs.run()
         model_status = self._highs.getModelStatus()
-        status = _STATUS.get(model_status)
-        if status is None:
-            raise BackendError("HiGHS returned no usable status: "
-                               f"{self._highs.modelStatusToString(model_status)}")
         info = self._highs.getInfo()
+        status, error = _STATUS.get(model_status, (None, BackendError))
         # an LP stopped early has no usable point; a MIP has one if it has an incumbent
-        solved = status == "optimal" or (
-            status == "limit" and self._is_mip and info.objective_function_value != highs.kHighsInf)
-        if not solved:
-            return SolveResult(status, np.nan, None, np.nan, np.nan)
+        if not (status == "optimal" or status == "limit" and self._is_mip
+                and info.objective_function_value != highs.kHighsInf):
+            raise error(f"model {self._name!r} ended without a point: "
+                        f"{self._highs.modelStatusToString(model_status)}")
         values = self._highs.getSolution().col_value
         objective = self._sign * info.objective_function_value
         # LPs report no MIP bound: their optimum is its own bound
-        dual_bound = (self._sign * info.mip_dual_bound
-                      if self._is_mip and np.isfinite(info.mip_dual_bound) else objective)
+        dual_bound = self._sign * info.mip_dual_bound if self._is_mip else objective
         gap = abs(objective - dual_bound) / max(1e-12, abs(objective))
         return SolveResult(status, objective, values, dual_bound, gap)
 
 
 def solve(model: Model, *, mip_gap: float | None = None,
           time_limit: float | None = None) -> SolveResult:
-    """Solve the model once; never raises for infeasible/unbounded, see `SolveResult.status`.
+    """Solve the model once; see `Handle.solve` for what it returns or raises.
 
     `mip_gap` is the relative optimality gap demanded from MIP solves
     (default 1e-6); `time_limit` is in seconds.
     """
     return Handle(model, mip_gap=mip_gap, time_limit=time_limit).solve()
-
-
-def ensure_optimal(result: SolveResult, what: str = "model") -> SolveResult:
-    """Map non-optimal statuses onto the package's exception types."""
-    if result.status == "optimal":
-        return result
-    if result.status == "infeasible":
-        raise InfeasibleModelError(f"{what} is infeasible")
-    if result.status == "unbounded":
-        raise UnboundedModelError(f"{what} is unbounded")
-    if result.status == "limit":
-        raise SolverLimitError(f"{what} hit the solver limit before optimality")
-    raise BackendError(f"{what} returned status {result.status}")

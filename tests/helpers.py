@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from edgeplan import milp
 from edgeplan.core import (
     ProblemInstance,
     Scenario,
@@ -118,3 +119,24 @@ def exhaustive_two_stage(instance, scenarios):
                         for out in solve_recourse_batch(instance, plan, scenarios))
             best = min(best, provisioning_cost(instance, plan) + worst)
     return best
+
+
+def stop_at_limit(monkeypatch, names, loosen=0.0):
+    """Make `milp.solve` return each model named in `names` as a MIP stopped at
+    its limit: the real optimum as the incumbent, with the dual bound moved
+    `loosen` (relative) away from it.  Returns the MIP gaps those solves got."""
+    real_solve = milp.solve
+    gaps = []
+
+    def limited(model, **kwargs):
+        result = real_solve(model, **kwargs)
+        if model.name not in names:
+            return result
+        gaps.append(kwargs.get("mip_gap"))
+        sense = -1.0 if model.maximize else 1.0
+        bound = result.dual_bound - sense * loosen * abs(result.dual_bound)
+        gap = abs(result.objective - bound) / max(1e-12, abs(result.objective))
+        return milp.SolveResult("limit", result.objective, result.values, bound, gap)
+
+    monkeypatch.setattr(milp, "solve", limited)
+    return gaps

@@ -34,6 +34,7 @@ from helpers import (
     exhaustive_two_stage,
     random_instance,
     random_plan,
+    stop_at_limit,
     tiny_instance,
     unit_example,
     vertex_scenarios,
@@ -92,7 +93,7 @@ def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
             y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
             x, q = ccg._add_recourse_block(model, inst, scenario, t, y, None)
             model.set_objective(*ccg._recourse_cost(inst, x, q))
-            block = milp.ensure_optimal(milp.solve(model)).objective
+            block = milp.solve(model).objective
             replay = solve_recourse(inst, plan, scenario).second_stage_cost
             assert block == pytest.approx(replay, rel=1e-7, abs=1e-9)
     master = solve_master(inst, pool, mip_gap=1e-9)
@@ -129,7 +130,7 @@ def test_recourse_block_row_count(with_eta):
     else:
         cost_ids, cost_coeffs = ccg._recourse_cost(inst, x, q)
         model.set_objective(np.append(ids, cost_ids), np.append(coeffs, cost_coeffs))
-    result = milp.ensure_optimal(milp.solve(model))
+    result = milp.solve(model)
     allocation = result.value(x)
     assert np.all(allocation[~live] == 0.0) and np.all(allocation >= 0.0)
     assert allocation.sum() + result.value(q).sum() == pytest.approx(inst.nominal_demand.sum())
@@ -240,7 +241,7 @@ def test_duality_box_at_max_penalty_is_exact():
         objectives = []
         for m_u in (p_max, 10.0 * max(p_max, 1.0)):
             model, blocks = ccg._build_duality_model(inst, plan, m_u)
-            result = milp.ensure_optimal(milp.solve(model))
+            result = milp.solve(model)
             objectives.append(result.objective)
             if m_u == p_max:
                 tight += bool(np.any(result.value(blocks["u"]) >= p_max - 1e-6))
@@ -374,6 +375,30 @@ def test_run_ccg_takes_upper_bounds_from_a_limited_oracle_bound(monkeypatch):
     assert res.objective == pytest.approx(2.3, abs=1e-7)
     assert not res.converged and res.message.startswith("stalled")
     assert res.state.trace[-1].lower_bound == pytest.approx(1.3, abs=1e-7)
+
+
+def test_run_ccg_keeps_its_incumbent_when_masters_stop_at_a_limit(monkeypatch):
+    # every master stops at its limit holding the optimum of a 10% looser bound
+    inst = generate_instance(5, 5, seed=0)
+    exact = run_ccg(inst)
+    gaps = stop_at_limit(monkeypatch, {"ccg-master"}, loosen=0.1)
+    res = run_ccg(inst)
+    trace = res.state.trace
+    assert len(trace) > 1 and all(rec.lower_bound <= rec.upper_bound for rec in trace)
+    assert trace[-1].lower_bound <= exact.objective + 1e-9 <= res.objective + 2e-9
+    assert not res.converged and "solver limit" in res.message
+    assert trace[-1].scenario_repeated
+    assert [rec.master_status for rec in trace] == ["limit"] * len(trace)
+    rows = trace_to_csv(res.state).strip().splitlines()
+    assert rows[0].endswith(",master_status") and all(r.endswith(",limit") for r in rows[1:])
+    # the iteration number is the pool size
+    assert [rec.iteration for rec in trace] == list(range(len(res.state.pool) + 1))
+    # a repeat under the loose master is not re-solved at the floor (1e-7)
+    assert gaps == [1e-2] * len(trace)
+    assert all(rec.master_solves == 1 for rec in trace)
+    # the plan is the incumbent whose certified worst case is the objective
+    worst = solve_subproblem_duality(inst, res.plan).value
+    assert provisioning_cost(inst, res.plan) + worst == pytest.approx(res.objective, rel=1e-9)
 
 
 def _record_masters(monkeypatch) -> list[tuple[int, float]]:
@@ -565,11 +590,11 @@ def test_trace_csv_format():
     text = trace_to_csv(res.state)
     lines = text.strip().splitlines()
     assert lines[0] == ("iteration,LB,UB,gap,master_seconds,subproblem_seconds,"
-                        "master_gap,master_solves")
+                        "master_gap,master_solves,master_status")
     assert len(lines) == len(res.state.trace) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert len(first) == 8
+    assert len(first) == 9
 
 
 def test_run_ccg_rejects_bad_arguments():

@@ -10,7 +10,7 @@ from edgeplan import cli, evaluation
 from edgeplan.ccg import run_ccg
 from edgeplan.core import FirstStagePlan, load_instance, provisioning_cost, save_instance, save_plan
 from edgeplan.milp import BackendError, SolverLimitError
-from helpers import random_instance
+from helpers import random_instance, stop_at_limit
 
 
 def _gen(tmp_path, name, **flags):
@@ -103,7 +103,7 @@ def test_solve_ccg_outputs(tmp_path):
     assert len(plan["t"]) == 2 and len(plan["y"]) == 2
     trace = (out / "trace.csv").read_text().strip().splitlines()
     assert trace[0] == ("iteration,LB,UB,gap,master_seconds,subproblem_seconds,"
-                        "master_gap,master_solves")
+                        "master_gap,master_solves,master_status")
     assert len(trace) >= 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert set(manifest["files"]) == {"plan.json", "trace.csv"}
@@ -154,6 +154,24 @@ def test_solve_nonconvergence_exits_2_with_artifacts(tmp_path, capsys):
     assert doc["error"] == "NonconvergenceError" and doc["exit_code"] == 2
     plan = json.loads((out / "plan.json").read_text())
     assert plan["converged"] is False
+
+
+@pytest.mark.parametrize("method,model", [("det", "stochastic"), ("adr", "adr"),
+                                          ("extensive", "ccg-master")])
+def test_solve_writes_the_incumbent_of_a_planner_stopped_at_a_limit(tmp_path, capsys,
+                                                                    monkeypatch, method, model):
+    gen = _small(tmp_path, "gen")
+    stop_at_limit(monkeypatch, {model}, loosen=0.1)
+    out = tmp_path / method
+    rc = cli.main(["solve", "--instance", str(gen / "instance.json"), "--method", method,
+                   "--out", str(out)])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"] == "NonconvergenceError" and doc["exit_code"] == 2
+    assert doc["message"] == f"{method} stopped at its solver limit before proving optimality"
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["status"] == "limit" and plan["message"] == doc["message"]
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"plan.json"}
 
 
 def test_extensive_cap_exits_3_without_partial_output(tmp_path, capsys):
@@ -357,6 +375,8 @@ def test_sweep_exits_2_when_every_cell_stops_at_a_limit(tmp_path, capsys, monkey
     ["--values", ""], ["--values", "1,x"], ["--methods", "det,simplex"], ["--methods", ","],
     ["--methods", "so,det", "--training-scenarios", "-5"],
     ["--methods", "ccg-kkt,det", "--eps", "0"],
+    # the solver options that `solve` refuses, checked by the same rule
+    ["--time-limit", "-1"], ["--time-limit", "nan"], ["--gap", "-0.5"],
 ])
 def test_sweep_bad_input_exits_3_and_writes_nothing(tmp_path, capsys, flags):
     gen = _small(tmp_path, "gen")

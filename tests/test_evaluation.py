@@ -28,7 +28,14 @@ from edgeplan.evaluation import (
     sweep_to_csv,
 )
 from edgeplan.topology import generate_instance
-from helpers import random_instance, random_plan, tiny_instance, unit_example, vertex_scenarios
+from helpers import (
+    random_instance,
+    random_plan,
+    stop_at_limit,
+    tiny_instance,
+    unit_example,
+    vertex_scenarios,
+)
 
 
 def _plan(t, y):
@@ -507,6 +514,21 @@ def test_certify_refuses_a_worst_case_stopped_at_a_limit(monkeypatch):
     # a sweep row carries the error instead of the incumbent
     (row,) = sensitivity_sweep(inst, "K", [0], methods=("det",), num_test_scenarios=0)
     assert "limit" in row["error"] and math.isnan(row["certified_worst"])
+
+
+def test_sweep_cell_stopped_at_a_limit_keeps_its_numbers(monkeypatch):
+    # the planners stop at their limits with an incumbent; the oracle does not
+    inst = generate_instance(3, 3, seed=0)
+    want = sensitivity_sweep(inst, "K", [1], methods=("det", "adr"), num_test_scenarios=5)
+    stop_at_limit(monkeypatch, {"stochastic", "adr"}, loosen=0.1)
+    got = sensitivity_sweep(inst, "K", [1], methods=("det", "adr"), num_test_scenarios=5)
+    for row, ref in zip(got, want):
+        assert row["error"] == f"{row['method']} stopped at its solver limit before " \
+                               "proving optimality"
+        assert not row["limit"]
+        for key in ("objective", "provisioning", "average_cost", "worst_cost",
+                    "certified_worst"):
+            assert row[key] == ref[key], key
 
 
 def test_certify_rejects_unknown_oracle():
