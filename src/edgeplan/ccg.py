@@ -26,6 +26,7 @@ from .core import (
     ProblemInstance,
     Scenario,
     count_vertices,
+    csv_text,
     demand_from_g,
     enumerate_vertices,
     provisioning_cost,
@@ -490,10 +491,9 @@ def iteration_bound(instance: ProblemInstance) -> int:
 
 
 def trace_to_csv(state: CcgState) -> str:
-    lines = ["iteration,LB,UB,gap,master_seconds,subproblem_seconds,master_gap,master_solves,"
-             "master_status"]
-    for rec in state.trace:
-        lines.append(f"{rec.iteration},{rec.lower_bound:.12g},{rec.upper_bound:.12g},"
-                     f"{rec.gap:.12g},{rec.master_seconds:.6f},{rec.subproblem_seconds:.6f},"
-                     f"{rec.master_gap:.6g},{rec.master_solves},{rec.master_status}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["iteration", "LB", "UB", "gap", "master_seconds", "subproblem_seconds", "master_gap",
+         "master_solves", "master_status"],
+        ([rec.iteration, rec.lower_bound, rec.upper_bound, rec.gap, f"{rec.master_seconds:.6f}",
+          f"{rec.subproblem_seconds:.6f}", f"{rec.master_gap:.6g}", rec.master_solves,
+          rec.master_status] for rec in state.trace))

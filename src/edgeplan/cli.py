@@ -75,27 +75,11 @@ def _git_describe() -> str | None:
     return out.stdout.strip() or None if out.returncode == 0 else None
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (np.integer, np.floating)):
-        return _json_safe(value.item())
-    return value
-
-
-def _config_of(args: argparse.Namespace) -> dict:
-    return {k: _json_safe(v) for k, v in vars(args).items() if k not in ("func", "command")}
-
-
 def _write_manifest(outdir: str, command: str, args: argparse.Namespace,
                     filenames: list[str]) -> None:
     doc = {
         "command": command,
-        "config": _config_of(args),
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
         "versions": {
             "edgeplan": __version__,
             "python": platform.python_version(),
@@ -154,7 +138,7 @@ def cmd_solve(args) -> int:
         seed=args.seed)
     written = ["plan.json"]
     core.save_plan(res.plan, os.path.join(args.out, "plan.json"),
-                   method=args.method, objective=res.objective, **_json_safe(res.extras))
+                   method=args.method, objective=res.objective, **res.extras)
     if res.trace is not None:
         core.atomic_write_text(os.path.join(args.out, "trace.csv"), res.trace)
         written.append("trace.csv")
@@ -195,14 +179,11 @@ def cmd_evaluate(args) -> int:
         written.append(fname)
         summaries.append(evaluation.report_summary(report))
 
-    lines = ["method,provisioning,avg,worst,certified_worst"]
-    for s in summaries:
-        lines.append(f"{s['method']},{s['provisioning']:.12g},{s['avg']:.12g},"
-                     f"{s['worst']:.12g},{s['certified_worst']:.12g}")
+    cols = ["method", "provisioning", "avg", "worst", "certified_worst"]
     core.atomic_write_text(os.path.join(args.out, "comparison.csv"),
-                           "\n".join(lines) + "\n")
+                           core.csv_text(cols, ([s[c] for c in cols] for s in summaries)))
     core.atomic_write_text(os.path.join(args.out, "summary.json"),
-                           core.canonical_json(_json_safe(summaries)))
+                           core.canonical_json(summaries))
     written += ["comparison.csv", "summary.json"]
     _finish(args.out, "evaluate", args, written)
     return EXIT_OK
@@ -234,25 +215,22 @@ def cmd_audit(args) -> int:
     if not all(v.is_integer() and v >= 1 for v in values):
         raise CliError(f"--sizes must be positive whole numbers, got {args.sizes!r}")
     sizes = [int(v) for v in values]
-    header = ("areas,nodes,reference_constraints,reference_variables,"
-              "built_constraints,built_variables,constraint_delta,variable_delta")
-    lines = [header]
-    docs = []
-    for n in sizes:
-        a = adr.audit_model_size(n, n)
-        lines.append(f"{a.num_areas},{a.num_nodes},{a.reference_constraints},"
-                     f"{a.reference_variables},{a.built_constraints},{a.built_variables},"
-                     f"{a.constraint_delta},{a.variable_delta}")
-        docs.append({
-            "areas": a.num_areas, "nodes": a.num_nodes,
-            "reference": {"constraints": a.reference_constraints,
-                          "variables": a.reference_variables},
-            "built": {"constraints": a.built_constraints, "variables": a.built_variables},
-            "delta": {"constraints": a.constraint_delta, "variables": a.variable_delta},
-        })
-    print("\n".join(lines))
+    audits = [adr.audit_model_size(n, n) for n in sizes]
+    table = core.csv_text(
+        ["areas", "nodes", "reference_constraints", "reference_variables", "built_constraints",
+         "built_variables", "constraint_delta", "variable_delta"],
+        ([a.num_areas, a.num_nodes, a.reference_constraints, a.reference_variables,
+          a.built_constraints, a.built_variables, a.constraint_delta, a.variable_delta]
+         for a in audits))
+    docs = [{
+        "areas": a.num_areas, "nodes": a.num_nodes,
+        "reference": {"constraints": a.reference_constraints, "variables": a.reference_variables},
+        "built": {"constraints": a.built_constraints, "variables": a.built_variables},
+        "delta": {"constraints": a.constraint_delta, "variables": a.variable_delta},
+    } for a in audits]
+    print(table, end="")
     if args.out:
-        core.atomic_write_text(os.path.join(args.out, "audit.csv"), "\n".join(lines) + "\n")
+        core.atomic_write_text(os.path.join(args.out, "audit.csv"), table)
         core.atomic_write_text(os.path.join(args.out, "audit.json"),
                                core.canonical_json(docs))
         _finish(args.out, "audit", args, ["audit.csv", "audit.json"])

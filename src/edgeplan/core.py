@@ -9,7 +9,9 @@ freeze their arrays after validation and are safe to share across workers.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -454,8 +456,39 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _json_value(value):
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The one JSON rule of every artifact: sorted keys, two-space indent,
+    numpy scalars as Python numbers and non-finite floats as their repr."""
+    return json.dumps(_json_value(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else f"{value:.12g}"
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """The one CSV rule of every artifact: a float at 12 significant
+    digits, NaN as an empty cell, any other value as `str()`, and RFC 4180
+    quoting of a cell that holds a comma, a double quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def save_instance(instance: ProblemInstance, path: str) -> None:
@@ -491,12 +524,8 @@ def plan_from_json(doc: dict) -> tuple[FirstStagePlan, dict]:
 
 
 def save_plan(plan: FirstStagePlan, path: str, *, method: str, objective: float, **extras) -> None:
-    doc = {
-        "t": [int(v) for v in plan.placement],
-        "y": [float(v) for v in plan.procurement],
-        "method": method,
-        "objective": float(objective),
-    }
+    doc = {"t": plan.placement.tolist(), "y": plan.procurement.tolist(), "method": method,
+           "objective": float(objective)}
     atomic_write_text(path, canonical_json({**doc, **extras}))
 
 

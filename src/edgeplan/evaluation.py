@@ -31,6 +31,7 @@ from .core import (
     RecourseOutcome,
     Scenario,
     UncertaintyModel,
+    csv_text,
     provisioning_cost,
     sample_failures,
 )
@@ -213,11 +214,9 @@ def report_summary(report: EvaluationReport) -> dict:
 
 
 def report_to_csv(report: EvaluationReport) -> str:
-    lines = ["scenario,total_cost,recourse_cost,unmet"]
-    for r in range(len(report.scenario_costs)):
-        lines.append(f"{r},{report.scenario_costs[r]:.12g},"
-                     f"{report.recourse_costs[r]:.12g},{report.unmet_totals[r]:.12g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["scenario", "total_cost", "recourse_cost", "unmet"],
+                    zip(range(len(report.scenario_costs)), report.scenario_costs,
+                        report.recourse_costs, report.unmet_totals))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,9 @@ def plan_with_method(instance: ProblemInstance, method: str, *, eps: float = DEF
                      mip_gap: float | None = None, time_limit: float | None = None,
                      num_training: int = 100, seed: int = 0) -> PlanResult:
     """Run one of `METHODS` on an instance; `extras["wall_seconds"]` times
-    the whole planner call, model builds included."""
+    the whole planner call, model builds included.  A solver option HiGHS
+    refuses raises `ValueError` before any method, MILP or not, plans."""
+    milp.check_options(mip_gap=mip_gap, time_limit=time_limit)
     start = time.perf_counter()
     converged, extras, trace = True, {}, None
     if method in ("ccg-duality", "ccg-kkt"):
@@ -427,14 +428,4 @@ def _sweep_row(axis, value, method, *, objective=math.nan, provisioning=math.nan
 def sweep_to_csv(rows) -> str:
     cols = ["axis", "value", "method", "objective", "provisioning", "average_cost",
             "worst_cost", "certified_worst", "wall_seconds", "error"]
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c, "")
-            if isinstance(v, float):
-                cells.append("" if math.isnan(v) else f"{v:.12g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(cols, ([row.get(c, "") for c in cols] for row in rows))

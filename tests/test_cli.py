@@ -419,6 +419,18 @@ def test_audit_refuses_sizes_that_are_not_positive_whole_numbers(tmp_path, capsy
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("flags", [["--gap", "nan"], ["--time-limit", "-1"]])
+def test_solve_refuses_bad_solver_options_for_a_planner_without_a_milp(tmp_path, capsys,
+                                                                       flags):
+    gen = _small(tmp_path, "gen")
+    out = tmp_path / "heu"
+    assert cli.main(["solve", "--instance", str(gen / "instance.json"), "--method", "heu",
+                     "--out", str(out)] + flags) == 3
+    doc = _stderr_doc(capsys)
+    assert doc["exit_code"] == 3 and "invalid solver option" in doc["message"]
+    assert not out.exists()
+
+
 def test_usage_errors_exit_3(tmp_path, capsys):
     assert cli.main(["solve"]) == 3
     assert _stderr_doc(capsys)["error"] == "UsageError"

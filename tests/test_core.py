@@ -1,5 +1,10 @@
 """Data model, uncertainty vertices, cost functions, serialization."""
 
+import csv
+import io
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +20,12 @@ from edgeplan.core import (
     count_vertices,
     demand_from_g,
     enumerate_vertices,
+    instance_from_json,
+    instance_to_json,
     provisioning_cost,
     sample_failures,
 )
-from helpers import random_instance, tiny_instance
+from helpers import random_instance, sparse_eligibility, tiny_instance
 
 
 def test_demand_from_g_full_deviation():
@@ -140,6 +147,57 @@ def test_instance_validation_errors():
         tiny_instance(budget=-5.0)
 
 
+def _from_doc(**changes):
+    return instance_from_json({**instance_to_json(tiny_instance()), **changes})
+
+
+def _read_garbage(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    core.load_instance(str(path))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda _: tiny_instance(price=[math.nan]), InstanceError, "price must be finite"),
+    (lambda _: UncertaintyModel(1, 0, deviation_ratio=-0.5), InstanceError,
+     "deviation_ratio must be a nonnegative real"),
+    (lambda _: tiny_instance(delay=np.zeros((0, 1))), InstanceError,
+     "need at least one area and one node"),
+    (lambda _: tiny_instance(price=[0.1, 0.2]), InstanceError,
+     "price must be a vector of length 1"),
+    (lambda _: tiny_instance(initial_placement=[2]), InstanceError,
+     "initial_placement entries must be bits"),
+    (lambda _: tiny_instance(beta=-0.1), InstanceError, "beta must be a nonnegative real"),
+    (lambda _: tiny_instance(dmax=math.nan), InstanceError,
+     "dmax must be a number or infinity"),
+    (lambda _: tiny_instance(uncertainty=(0, 0)), InstanceError,
+     "uncertainty must be an UncertaintyModel"),
+    (lambda _: tiny_instance(eligibility=[[1, 1]]), InstanceError,
+     r"eligibility must have shape \(1, 1\)"),
+    (lambda _: tiny_instance(eligibility=[[2]]), InstanceError,
+     "eligibility entries must be bits"),
+    (lambda _: FirstStagePlan([1, 0], [1.0]), InstanceError,
+     "must be vectors of equal length"),
+    (lambda _: FirstStagePlan([2], [1.0]), InstanceError, "placement entries must be bits"),
+    (lambda _: FirstStagePlan([1, 0], [1.0, 0.0]).validate(tiny_instance()), InstanceError,
+     "plan length does not match the instance"),
+    (lambda _: Scenario([[1.0]], [0]), ScenarioError, "scenario fields must be vectors"),
+    (lambda _: Scenario([1.0], [2]), ScenarioError, "failures entries must be bits"),
+    (lambda _: demand_from_g(tiny_instance(), [0.0, 0.0]), ScenarioError,
+     "g must have length 1"),
+    (lambda _: _from_doc(areas=0), InstanceError, "'areas': must be a positive whole number"),
+    (lambda _: _from_doc(prices=[0.1, 0.2]), InstanceError, "'prices': must have length 1"),
+    (lambda _: _from_doc(delays=[[1.0, 2.0]]), InstanceError, "'delays': must be 1x1"),
+    (_read_garbage, InstanceError, "not valid JSON"),
+], ids=["nonfinite", "deviation-ratio", "empty", "vector-length", "placement-bits", "beta",
+        "dmax-nan", "uncertainty-type", "eligibility-shape", "eligibility-bits",
+        "plan-lengths", "plan-bits", "plan-vs-instance", "scenario-shape", "failure-bits",
+        "g-length", "file-areas", "file-vector", "file-delays", "file-not-json"])
+def test_refusals_name_what_is_wrong(tmp_path, build, error, match):
+    with pytest.raises(error, match=match):
+        build(tmp_path)
+
+
 def test_replace_rederives_eligibility():
     inst = tiny_instance(delay=[[4.0]], dmax=10.0)
     tighter = inst.replace(dmax=3.0, eligibility=None)
@@ -167,16 +225,24 @@ def test_subset_takes_prefixes_and_clamps_budgets():
 
 
 def test_instance_json_roundtrip(tmp_path):
-    inst = random_instance(np.random.default_rng(2), 3, 4)
+    rng = np.random.default_rng(2)
+    inst = random_instance(rng, 3, 4)
+    # an eligibility that no dmax derives travels in the file
+    masked = inst.replace(eligibility=sparse_eligibility(rng, 3, 4))
     path = tmp_path / "inst.json"
-    core.save_instance(inst, str(path))
-    back = core.load_instance(str(path))
-    for field in ("price", "capacity", "placement_cost", "storage_cost",
-                  "initial_placement", "delay", "unmet_penalty",
-                  "nominal_demand", "demand_deviation", "eligibility"):
-        assert np.allclose(getattr(inst, field), getattr(back, field)), field
-    assert inst.uncertainty == back.uncertainty
-    assert (inst.beta, inst.budget) == (back.beta, back.budget)
+    for case in (inst, masked):
+        core.save_instance(case, str(path))
+        assert ("eligibility" in json.loads(path.read_text())) == (case is masked)
+        back = core.load_instance(str(path))
+        for field in ("price", "capacity", "placement_cost", "storage_cost",
+                      "initial_placement", "delay", "unmet_penalty",
+                      "nominal_demand", "demand_deviation", "eligibility"):
+            assert np.allclose(getattr(case, field), getattr(back, field)), field
+        assert case.uncertainty == back.uncertainty
+        assert (case.beta, case.budget) == (back.beta, back.budget)
+    # delays may also be given as a nested IxJ list
+    nested = instance_from_json({**instance_to_json(inst), "delays": inst.delay.tolist()})
+    assert np.array_equal(nested.delay, inst.delay)
 
 
 def test_instance_json_roundtrip_with_alpha_and_dmax(tmp_path):
@@ -227,6 +293,25 @@ def test_scenario_key_identity():
     c = Scenario([5.0, 6.5], [0, 1])
     assert a.key() == b.key()
     assert a.key() != c.key()
+
+
+def test_csv_text_renders_every_cell_by_one_rule():
+    cell = 'a "quoted", two-line\ncell'
+    text = core.csv_text(["nan", "float", "int", "text"],
+                         [[math.nan, 1 / 3, 10**13, cell], [np.float64(2.5), -math.inf, 0, ""]])
+    assert text.startswith("nan,float,int,text\n,0.333333333333,10000000000000,")
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["nan", "float", "int", "text"],
+        ["", "0.333333333333", "10000000000000", cell],
+        ["2.5", "-inf", "0", ""],
+    ]
+
+
+def test_canonical_json_writes_numpy_scalars_and_nonfinite_floats():
+    doc = {"b": np.int64(3), "a": [np.float64(-math.inf), math.nan, (np.float64(0.5), 1)]}
+    text = core.canonical_json(doc)
+    assert json.loads(text) == {"a": ["-inf", "nan", [0.5, 1]], "b": 3}
+    assert text == core.canonical_json(json.loads(text))
 
 
 def test_atomic_write_replaces_whole_file(tmp_path):

@@ -1,6 +1,8 @@
 """Recourse replay, Monte-Carlo scoring, certification, and sweeps."""
 
+import csv
 import hashlib
+import io
 import math
 import warnings
 
@@ -729,15 +731,19 @@ def test_sweep_validation():
 
 def test_sweep_csv_layout():
     inst = random_instance(np.random.default_rng(167), 2, 2, gamma=1, k=1)
-    rows = sensitivity_sweep(inst, "K", [0, 99], methods=("det",),
+    rows = sensitivity_sweep(inst, "K", [0, 99, 1.5], methods=("det",),
                              num_test_scenarios=10)
     text = sweep_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == ("axis,value,method,objective,provisioning,average_cost,"
                         "worst_cost,certified_worst,wall_seconds,error")
-    assert len(lines) == 3
+    assert len(lines) == 4
     good = lines[1].split(",")
     assert good[0] == "K" and good[2] == "det" and good[-1] == ""
     bad = lines[2].split(",")
     assert bad[3] == ""  # nan objective serializes empty
     assert bad[-1] != ""
+    # an error holding a comma stays one quoted cell
+    parsed = list(csv.DictReader(io.StringIO(text)))
+    assert all(len(row) == 10 and None not in row for row in parsed)
+    assert parsed[2]["error"] == "failure_budget must be a nonnegative integer, got 1.5"
