@@ -9,7 +9,9 @@ linearized bilinear terms (one dual per node), and a KKT (Fortuny-Amat)
 system that complements the node, cover, x-column and q-column rows only.
 Neither prices the box x_ij <= a_ij C_j, which the node row implies.  The
 extensive-form MILP over the full vertex set serves as the exactness
-oracle for both.
+oracle for both.  Each `run_ccg` call keeps its models live in HiGHS: one
+master, grown by a recourse block per pooled vertex, and one duality-oracle
+model, re-priced for each plan.
 """
 
 from __future__ import annotations
@@ -178,20 +180,50 @@ def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
     return FirstStagePlan(t_val, y_val)
 
 
+class _Master:
+    """A CCG master that grows: the first stage and eta, then one recourse
+    block per pooled vertex, in pool order.  Its `milp.Handle` is opened at
+    the first solve, with that solve's time limit, and passes HiGHS each
+    later block."""
+
+    def __init__(self, instance: ProblemInstance):
+        self.instance = instance
+        self.model = milp.Model("ccg-master")
+        self.t, self.y, (ids, coeffs) = _build_first_stage(self.model, instance)
+        self.eta = self.model.add_var(lb=0.0)
+        self.model.set_objective(np.append(ids, self.eta), np.append(coeffs, 1.0))
+        self.vertices = 0
+        self.handle: milp.Handle | None = None
+
+    def solve(self, vertex_pool: list[Scenario], mip_gap: float | None,
+              time_limit: float | None) -> MasterSolution:
+        for scenario in vertex_pool[self.vertices:]:
+            _add_recourse_block(self.model, self.instance, scenario, self.t, self.y, self.eta)
+        self.vertices = len(vertex_pool)
+        if self.handle is None:
+            self.handle = milp.Handle(self.model, mip_gap=mip_gap, time_limit=time_limit)
+        else:
+            self.handle.set_mip_gap(mip_gap)
+        result = self.handle.solve()
+        plan = _extract_plan(self.instance, result, self.t, self.y)
+        return MasterSolution(plan=plan, eta=float(result.value(self.eta)),
+                              lower_bound=result.dual_bound, objective=result.objective,
+                              gap=result.gap, status=result.status)
+
+
 def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
-                 mip_gap: float | None = None, time_limit: float | None = None) -> MasterSolution:
-    """Master MILP over the pooled vertices; its dual bound is the global LB."""
-    model = milp.Model("ccg-master")
-    t, y, (ids, coeffs) = _build_first_stage(model, instance)
-    eta = model.add_var(lb=0.0)
-    for scenario in vertex_pool:
-        _add_recourse_block(model, instance, scenario, t, y, eta)
-    model.set_objective(np.append(ids, eta), np.append(coeffs, 1.0))
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    plan = _extract_plan(instance, result, t, y)
-    return MasterSolution(plan=plan, eta=float(result.value(eta)),
-                          lower_bound=result.dual_bound, objective=result.objective,
-                          gap=result.gap, status=result.status)
+                 mip_gap: float | None = None, time_limit: float | None = None,
+                 kept: dict | None = None) -> MasterSolution:
+    """Master MILP over the pooled vertices; its dual bound is the global LB.
+
+    `kept` holds the models of one `run_ccg` call.  The master kept there
+    holds the pool of the previous call, a prefix of `vertex_pool`: it grows
+    by the new vertices and re-solves.  Without `kept`, a new master is built.
+    """
+    kept = {} if kept is None else kept
+    if "ccg-master" not in kept:
+        kept["ccg-master"] = _Master(instance)
+    return kept["ccg-master"].solve(vertex_pool, mip_gap, time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +299,30 @@ def _build_duality_model(instance: ProblemInstance, plan: FirstStagePlan, m_u: f
 
 
 def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
-                             mip_gap: float | None = None,
-                             time_limit: float | None = None) -> SubproblemSolution:
-    """Worst-case second-stage cost for a plan, via the dual MILP."""
-    # the tightest exact box (see _build_duality_model); a wider one gives the
-    # same maximum with a weaker LP relaxation.  Among tied worst vertices the
-    # width can change which one HiGHS returns, and with it the CCG trace
-    m_u = float(instance.unmet_penalty.max(initial=0.0))
-    model, blocks = _build_duality_model(instance, plan, m_u)
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
+                             mip_gap: float | None = None, time_limit: float | None = None,
+                             kept: dict | None = None) -> SubproblemSolution:
+    """Worst-case second-stage cost for a plan, via the dual MILP.
+
+    The plan enters only through the costs of U and u (see
+    `_build_duality_model`), so the model in `kept`, the models of one
+    `run_ccg` call, is re-priced for each later plan and re-solved.
+    """
+    kept = {} if kept is None else kept
+    if "subproblem-duality" in kept:
+        handle, blocks = kept["subproblem-duality"]
+        stock = plan.live_stock(instance)
+        handle.change_costs(np.concatenate([blocks["U"], blocks["u"]]),
+                            np.concatenate([stock, -stock]))
+        handle.set_mip_gap(mip_gap)
+    else:
+        # the tightest exact box (see _build_duality_model); a wider one gives the
+        # same maximum with a weaker LP relaxation.  Among tied worst vertices the
+        # width can change which one HiGHS returns, and with it the CCG trace
+        m_u = float(instance.unmet_penalty.max(initial=0.0))
+        model, blocks = _build_duality_model(instance, plan, m_u)
+        handle = milp.Handle(model, mip_gap=mip_gap, time_limit=time_limit)
+        kept["subproblem-duality"] = handle, blocks
+    result = handle.solve()
     return _worst_case_answer(instance, result, blocks["g"], blocks["z"])
 
 
@@ -298,9 +345,13 @@ def _add_complement(model: milp.Model, a: np.ndarray, a_big, ids: np.ndarray, co
 
 
 def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
-                         mip_gap: float | None = None,
-                         time_limit: float | None = None) -> SubproblemSolution:
+                         mip_gap: float | None = None, time_limit: float | None = None,
+                         kept: dict | None = None) -> SubproblemSolution:
     """Worst-case second-stage cost via the inner LP's optimality system.
+
+    Built anew on every call, so it keeps nothing in `kept`: the live stock
+    sits in matrix coefficients, where a zero stock leaves its entries out,
+    so an edited model could differ from a fresh build.
 
     The inner LP is the one the duality oracle dualizes, the replay's (see
     `evaluation.solve_recourse_batch`, its w and r at their bounds): one row
@@ -408,19 +459,20 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     converged = False
     message = ""
 
+    kept: dict = {}  # the master and oracle models of this call
     for r in range(0, max_iterations + 1):
         master_seconds = subproblem_seconds = 0.0
         plan = sub = None
         for master_solves in (1, 2):
             start = time.perf_counter()
             master = solve_master(instance, state.pool, mip_gap=master_gap,
-                                  time_limit=time_limit)
+                                  time_limit=time_limit, kept=kept)
             middle = time.perf_counter()
             lower = max(lower, master.lower_bound)
             if plan is None or not (np.array_equal(master.plan.placement, plan.placement) and
                                     np.array_equal(master.plan.procurement, plan.procurement)):
                 plan = master.plan
-                sub = subproblem(instance, plan, mip_gap=floor, time_limit=time_limit)
+                sub = subproblem(instance, plan, mip_gap=floor, time_limit=time_limit, kept=kept)
                 candidate = provisioning_cost(instance, plan) + sub.bound
                 if candidate < upper:
                     upper = candidate

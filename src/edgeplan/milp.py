@@ -8,9 +8,11 @@ only on the true entries of a mask, with the id `PAD` elsewhere.  Rows are
 array) in which `PAD` leaves a term out, so that a block's rows may differ
 in length.  A `Handle` assembles one model into a column-wise sparse matrix
 and passes it to HiGHS through scipy's bundled binding, the package's one
-HiGHS call site; `solve` opens a handle and solves once.  A handle
-re-solves after column-bound edits, starting from the previous basis.
-A solve returns a point (the optimum, or a MIP incumbent at a limit) or
+HiGHS call site; `solve` opens a handle and solves once.  A handle stays
+live: it re-solves after column-bound and cost edits or a new MIP gap, an
+LP from the previous basis, and passes HiGHS what its model gained since
+the last solve, so a model can grow between solves (CCG's master).  A
+solve returns a point (the optimum, or a MIP incumbent at a limit) or
 raises an error naming the model; results carry no dual values.
 """
 
@@ -25,12 +27,24 @@ from scipy import sparse
 
 # the oldest scipy whose HiGHS binding has every method called below
 _SCIPY_FLOOR = "1.15"
+# every method of the binding's `_Highs` that this module calls
+_HIGHS_METHODS = ("addCols", "addRows", "changeColsBounds", "changeColsCost",
+                 "changeColsIntegrality", "getInfo", "getModelStatus", "getSolution",
+                 "modelStatusToString", "passModel", "run", "setOptionValue")
+
+
+def _old_scipy(lacking: str) -> ImportError:
+    return ImportError(f"edgeplan needs scipy>={_SCIPY_FLOOR} for its bundled HiGHS binding; "
+                       f"scipy {scipy.__version__} is installed, without {lacking}")
+
+
 try:
     from scipy.optimize._highspy import _core as highs
 except ImportError as exc:  # pragma: no cover - depends on the installed scipy
-    raise ImportError(f"edgeplan needs scipy>={_SCIPY_FLOOR} for its bundled HiGHS binding "
-                      f"(scipy.optimize._highspy._core); scipy {scipy.__version__} "
-                      "is installed") from exc
+    raise _old_scipy("scipy.optimize._highspy._core") from exc
+_lacking = [name for name in _HIGHS_METHODS if not hasattr(highs._Highs, name)]
+if _lacking:  # pragma: no cover - depends on the installed scipy
+    raise _old_scipy(", ".join(f"_Highs.{name}" for name in _lacking))
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -223,37 +237,52 @@ def check_options(*, mip_gap: float | None = None,
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     for name, value in options.items():
-        # HiGHS's range check lets NaN through
-        if math.isnan(value) or h.setOptionValue(name, value) == highs.HighsStatus.kError:
-            raise ValueError(f"invalid solver option {name}={value!r}")
+        _set_option(h, name, value)
     return h
 
 
-class Handle:
-    """One model passed to HiGHS, re-solvable after column-bound edits.
+def _set_option(h: highs._Highs, name: str, value: float) -> None:
+    # HiGHS's range check lets NaN through
+    if math.isnan(value) or h.setOptionValue(name, value) == highs.HighsStatus.kError:
+        raise ValueError(f"invalid solver option {name}={value!r}")
 
-    `solve` after `change_col_bounds` starts from the previous basis.  A
-    handle belongs to the call that opened it: sweeps run cells on threads,
-    so never cache or share one.
+
+def _matrix(model: Model, row_block: int, shape: tuple[int, int]) -> sparse.coo_matrix:
+    """The model's rows from its `row_block`-th `add_constr` call on, as a
+    sparse matrix of `shape`."""
+    sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes[row_block:]])
+    # the empty heads let a model without rows assemble too
+    return sparse.coo_matrix(
+        (np.concatenate([np.empty(0), *model._row_coeffs[row_block:]]),
+         (np.repeat(np.arange(shape[0], dtype=np.int64), sizes),
+          np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids[row_block:]]))),
+        shape=shape)
+
+
+class Handle:
+    """One model passed to HiGHS and kept there, re-solvable after edits.
+
+    The handle keeps its `Model`, which may grow: `solve` first passes
+    HiGHS the columns and rows added to the model since the handle last
+    saw it, new columns priced by the model's objective.  An existing
+    column's cost changes only through `change_costs`, its bounds through
+    `change_col_bounds`; `set_mip_gap` sets the gap of later solves.  An LP
+    re-solve starts from the previous basis.  `time_limit` bounds each
+    solve on its own: HiGHS's run time adds up over the solves of one
+    handle, but every solve gets the whole limit.  A handle belongs to the
+    call that opened it: sweeps run cells on threads, so never cache or
+    share one.
     """
 
     def __init__(self, model: Model, *, mip_gap: float | None = None,
                  time_limit: float | None = None):
         n, m = model.num_vars, model.num_constraints
-        self._name = model.name
+        self._model = model
         self._sign = -1.0 if model.maximize else 1.0
-        obj_ids, obj_coeffs = model._obj
-        # the empty heads let a model without rows assemble too
-        sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes])
-        a = sparse.coo_matrix(
-            (np.concatenate([np.empty(0), *model._row_coeffs]),
-             (np.repeat(np.arange(m, dtype=np.int64), sizes),
-              np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids]))),
-            shape=(m, n),
-        ).tocsc()
+        a = _matrix(model, 0, (m, n)).tocsc()
         lp = highs.HighsLp()
         lp.num_col_, lp.num_row_ = n, m
-        lp.col_cost_ = self._sign * np.bincount(obj_ids, weights=obj_coeffs, minlength=n)
+        lp.col_cost_ = self._costs(0)
         lp.col_lower_, lp.col_upper_ = np.concatenate(model._lb), np.concatenate(model._ub)
         lp.row_lower_, lp.row_upper_ = np.array(model._row_lo), np.array(model._row_hi)
         matrix = lp.a_matrix_
@@ -266,11 +295,44 @@ class Handle:
             lp.integrality_ = [_VAR_TYPES[k] for k in integrality.tolist()]
         self._highs = check_options(mip_gap=mip_gap, time_limit=time_limit)
         self._checked(self._highs.passModel(lp), f"model {model.name!r}")
+        self._seen = (n, m, len(model._lb), len(model._row_ids))
 
     @staticmethod
     def _checked(status, what: str) -> None:
         if status == highs.HighsStatus.kError:
             raise BackendError(f"HiGHS rejected the {what}")
+
+    def _costs(self, start: int) -> np.ndarray:
+        """HiGHS's (minimizing) costs of the model's columns from `start` on."""
+        ids, coeffs = self._model._obj
+        costs = np.bincount(ids, weights=coeffs, minlength=self._model.num_vars)
+        return self._sign * costs[start:]
+
+    def _sync(self) -> None:
+        """Pass HiGHS the columns and rows added to the model since it last saw it."""
+        model = self._model
+        n0, m0, col_blocks, row_blocks = self._seen
+        n, m = model.num_vars, model.num_constraints
+        if n > n0:
+            empty = np.empty(0, dtype=np.int32)
+            self._checked(self._highs.addCols(n - n0, self._costs(n0),
+                                              np.concatenate(model._lb[col_blocks:]),
+                                              np.concatenate(model._ub[col_blocks:]),
+                                              0, empty, empty, np.empty(0)), "added columns")
+            integer = np.concatenate(model._integer[col_blocks:]).astype(bool)
+            if integer.any():
+                self._is_mip = True
+                cols = np.arange(n0, n, dtype=np.int32)[integer]
+                kinds = np.full(cols.size, int(highs.HighsVarType.kInteger), dtype=np.uint8)
+                self._checked(self._highs.changeColsIntegrality(cols.size, cols, kinds),
+                              "added integer columns")
+        if m > m0:
+            a = _matrix(model, row_blocks, (m - m0, n)).tocsr()
+            self._checked(self._highs.addRows(m - m0, np.array(model._row_lo[m0:]),
+                                              np.array(model._row_hi[m0:]), a.nnz,
+                                              a.indptr[:-1].astype(np.int32),
+                                              a.indices.astype(np.int32), a.data), "added rows")
+        self._seen = (n, m, len(model._lb), len(model._row_ids))
 
     def change_col_bounds(self, cols, lo, hi) -> None:
         """Set `lo <= x <= hi` on the given columns, all three broadcast
@@ -280,9 +342,23 @@ class Handle:
                                                    lo.astype(float), hi.astype(float)),
                       "column-bound edit")
 
+    def change_costs(self, cols, costs) -> None:
+        """Set the objective coefficients of the given columns, in the
+        model's own sense, in one binding call."""
+        cols, costs = (a.ravel() for a in np.broadcast_arrays(cols, costs))
+        self._checked(self._highs.changeColsCost(cols.size, cols.astype(np.int32),
+                                                 self._sign * costs.astype(float)),
+                      "cost edit")
+
+    def set_mip_gap(self, mip_gap: float | None) -> None:
+        """Demand this relative gap (default 1e-6) from later MIP solves."""
+        _set_option(self._highs, "mip_rel_gap",
+                    DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap))
+
     def solve(self) -> SolveResult:
         """Return the optimum or a MIP's incumbent at a limit; without a
         point, raise the `_STATUS` error, naming the model."""
+        self._sync()
         self._highs.run()
         model_status = self._highs.getModelStatus()
         info = self._highs.getInfo()
@@ -290,7 +366,7 @@ class Handle:
         # an LP stopped early has no usable point; a MIP has one if it has an incumbent
         if not (status == "optimal" or status == "limit" and self._is_mip
                 and info.objective_function_value != highs.kHighsInf):
-            raise error(f"model {self._name!r} ended without a point: "
+            raise error(f"model {self._model.name!r} ended without a point: "
                         f"{self._highs.modelStatusToString(model_status)}")
         values = self._highs.getSolution().col_value
         objective = self._sign * info.objective_function_value

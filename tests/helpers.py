@@ -122,21 +122,23 @@ def exhaustive_two_stage(instance, scenarios):
 
 
 def stop_at_limit(monkeypatch, names, loosen=0.0):
-    """Make `milp.solve` return each model named in `names` as a MIP stopped at
-    its limit: the real optimum as the incumbent, with the dual bound moved
-    `loosen` (relative) away from it.  Returns the MIP gaps those solves got."""
-    real_solve = milp.solve
+    """Make `milp.Handle.solve`, one-shot or re-solve, return each model named
+    in `names` as a MIP stopped at its limit: the real optimum as the
+    incumbent, with the dual bound moved `loosen` (relative) away from it.
+    Returns the MIP gaps those solves got."""
+    real_solve = milp.Handle.solve
     gaps = []
 
-    def limited(model, **kwargs):
-        result = real_solve(model, **kwargs)
+    def limited(handle):
+        result = real_solve(handle)
+        model = handle._model
         if model.name not in names:
             return result
-        gaps.append(kwargs.get("mip_gap"))
+        gaps.append(handle._highs.getOptionValue("mip_rel_gap")[1])
         sense = -1.0 if model.maximize else 1.0
         bound = result.dual_bound - sense * loosen * abs(result.dual_bound)
         gap = abs(result.objective - bound) / max(1e-12, abs(result.objective))
         return milp.SolveResult("limit", result.objective, result.values, bound, gap)
 
-    monkeypatch.setattr(milp, "solve", limited)
+    monkeypatch.setattr(milp.Handle, "solve", limited)
     return gaps

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan import ccg, milp
+from edgeplan.milp import highs
 from edgeplan.adr import solve_adr
 from edgeplan.ccg import (
     run_ccg,
@@ -261,6 +262,67 @@ def test_duality_model_has_one_dual_per_node_and_no_box_duals():
     assert np.count_nonzero(inst.served_capacity) == 10
     assert (model.num_vars, model.num_constraints) == (60, 10 + 3 * 10 + 3 * 10 + 2)
     assert sorted(blocks) == ["U", "g", "s", "u", "v", "z"]
+
+
+def _passed_model(handle: milp.Handle) -> dict:
+    """What HiGHS holds of a handle's model, as plain lists."""
+    lp = handle._highs.getLp()
+    matrix = lp.a_matrix_
+    assert matrix.format_ == highs.MatrixFormat.kColwise
+    fields = {name: np.asarray(getattr(lp, name)).tolist()
+              for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_")}
+    fields.update({name: np.asarray(getattr(matrix, name)).tolist()
+                   for name in ("start_", "index_", "value_")})
+    fields["integrality_"] = [int(kind) for kind in lp.integrality_]
+    return fields
+
+
+@pytest.mark.parametrize("case", ["dmax-3x3", "random-pool"])
+def test_live_master_is_the_master_a_fresh_build_gives(case):
+    # after each appended vertex, HiGHS holds what a fresh build over the same
+    # pool passes it, and both solve to the same bits
+    rng = np.random.default_rng(25)
+    if case == "dmax-3x3":
+        # every served pair has zero delay: zero coefficients in the epigraph row
+        inst = generate_instance(3, 3, seed=0, graph_nodes=12, dmax=8.0)
+        assert np.all(inst.delay[inst.served_capacity > 0] == 0)
+        vertices = vertex_scenarios(inst)
+        pool = [vertices[k] for k in rng.choice(len(vertices), 6, replace=False)]
+    else:
+        inst = random_instance(rng, 3, 4, gamma=2, k=1)
+        top = inst.nominal_demand + inst.demand_deviation
+        pool = [Scenario(rng.uniform(0, top) * rng.integers(0, 2, 3), rng.integers(0, 2, 4))
+                for _ in range(6)]
+    kept = {}
+    for r in range(len(pool) + 1):
+        live = solve_master(inst, pool[:r], mip_gap=1e-9, kept=kept)
+        built = {}
+        fresh = solve_master(inst, pool[:r], mip_gap=1e-9, kept=built)
+        assert kept["ccg-master"].handle is not built["ccg-master"].handle
+        assert _passed_model(kept["ccg-master"].handle) == _passed_model(
+            built["ccg-master"].handle), f"pool of {r}"
+        assert (live.plan.placement.tolist(), live.plan.procurement.tolist(), live.eta,
+                live.lower_bound, live.objective) == (
+            fresh.plan.placement.tolist(), fresh.plan.procurement.tolist(), fresh.eta,
+            fresh.lower_bound, fresh.objective), f"pool of {r}"
+
+
+def test_repriced_duality_oracle_answers_as_a_fresh_build():
+    # one model, its U and u re-priced per plan: the cut-free plan (no stock),
+    # random plans, a repeat, at two gaps
+    rng = np.random.default_rng(31)
+    inst = generate_instance(6, 6, seed=1)
+    plans = [FirstStagePlan(np.zeros(6), np.zeros(6))]
+    plans += [random_plan(rng, inst) for _ in range(5)]
+    plans.append(plans[2])
+    kept = {}
+    for k, plan in enumerate(plans):
+        gap = 1e-2 if k % 3 == 1 else 1e-7
+        live = solve_subproblem_duality(inst, plan, mip_gap=gap, kept=kept)
+        fresh = solve_subproblem_duality(inst, plan, mip_gap=gap)
+        assert (live.worst_scenario.key(), live.value, live.bound, live.status) == (
+            fresh.worst_scenario.key(), fresh.value, fresh.bound, fresh.status), f"plan {k}"
+    assert list(kept) == ["subproblem-duality"]
 
 
 def test_kkt_model_complements_four_row_blocks(monkeypatch):

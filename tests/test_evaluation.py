@@ -500,16 +500,16 @@ def test_certify_refuses_a_worst_case_stopped_at_a_limit(monkeypatch):
     # an oracle stopped at its limit holds an incumbent below the worst case
     inst = tiny_instance(gamma=1)
     plan = _plan([0], [0.0])
-    real_solve = milp.solve
+    real_solve = milp.Handle.solve
 
-    def stopped(model, **kwargs):
-        result = real_solve(model, **kwargs)
-        if not model.name.startswith("subproblem"):
+    def stopped(handle):
+        result = real_solve(handle)
+        if not handle._model.name.startswith("subproblem"):
             return result
         return milp.SolveResult("limit", result.objective - 1.0, result.values,
                                 result.objective, 1.0)
 
-    monkeypatch.setattr(milp, "solve", stopped)
+    monkeypatch.setattr(milp.Handle, "solve", stopped)
     for oracle in ("duality", "kkt"):
         with pytest.raises(milp.SolverLimitError, match=oracle):
             certify_worst_case(inst, plan, oracle=oracle)

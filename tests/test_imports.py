@@ -1,5 +1,5 @@
-"""Imports: every module uses each name it imports; the solver layer names its scipy floor;
-the package loads neither networkx nor scipy.stats."""
+"""Imports: every module uses each name it imports; the solver layer names its scipy floor
+and every binding method it calls; the package loads neither networkx nor scipy.stats."""
 
 import ast
 import os
@@ -39,6 +39,28 @@ def test_missing_highs_binding_names_the_scipy_floor():
     floor = re.search(r'"(scipy>=[0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
     assert proc.returncode != 0
     assert f"ImportError: edgeplan needs {floor} " in proc.stderr
+
+
+def test_scipy_floor_check_names_every_highs_method_the_package_calls():
+    # the solver layer is the one HiGHS call site; each binding method it
+    # calls is listed, so an older scipy fails on import and names the method
+    from scipy.optimize._highspy import _core
+
+    from edgeplan import milp
+
+    binding = {name for name in dir(_core._Highs) if not name.startswith("_")}
+    tree = ast.parse((ROOT / "src" / "edgeplan" / "milp.py").read_text(encoding="utf-8"))
+    called = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr in binding}
+    assert called == set(milp._HIGHS_METHODS)
+    code = ("from scipy.optimize._highspy import _core; del _core._Highs.addRows; "
+            "import edgeplan.milp")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    floor = re.search(r'"(scipy>=[0-9.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert proc.returncode != 0
+    assert f"ImportError: edgeplan needs {floor} " in proc.stderr
+    assert proc.stderr.rstrip().endswith(", without _Highs.addRows")
 
 
 def test_no_networkx_or_scipy_stats_is_loaded():

@@ -250,3 +250,72 @@ def test_handle_edits_match_fresh_solve():
     # a column the model does not have is refused, not ignored
     with pytest.raises(milp.BackendError, match="column-bound edit"):
         handle.change_col_bounds(6, 0.0, 1.0)
+
+
+def test_handle_passes_what_its_model_gained():
+    # columns (priced, some integer) and rows (over old and new columns, with
+    # a PAD term) added after a solve reach HiGHS at the next one
+    rng = np.random.default_rng(5)
+
+    def build(grown):
+        m = milp.Model("grow")
+        x = m.add_vars(3, ub=4.0)
+        m.add_constr(x, [1.0, 2.0, 1.0], milp.GE, 3.0)
+        m.set_objective(x, [1.0, 1.5, 2.0])
+        if grown:
+            y = m.add_vars(2, kind=milp.INTEGER, ub=5.0)
+            w = m.add_var(lb=0.5)
+            m.add_constr(np.array([[x[0], y[0], milp.PAD], [x[2], y[1], w]]),
+                         [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]], milp.GE, [2.5, 1.2])
+            m.set_objective(np.concatenate([x, y, [w]]), [1.0, 1.5, 2.0, 0.7, 0.4, 0.1])
+        return m
+
+    model = build(False)
+    handle = milp.Handle(model)
+    assert handle.solve().objective == pytest.approx(milp.solve(model).objective, rel=1e-12)
+    grown = build(True)
+    y = model.add_vars(2, kind=milp.INTEGER, ub=5.0)
+    w = model.add_var(lb=0.5)
+    model.add_constr(np.array([[0, y[0], milp.PAD], [2, y[1], w]]),
+                     [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]], milp.GE, [2.5, 1.2])
+    model.set_objective(np.arange(6), [1.0, 1.5, 2.0, 0.7, 0.4, 0.1])
+    got, want = handle.solve(), milp.solve(grown)
+    assert got.objective == pytest.approx(want.objective, rel=1e-12)
+    # y is integral: the LP relaxation would buy 1.7 of y[1]
+    assert np.allclose(got.values, want.values) and got.values[3:5].tolist() == [0.0, 2.0]
+    # a cost edit on an old column, in the model's own sense
+    costs = rng.uniform(0.5, 2.0, 6)
+    handle.change_costs(np.arange(6), costs)
+    grown.set_objective(np.arange(6), costs)
+    assert handle.solve().objective == pytest.approx(milp.solve(grown).objective, rel=1e-12)
+    with pytest.raises(milp.BackendError, match="cost edit"):
+        handle.change_costs(6, 1.0)
+    with pytest.raises(ValueError, match="mip_rel_gap"):
+        handle.set_mip_gap(math.nan)
+
+
+def test_time_limit_bounds_each_solve_of_a_live_handle():
+    # HiGHS's run time adds up over the solves of one handle, but each solve
+    # gets the whole limit: re-solves past it in total still end optimal
+    rng = np.random.default_rng(11)
+    weights = rng.uniform(1, 3, 12)
+
+    def build(values):
+        m = milp.Model("knapsack", maximize=True)
+        x = m.add_vars(12, kind=milp.BINARY)
+        m.add_constr(x, weights, milp.LE, 9.0)
+        m.set_objective(x, values)
+        return m, x
+
+    limit = 0.05
+    model, x = build(rng.uniform(1, 4, 12))
+    handle = milp.Handle(model, time_limit=limit)
+    for _ in range(1000):
+        values = rng.uniform(1, 4, 12)
+        handle.change_costs(x, values)
+        got = handle.solve()
+        assert got.status == "optimal"
+        assert got.objective == pytest.approx(milp.solve(build(values)[0]).objective, rel=1e-9)
+        if handle._highs.getRunTime() > 3 * limit:
+            break
+    assert handle._highs.getRunTime() > 3 * limit
