@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan import ccg, milp
-from edgeplan.milp import highs
 from edgeplan.adr import solve_adr
 from edgeplan.ccg import (
     run_ccg,
@@ -268,7 +267,7 @@ def _passed_model(handle: milp.Handle) -> dict:
     """What HiGHS holds of a handle's model, as plain lists."""
     lp = handle._highs.getLp()
     matrix = lp.a_matrix_
-    assert matrix.format_ == highs.MatrixFormat.kColwise
+    assert matrix.format_ == milp.highs.MatrixFormat.kColwise
     fields = {name: np.asarray(getattr(lp, name)).tolist()
               for name in ("col_cost_", "col_lower_", "col_upper_", "row_lower_", "row_upper_")}
     fields.update({name: np.asarray(getattr(matrix, name)).tolist()
