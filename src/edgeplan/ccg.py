@@ -182,28 +182,23 @@ def _extract_plan(instance: ProblemInstance, result: milp.SolveResult,
 
 class _Master:
     """A CCG master that grows: the first stage and eta, then one recourse
-    block per pooled vertex, in pool order.  Its `milp.Handle` is opened at
-    the first solve, with that solve's time limit, and passes HiGHS each
-    later block."""
+    block per pooled vertex, in pool order.  Its `milp.Handle`, opened with
+    the first stage, passes HiGHS each later block."""
 
-    def __init__(self, instance: ProblemInstance):
+    def __init__(self, instance: ProblemInstance, time_limit: float | None):
         self.instance = instance
         self.model = milp.Model("ccg-master")
         self.t, self.y, (ids, coeffs) = _build_first_stage(self.model, instance)
         self.eta = self.model.add_var(lb=0.0)
         self.model.set_objective(np.append(ids, self.eta), np.append(coeffs, 1.0))
         self.vertices = 0
-        self.handle: milp.Handle | None = None
+        self.handle = milp.Handle(self.model, time_limit=time_limit)
 
-    def solve(self, vertex_pool: list[Scenario], mip_gap: float | None,
-              time_limit: float | None) -> MasterSolution:
+    def solve(self, vertex_pool: list[Scenario], mip_gap: float | None) -> MasterSolution:
         for scenario in vertex_pool[self.vertices:]:
             _add_recourse_block(self.model, self.instance, scenario, self.t, self.y, self.eta)
         self.vertices = len(vertex_pool)
-        if self.handle is None:
-            self.handle = milp.Handle(self.model, mip_gap=mip_gap, time_limit=time_limit)
-        else:
-            self.handle.set_mip_gap(mip_gap)
+        self.handle.set_mip_gap(mip_gap)
         result = self.handle.solve()
         plan = _extract_plan(self.instance, result, self.t, self.y)
         return MasterSolution(plan=plan, eta=float(result.value(self.eta)),
@@ -217,13 +212,14 @@ def solve_master(instance: ProblemInstance, vertex_pool: list[Scenario], *,
     """Master MILP over the pooled vertices; its dual bound is the global LB.
 
     `kept` holds the models of one `run_ccg` call.  The master kept there
-    holds the pool of the previous call, a prefix of `vertex_pool`: it grows
-    by the new vertices and re-solves.  Without `kept`, a new master is built.
+    holds the pool of the previous call, a prefix of `vertex_pool`, and its
+    first call's `time_limit`.  Every call grows the master by the new
+    vertices and solves it at `mip_gap`; without `kept`, the master is new.
     """
     kept = {} if kept is None else kept
     if "ccg-master" not in kept:
-        kept["ccg-master"] = _Master(instance)
-    return kept["ccg-master"].solve(vertex_pool, mip_gap, time_limit)
+        kept["ccg-master"] = _Master(instance, time_limit)
+    return kept["ccg-master"].solve(vertex_pool, mip_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +300,23 @@ def solve_subproblem_duality(instance: ProblemInstance, plan: FirstStagePlan, *,
     """Worst-case second-stage cost for a plan, via the dual MILP.
 
     The plan enters only through the costs of U and u (see
-    `_build_duality_model`), so the model in `kept`, the models of one
-    `run_ccg` call, is re-priced for each later plan and re-solved.
+    `_build_duality_model`).  The model is built once per `kept`, the
+    models of one `run_ccg` call, with its first call's `time_limit`; every
+    call, the first included, prices U and u for its plan and solves.
     """
     kept = {} if kept is None else kept
-    if "subproblem-duality" in kept:
-        handle, blocks = kept["subproblem-duality"]
-        stock = plan.live_stock(instance)
-        handle.change_costs(np.concatenate([blocks["U"], blocks["u"]]),
-                            np.concatenate([stock, -stock]))
-        handle.set_mip_gap(mip_gap)
-    else:
+    if "subproblem-duality" not in kept:
         # the tightest exact box (see _build_duality_model); a wider one gives the
         # same maximum with a weaker LP relaxation.  Among tied worst vertices the
         # width can change which one HiGHS returns, and with it the CCG trace
         m_u = float(instance.unmet_penalty.max(initial=0.0))
         model, blocks = _build_duality_model(instance, plan, m_u)
-        handle = milp.Handle(model, mip_gap=mip_gap, time_limit=time_limit)
-        kept["subproblem-duality"] = handle, blocks
+        kept["subproblem-duality"] = milp.Handle(model, time_limit=time_limit), blocks
+    handle, blocks = kept["subproblem-duality"]
+    stock = plan.live_stock(instance)
+    handle.change_costs(np.concatenate([blocks["U"], blocks["u"]]),
+                        np.concatenate([stock, -stock]))
+    handle.set_mip_gap(mip_gap)
     result = handle.solve()
     return _worst_case_answer(instance, result, blocks["g"], blocks["z"])
 
@@ -442,7 +437,10 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     without being optimal over the pool, so such a repeat re-solves that
     iteration's master at the floor, where the gap then stays, and calls
     the oracle again only if the plan changed; a repeat under a master at
-    the floor, or stopped at its solver limit, stops the run.
+    the floor, or stopped at its solver limit, stops the run.  A master or
+    oracle stopped at its solver limit without a point (`SolverLimitError`)
+    ends the run unconverged with the incumbent, or raises before there is
+    one.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -463,29 +461,36 @@ def run_ccg(instance: ProblemInstance, oracle: str = "duality", eps: float = DEF
     for r in range(0, max_iterations + 1):
         master_seconds = subproblem_seconds = 0.0
         plan = sub = None
-        for master_solves in (1, 2):
-            start = time.perf_counter()
-            master = solve_master(instance, state.pool, mip_gap=master_gap,
-                                  time_limit=time_limit, kept=kept)
-            middle = time.perf_counter()
-            lower = max(lower, master.lower_bound)
-            if plan is None or not (np.array_equal(master.plan.placement, plan.placement) and
-                                    np.array_equal(master.plan.procurement, plan.procurement)):
-                plan = master.plan
-                sub = subproblem(instance, plan, mip_gap=floor, time_limit=time_limit, kept=kept)
-                candidate = provisioning_cost(instance, plan) + sub.bound
-                if candidate < upper:
-                    upper = candidate
-                    incumbent = plan
-            end = time.perf_counter()
-            master_seconds += middle - start
-            subproblem_seconds += end - middle
-            key = sub.worst_scenario.key()
-            repeated = key in seen
-            gap, converged = _gap_and_convergence(lower, upper, eps)
-            if converged or not repeated or master_gap <= floor or master.status == "limit":
-                break
-            master_gap = floor
+        try:
+            for master_solves in (1, 2):
+                start = time.perf_counter()
+                master = solve_master(instance, state.pool, mip_gap=master_gap,
+                                      time_limit=time_limit, kept=kept)
+                middle = time.perf_counter()
+                lower = max(lower, master.lower_bound)
+                if plan is None or not (np.array_equal(master.plan.placement, plan.placement) and
+                                        np.array_equal(master.plan.procurement, plan.procurement)):
+                    plan = master.plan
+                    sub = subproblem(instance, plan, mip_gap=floor, time_limit=time_limit,
+                                     kept=kept)
+                    candidate = provisioning_cost(instance, plan) + sub.bound
+                    if candidate < upper:
+                        upper = candidate
+                        incumbent = plan
+                end = time.perf_counter()
+                master_seconds += middle - start
+                subproblem_seconds += end - middle
+                key = sub.worst_scenario.key()
+                repeated = key in seen
+                gap, converged = _gap_and_convergence(lower, upper, eps)
+                if converged or not repeated or master_gap <= floor or master.status == "limit":
+                    break
+                master_gap = floor
+        except milp.SolverLimitError as exc:
+            if incumbent is None:
+                raise
+            message = f"solver limit at iteration {r}, keeping the incumbent: {exc}"
+            break
 
         state.trace.append(IterationRecord(
             iteration=r, lower_bound=lower, upper_bound=upper, gap=gap,

@@ -6,14 +6,15 @@ integrality stored per `add_vars` block; `add_masked_vars` numbers a block
 only on the true entries of a mask, with the id `PAD` elsewhere.  Rows are
 `lo <= a.x <= hi`, added one at a time or as a block of rows (a 2-D id
 array) in which `PAD` leaves a term out, so that a block's rows may differ
-in length.  A `Handle` assembles one model into a column-wise sparse matrix
-and passes it to HiGHS through scipy's bundled binding, the package's one
-HiGHS call site; `solve` opens a handle and solves once.  A handle stays
-live: it re-solves after column-bound and cost edits or a new MIP gap, an
-LP from the previous basis, and passes HiGHS what its model gained since
-the last solve, so a model can grow between solves (CCG's master).  A
-solve returns a point (the optimum, or a MIP incumbent at a limit) or
-raises an error naming the model; results carry no dual values.
+in length.  A `Handle` passes a model to HiGHS through scipy's bundled
+binding, the package's one HiGHS call site, by one path: the columns and
+rows the model gained since the handle last saw it, the whole model when
+the handle opens and its growth at each solve, so a model can grow between
+solves (CCG's master); `solve` opens a handle and solves once.  A handle
+stays live: it re-solves after column-bound and cost edits or a new MIP
+gap, an LP from the previous basis.  A solve returns a point (the optimum,
+or a MIP incumbent at a limit) or raises an error naming the model;
+results carry no dual values.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _SCIPY_FLOOR = "1.15"
 # every method of the binding's `_Highs` that this module calls
 _HIGHS_METHODS = ("addCols", "addRows", "changeColsBounds", "changeColsCost",
                  "changeColsIntegrality", "getInfo", "getModelStatus", "getSolution",
-                 "modelStatusToString", "passModel", "run", "setOptionValue")
+                 "modelStatusToString", "run", "setOptionValue")
 
 
 def _old_scipy(lacking: str) -> ImportError:
@@ -225,7 +226,6 @@ _STATUS = {
     highs.HighsModelStatus.kTimeLimit: ("limit", SolverLimitError),
     highs.HighsModelStatus.kIterationLimit: ("limit", SolverLimitError),
 }
-_VAR_TYPES = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
 
 
 def check_options(*, mip_gap: float | None = None,
@@ -262,40 +262,26 @@ def _matrix(model: Model, row_block: int, shape: tuple[int, int]) -> sparse.coo_
 class Handle:
     """One model passed to HiGHS and kept there, re-solvable after edits.
 
-    The handle keeps its `Model`, which may grow: `solve` first passes
-    HiGHS the columns and rows added to the model since the handle last
-    saw it, new columns priced by the model's objective.  An existing
-    column's cost changes only through `change_costs`, its bounds through
-    `change_col_bounds`; `set_mip_gap` sets the gap of later solves.  An LP
-    re-solve starts from the previous basis.  `time_limit` bounds each
-    solve on its own: HiGHS's run time adds up over the solves of one
-    handle, but every solve gets the whole limit.  A handle belongs to the
-    call that opened it: sweeps run cells on threads, so never cache or
-    share one.
+    The handle keeps its `Model`, which may grow.  Opening the handle and
+    each `solve` pass HiGHS the columns and rows added to the model since
+    the handle last saw it (at the opening, all of them), new columns
+    priced by the model's objective.  An existing column's cost changes
+    only through `change_costs`, its bounds through `change_col_bounds`;
+    `set_mip_gap` sets the gap of later solves.  An LP re-solve starts from
+    the previous basis.  `time_limit` bounds each solve on its own: HiGHS's
+    run time adds up over the solves of one handle, but every solve gets
+    the whole limit.  A handle belongs to the call that opened it: sweeps
+    run cells on threads, so never cache or share one.
     """
 
     def __init__(self, model: Model, *, mip_gap: float | None = None,
                  time_limit: float | None = None):
-        n, m = model.num_vars, model.num_constraints
         self._model = model
         self._sign = -1.0 if model.maximize else 1.0
-        a = _matrix(model, 0, (m, n)).tocsc()
-        lp = highs.HighsLp()
-        lp.num_col_, lp.num_row_ = n, m
-        lp.col_cost_ = self._costs(0)
-        lp.col_lower_, lp.col_upper_ = np.concatenate(model._lb), np.concatenate(model._ub)
-        lp.row_lower_, lp.row_upper_ = np.array(model._row_lo), np.array(model._row_hi)
-        matrix = lp.a_matrix_
-        matrix.format_ = highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = n, m
-        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
-        integrality = np.concatenate(model._integer)
-        self._is_mip = bool(integrality.any())
-        if self._is_mip:
-            lp.integrality_ = [_VAR_TYPES[k] for k in integrality.tolist()]
         self._highs = check_options(mip_gap=mip_gap, time_limit=time_limit)
-        self._checked(self._highs.passModel(lp), f"model {model.name!r}")
-        self._seen = (n, m, len(model._lb), len(model._row_ids))
+        self._seen = (0, 0, 0, 0)
+        self._is_mip = False
+        self._sync()
 
     @staticmethod
     def _checked(status, what: str) -> None:

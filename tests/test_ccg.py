@@ -308,9 +308,11 @@ def test_live_master_is_the_master_a_fresh_build_gives(case):
 
 def test_repriced_duality_oracle_answers_as_a_fresh_build():
     # one model, its U and u re-priced per plan: the cut-free plan (no stock),
-    # random plans, a repeat, at two gaps
+    # random plans, a repeat, at two gaps.  The reference is a one-shot solve
+    # of a model priced by Model.set_objective, not through change_costs
     rng = np.random.default_rng(31)
     inst = generate_instance(6, 6, seed=1)
+    m_u = float(inst.unmet_penalty.max())
     plans = [FirstStagePlan(np.zeros(6), np.zeros(6))]
     plans += [random_plan(rng, inst) for _ in range(5)]
     plans.append(plans[2])
@@ -318,7 +320,9 @@ def test_repriced_duality_oracle_answers_as_a_fresh_build():
     for k, plan in enumerate(plans):
         gap = 1e-2 if k % 3 == 1 else 1e-7
         live = solve_subproblem_duality(inst, plan, mip_gap=gap, kept=kept)
-        fresh = solve_subproblem_duality(inst, plan, mip_gap=gap)
+        model, blocks = ccg._build_duality_model(inst, plan, m_u)
+        fresh = ccg._worst_case_answer(inst, milp.solve(model, mip_gap=gap),
+                                       blocks["g"], blocks["z"])
         assert (live.worst_scenario.key(), live.value, live.bound, live.status) == (
             fresh.worst_scenario.key(), fresh.value, fresh.bound, fresh.status), f"plan {k}"
     assert list(kept) == ["subproblem-duality"]
@@ -460,6 +464,40 @@ def test_run_ccg_keeps_its_incumbent_when_masters_stop_at_a_limit(monkeypatch):
     # the plan is the incumbent whose certified worst case is the objective
     worst = solve_subproblem_duality(inst, res.plan).value
     assert provisioning_cost(inst, res.plan) + worst == pytest.approx(res.objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("stopped", ["oracle", "master"])
+def test_run_ccg_keeps_its_incumbent_when_a_later_solve_has_no_point(monkeypatch, stopped):
+    # the third oracle call, or the third master, stops at its limit without a
+    # point: two iterations have certified an incumbent, which the run keeps
+    inst = generate_instance(6, 6, seed=0)
+    name = {"oracle": "subproblem-duality", "master": "ccg-master"}[stopped]
+    real_solve = milp.Handle.solve
+    solves = []
+
+    def third_has_no_point(handle):
+        if handle._model.name == name:
+            solves.append(name)
+            if len(solves) == 3:
+                raise milp.SolverLimitError(f"model {name!r} ended without a point: "
+                                            "Time limit reached")
+        return real_solve(handle)
+
+    monkeypatch.setattr(milp.Handle, "solve", third_has_no_point)
+    res = run_ccg(inst)
+    trace = res.state.trace
+    assert len(solves) == 3 and len(trace) == 2
+    assert not res.converged
+    assert res.message == (f"solver limit at iteration 2, keeping the incumbent: "
+                           f"model {name!r} ended without a point: Time limit reached")
+    assert res.objective == min(rec.upper_bound for rec in trace) < np.inf
+    worst = solve_subproblem_duality(inst, res.plan).value
+    assert provisioning_cost(inst, res.plan) + worst == pytest.approx(res.objective, rel=1e-9)
+    # counted as third, the first such solve has no point: with no incumbent
+    # yet, the error is the run's
+    solves[:] = [name, name]
+    with pytest.raises(milp.SolverLimitError, match=name):
+        run_ccg(inst)
 
 
 def _record_masters(monkeypatch) -> list[tuple[int, float]]:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from edgeplan import cli, evaluation
+from edgeplan import ccg, cli, evaluation
 from edgeplan.ccg import run_ccg
 from edgeplan.core import FirstStagePlan, load_instance, provisioning_cost, save_instance, save_plan
 from edgeplan.milp import BackendError, SolverLimitError
@@ -172,6 +172,34 @@ def test_solve_writes_the_incumbent_of_a_planner_stopped_at_a_limit(tmp_path, ca
     plan = json.loads((out / "plan.json").read_text())
     assert plan["status"] == "limit" and plan["message"] == doc["message"]
     assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"plan.json"}
+
+
+def test_solve_writes_the_ccg_incumbent_when_a_later_oracle_has_no_point(tmp_path, capsys,
+                                                                          monkeypatch):
+    gen = _gen(tmp_path, "gen", areas=6, nodes=6, seed=0)
+    real = ccg._ORACLES["duality"]
+    calls = []
+
+    def third_has_no_point(instance, plan, **kwargs):
+        calls.append(plan)
+        if len(calls) == 3:
+            raise SolverLimitError("model 'subproblem-duality' ended without a point: "
+                                   "Time limit reached")
+        return real(instance, plan, **kwargs)
+
+    monkeypatch.setitem(ccg._ORACLES, "duality", third_has_no_point)
+    out = tmp_path / "ccg"
+    rc = cli.main(["solve", "--instance", str(gen / "instance.json"), "--method", "ccg-duality",
+                   "--out", str(out)])
+    assert rc == 2
+    doc = _stderr_doc(capsys)
+    assert doc["error"] == "NonconvergenceError" and doc["exit_code"] == 2
+    assert doc["message"].startswith("solver limit at iteration 2, keeping the incumbent: ")
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["converged"] is False and plan["message"] == doc["message"]
+    assert len((out / "trace.csv").read_text().strip().splitlines()) == 3
+    assert set(json.loads((out / "manifest.json").read_text())["files"]) == {"plan.json",
+                                                                              "trace.csv"}
 
 
 def test_extensive_cap_exits_3_without_partial_output(tmp_path, capsys):
