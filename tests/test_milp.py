@@ -81,6 +81,22 @@ def test_bad_bounds_rejected():
     assert np.array_equal(milp.solve(m).value(b), [1.0, 0.0])
 
 
+def test_integer_bounds_round_inward():
+    # min h t + p y, y <= C t, with y integer in [0, C] and C fractional: HiGHS
+    # 1.12's presolve answers t = 1 unless the bound on y is integral
+    m = milp.Model("fractional-bound")
+    t = m.add_var(kind=milp.BINARY)
+    y = m.add_var(kind=milp.INTEGER, lb=0.0, ub=8.32978316069114)
+    m.add_constr([y, t], [1.0, -8.32978316069114], milp.LE, 0.0)
+    m.set_objective([t, y], [0.139881653011999, 0.20158537951791])
+    r = milp.solve(m)
+    assert r.objective == 0.0 and r.value(t) == 0.0
+    m.add_vars(2, kind=milp.INTEGER, lb=[-1.5, 0.2], ub=[2.5, 3.0])
+    assert np.array_equal(m._lb[-1], [-1.0, 1.0]) and np.array_equal(m._ub[-1], [2.0, 3.0])
+    with pytest.raises(ValueError, match="no integer"):
+        m.add_var(kind=milp.INTEGER, lb=0.2, ub=0.8)
+
+
 def test_set_objective_sums_repeated_ids():
     m = milp.Model("repeat")
     x = m.add_var()
