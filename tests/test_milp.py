@@ -335,3 +335,57 @@ def test_time_limit_bounds_each_solve_of_a_live_handle():
         if handle._highs.getRunTime() > 3 * limit:
             break
     assert handle._highs.getRunTime() > 3 * limit
+
+
+def _knapsack(seed: int = 11) -> milp.Model:
+    rng = np.random.default_rng(seed)
+    m = milp.Model("knapsack", maximize=True)
+    x = m.add_vars(12, kind=milp.BINARY)
+    m.add_constr(x, rng.uniform(1, 3, 12), milp.LE, 9.0)
+    m.set_objective(x, rng.uniform(1, 4, 12))
+    return m
+
+
+def _feasibility_jump(h) -> bool | None:
+    """The feasibility-jump setting of a HiGHS instance, or None where its
+    HiGHS (before 1.10) has no such option."""
+    if h.getOptionType(milp._FEASIBILITY_JUMP)[0] == milp.highs.HighsStatus.kError:
+        return None
+    status, value = h.getOptionValue(milp._FEASIBILITY_JUMP)
+    assert status == milp.highs.HighsStatus.kOk
+    return value
+
+
+def test_feasibility_jump_is_off_in_every_highs_instance():
+    # a HiGHS that has the heuristic runs it by default
+    default = milp.highs._Highs()
+    default.setOptionValue("log_to_console", False)
+    default_on = _feasibility_jump(default)
+    assert default_on in (True, None)
+    off = None if default_on is None else False
+    assert _feasibility_jump(milp.check_options()) is off
+    assert _feasibility_jump(milp.check_options(mip_gap=0.1, time_limit=5.0)) is off
+    handle = milp.Handle(_knapsack(), mip_gap=1e-3)
+    assert _feasibility_jump(handle._highs) is off
+    # another option set later leaves it off
+    handle.set_mip_gap(1e-2)
+    handle.solve()
+    assert _feasibility_jump(handle._highs) is off
+
+
+def test_feasibility_jump_option_is_optional(monkeypatch, capfd):
+    # a HiGHS without the option (before 1.10) refuses its name silently;
+    # every instance still opens, solves and refuses bad options
+    exact = milp.solve(_knapsack())
+    monkeypatch.setattr(milp, "_FEASIBILITY_JUMP", "no_such_option_in_any_highs")
+    capfd.readouterr()
+    milp.check_options(mip_gap=0.1, time_limit=5.0)
+    assert capfd.readouterr() == ("", "")
+    got = milp.solve(_knapsack())
+    assert got.status == "optimal" and got.objective == pytest.approx(exact.objective, rel=1e-9)
+    with pytest.raises(ValueError, match="mip_rel_gap"):
+        milp.solve(_knapsack(), mip_gap=-0.5)
+    with pytest.raises(ValueError, match="time_limit"):
+        milp.check_options(time_limit=-1.0)
+    with pytest.raises(ValueError, match="mip_rel_gap"):
+        milp.Handle(_knapsack()).set_mip_gap(math.nan)
