@@ -17,7 +17,7 @@ or a MIP incumbent at a limit) or raises an error naming the model;
 results carry no dual values.  Every HiGHS instance gets its options from
 `check_options`, which also turns off HiGHS's feasibility-jump heuristic
 (`mip_heuristic_run_feasibility_jump`): on HiGHS 1.12 it took most of the
-time of the package's small MIPs (the 10x10 duality oracle took 3.5 ms
+time of the package's small MIPs (the 10x10 duality oracle took 3.6 ms
 with it and 0.9 ms without, at the same optimum).
 """
 
@@ -250,12 +250,13 @@ def check_options(*, mip_gap: float | None = None,
                   time_limit: float | None = None) -> highs._Highs:
     """A HiGHS instance set to these options; `ValueError` if HiGHS refuses one.
 
-    Every instance also runs without feasibility jump, the primal heuristic
-    HiGHS 1.10 added before the root LP of every MIP: on HiGHS 1.12 it took
-    most of the time of the package's small MIPs (a 10x10 duality oracle,
-    60 columns and 20 binaries, solved in 3.5 ms with it and 0.9 ms
-    without, at the same optimum).  A HiGHS without the option has no such
-    heuristic, so its refusal passes.
+    Every instance also runs without feasibility jump
+    (`mip_heuristic_run_feasibility_jump`), the primal heuristic HiGHS 1.10
+    added before the root LP of every MIP: on HiGHS 1.12 it took most of
+    the time of the package's small MIPs (the 10x10 duality oracle, 60
+    columns and 20 binaries, solved in 3.6 ms with it and 0.9 ms without,
+    at the same optimum).  An older HiGHS has neither the heuristic nor
+    the option, and its refusal of the option passes.
     """
     h = highs._Highs()
     options = {"log_to_console": False,
@@ -264,7 +265,8 @@ def check_options(*, mip_gap: float | None = None,
         options["time_limit"] = float(time_limit)
     for name, value in options.items():
         _set_option(h, name, value)
-    # silent, with the console log off, where HiGHS does not know the name
+    # not through `_set_option`: a HiGHS before 1.10 refuses the name, and
+    # with the console log off it says nothing
     h.setOptionValue(_FEASIBILITY_JUMP, False)
     return h
 
