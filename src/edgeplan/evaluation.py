@@ -2,8 +2,10 @@
 
 Plans from any method are scored the same way: draw test scenarios, solve
 the recourse LP of every scenario (one LP per plan, re-solved per scenario
-from the previous basis), and aggregate average and worst empirical cost
-next to the exact certified worst case from the subproblem oracle.
+from the previous basis: one matrix of column bounds goes in, one matrix of
+values comes out), and aggregate average and worst empirical cost next to
+the exact certified worst case from the subproblem oracle.  A sweep cell
+certifies and replays each distinct plan once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     ProblemInstance,
     RecourseOutcome,
     Scenario,
+    ScenarioError,
     UncertaintyModel,
     csv_text,
     provisioning_cost,
@@ -76,6 +79,44 @@ class EvaluationReport:
     certified_worst: float
 
 
+def _replay(instance: ProblemInstance, plan: FirstStagePlan, scenarios: list[Scenario]):
+    """Solve the recourse LP of every scenario of a nonempty list.
+
+    Returns the optima's values, one row per scenario (`milp.Handle.solve_each`,
+    the last column 0 for `milp.PAD`), the ids of x (`PAD` on dead pairs) and
+    of q, and the recourse costs, each the row's objective terms summed as a
+    1-D dot product.  A scenario whose demand or failure vector does not
+    match the instance raises `ScenarioError` before any model is built.
+    """
+    ni, nj = instance.num_areas, instance.num_nodes
+    for k, scenario in enumerate(scenarios):
+        if scenario.demand.shape != (ni,) or scenario.failures.shape != (nj,):
+            raise ScenarioError(
+                f"scenario {k} has {scenario.demand.size} area demands and "
+                f"{scenario.failures.size} node failures; the instance has {ni} areas "
+                f"and {nj} nodes")
+    cap = instance.served_capacity
+    model = milp.Model("recourse")
+    x = model.add_masked_vars(cap > 0, ub=cap)
+    q = model.add_vars(ni, lb=0.0)
+    w = model.add_vars(nj, lb=0.0)
+    r = model.add_vars(ni, lb=0.0)
+    model.add_constr(np.column_stack([x.T, w]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
+    model.add_constr(np.column_stack([x, q, r]), np.append(np.ones(nj + 1), -1.0), milp.GE, 0.0)
+    ids, coeffs = ccg._recourse_cost(instance, x, q)
+    model.set_objective(ids, coeffs)
+    # the bounds of w (the live stock, 0 on a failed node) and r (the demand)
+    lo = np.zeros((len(scenarios), nj + ni))
+    hi = np.full((len(scenarios), nj + ni), np.inf)
+    lo[:, nj:] = [scenario.demand for scenario in scenarios]
+    hi[:, :nj] = plan.live_stock(instance) * (1.0 - np.array(
+        [scenario.failures for scenario in scenarios]))
+    values = milp.Handle(model).solve_each(np.append(w, r), lo, hi)
+    # row by row: one matrix product may sum the terms in another order
+    costs = np.array([row[ids] @ coeffs for row in values])
+    return values, x, q, costs
+
+
 def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
                          scenarios) -> list[RecourseOutcome]:
     """Optimal allocations for a fixed plan, one per realized scenario.
@@ -87,35 +128,18 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     sum_i x_ij - w_j <= 0, and a column r_i, bounded below by the demand,
     sets area i's cover row sum_j x_ij + q_i - r_i >= 0; q is unbounded
     above.  The plan and the scenario enter only through the bounds of w
-    and r, so each scenario sets them in one edit and re-solves from the
-    previous basis.  Always feasible (x=0, q=lambda); scenarios may lie
-    outside the planning uncertainty set.
+    and r: every scenario's bounds are laid out in one matrix up front, and
+    `milp.Handle.solve_each` sets them and re-solves from the previous
+    basis, scenario by scenario.  Always feasible (x=0, q=lambda);
+    scenarios may lie outside the planning uncertainty set, but a scenario
+    sized for another instance raises `ScenarioError`.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    ni, nj = instance.num_areas, instance.num_nodes
-    cap = instance.served_capacity
-    model = milp.Model("recourse")
-    x = model.add_masked_vars(cap > 0, ub=cap)
-    q = model.add_vars(ni, lb=0.0)
-    w = model.add_vars(nj, lb=0.0)
-    r = model.add_vars(ni, lb=0.0)
-    model.add_constr(np.column_stack([x.T, w]), np.append(np.ones(ni), -1.0), milp.LE, 0.0)
-    model.add_constr(np.column_stack([x, q, r]), np.append(np.ones(nj + 1), -1.0), milp.GE, 0.0)
-    ids, coeffs = ccg._recourse_cost(instance, x, q)
-    model.set_objective(ids, coeffs)
-    handle = milp.Handle(model)
-    edited = np.append(w, r)
-    stock = plan.live_stock(instance)
-    outcomes = []
-    for scenario in scenarios:
-        handle.change_col_bounds(edited, np.append(np.zeros(nj), scenario.demand),
-                                 np.append(stock * (1.0 - scenario.failures), np.full(ni, np.inf)))
-        result = handle.solve()
-        outcomes.append(RecourseOutcome(allocation=result.value(x), unmet=result.value(q),
-                                        second_stage_cost=result.value(ids) @ coeffs))
-    return outcomes
+    values, x, q, costs = _replay(instance, plan, scenarios)
+    return [RecourseOutcome(allocation=row[x], unmet=row[q], second_stage_cost=cost)
+            for row, cost in zip(values, costs)]
 
 
 def solve_recourse(instance: ProblemInstance, plan: FirstStagePlan,
@@ -184,15 +208,18 @@ def monte_carlo(instance: ProblemInstance, plan: FirstStagePlan, scenarios, *,
     """Score a plan on a scenario list; costs are provisioning + recourse.
 
     Each scenario is re-optimized with the recourse LP (see
-    `solve_recourse_batch`); with `certify`, the duality oracle certifies
-    the worst case (see `certify_worst_case`).  To score at penalty scale
-    psi, pass `instance.scaled_penalty(psi)`.
+    `solve_recourse_batch`), whose costs and unmet totals are read off the
+    one values matrix of the batch; with `certify`, the duality oracle
+    certifies the worst case (see `certify_worst_case`).  To score at
+    penalty scale psi, pass `instance.scaled_penalty(psi)`.  A scenario
+    sized for another instance raises `ScenarioError`.
     """
     scenarios = list(scenarios)
     prov = provisioning_cost(instance, plan)
-    outs = solve_recourse_batch(instance, plan, scenarios)
-    recourse = np.array([out.second_stage_cost for out in outs])
-    unmet = np.array([out.unmet.sum() for out in outs])
+    recourse = unmet = np.empty(0)
+    if scenarios:
+        values, _, q, recourse = _replay(instance, plan, scenarios)
+        unmet = np.array([row[q].sum() for row in values])
     totals = prov + recourse
     certified = certify_worst_case(instance, plan) if certify else math.nan
     return EvaluationReport(
@@ -341,9 +368,12 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     limit raised them, and the sweep keeps going.  Each
     cell is the given instance with one field changed; an I/J value is a
     size within the instance, so a larger size, like a fractional K, gamma,
-    I or J value, is an error in its own row.  With `workers` > 1 the values
-    run on that many threads; every value's cell is computed the same way
-    either way, so the rows do not depend on it.  A `workers` below 1, a
+    I or J value, is an error in its own row.  A cell certifies and replays
+    each distinct plan (placement and procurement, bit for bit) once, so a
+    row whose plan an earlier method of the cell returned reuses its
+    scores, and its `wall_seconds` covers the planning only.  With
+    `workers` > 1 the values run on that many threads; every value's cell
+    is computed the same way either way, so the rows do not depend on it.  A `workers` below 1, a
     negative `num_test_scenarios` or `seed`, a solver option or a planner
     input that a listed method cannot use is refused before any cell runs.
     """
@@ -375,6 +405,8 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
             return [_sweep_row(axis, value, method, error=str(exc)) for method in methods]
         rows = []
         scenarios = None
+        # (certified, average, worst) of each plan scored so far, by its bytes
+        scores = {}
         for method in methods:
             start = time.perf_counter()
             try:
@@ -382,16 +414,20 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
                     planning, method, eps=eps, mip_gap=mip_gap, time_limit=time_limit,
                     num_training=num_training_scenarios, seed=seed)
                 plan = res.plan
-                certified = certify_worst_case(scoring, plan, mip_gap=mip_gap,
-                                               time_limit=time_limit)
-                avg = worst = math.nan
-                if num_test_scenarios > 0:
-                    if scenarios is None:
-                        scenarios = generate_test_scenarios(
-                            scoring, EvaluationConfig(num_scenarios=num_test_scenarios,
-                                                      seed=seed))
-                    report = monte_carlo(scoring, plan, scenarios, method=method, certify=False)
-                    avg, worst = report.average_cost, report.worst_cost
+                key = plan.placement.tobytes() + plan.procurement.tobytes()
+                if key not in scores:
+                    certified = certify_worst_case(scoring, plan, mip_gap=mip_gap,
+                                                   time_limit=time_limit)
+                    avg = worst = math.nan
+                    if num_test_scenarios > 0:
+                        if scenarios is None:
+                            scenarios = generate_test_scenarios(
+                                scoring, EvaluationConfig(num_scenarios=num_test_scenarios,
+                                                          seed=seed))
+                        report = monte_carlo(scoring, plan, scenarios, certify=False)
+                        avg, worst = report.average_cost, report.worst_cost
+                    scores[key] = certified, avg, worst
+                certified, avg, worst = scores[key]
                 # a nonconverged plan keeps its numbers; the error says why
                 rows.append(_sweep_row(
                     axis, value, method, objective=res.objective,

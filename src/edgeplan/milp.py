@@ -12,7 +12,10 @@ rows the model gained since the handle last saw it, the whole model when
 the handle opens and its growth at each solve, so a model can grow between
 solves (CCG's master); `solve` opens a handle and solves once.  A handle
 stays live: it re-solves after column-bound and cost edits or a new MIP
-gap, an LP from the previous basis.  A solve returns a point (the optimum,
+gap, an LP from the previous basis.  An LP handle also re-solves a whole
+batch of column bounds in one call (`Handle.solve_each`: one bound matrix
+in, one value matrix out), so a replay of many scenarios pays for little
+beyond the binding's own calls.  A solve returns a point (the optimum,
 or a MIP incumbent at a limit) or raises an error naming the model;
 results carry no dual values.  Every HiGHS instance gets its options from
 `check_options`, which also turns off HiGHS's feasibility-jump heuristic
@@ -296,9 +299,10 @@ class Handle:
     each `solve` pass HiGHS the columns and rows added to the model since
     the handle last saw it (at the opening, all of them), new columns
     priced by the model's objective.  An existing column's cost changes
-    only through `change_costs`, its bounds through `change_col_bounds`;
-    `set_mip_gap` sets the gap of later solves.  An LP re-solve starts from
-    the previous basis.  `time_limit` bounds each solve on its own: HiGHS's
+    only through `change_costs`, its bounds through `change_col_bounds`
+    (or, one set of bounds per LP re-solve, `solve_each`); `set_mip_gap`
+    sets the gap of later solves.  An LP re-solve starts from the previous
+    basis.  `time_limit` bounds each solve on its own: HiGHS's
     run time adds up over the solves of one handle, but every solve gets
     the whole limit.  A handle belongs to the call that opened it: sweeps
     run cells on threads, so never cache or share one.
@@ -371,25 +375,54 @@ class Handle:
         _set_option(self._highs, "mip_rel_gap",
                     DEFAULT_MIP_GAP if mip_gap is None else float(mip_gap))
 
+    def _run(self) -> str:
+        """Run HiGHS and return the status of its point; without a point,
+        raise the `_STATUS` error, naming the model."""
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        status, error = _STATUS.get(model_status, (None, BackendError))
+        # an LP stopped early has no usable point; a MIP has one if it has an incumbent
+        if not (status == "optimal" or status == "limit" and self._is_mip
+                and self._highs.getInfo().objective_function_value != highs.kHighsInf):
+            raise error(f"model {self._model.name!r} ended without a point: "
+                        f"{self._highs.modelStatusToString(model_status)}")
+        return status
+
     def solve(self) -> SolveResult:
         """Return the optimum or a MIP's incumbent at a limit; without a
         point, raise the `_STATUS` error, naming the model."""
         self._sync()
-        self._highs.run()
-        model_status = self._highs.getModelStatus()
+        status = self._run()
         info = self._highs.getInfo()
-        status, error = _STATUS.get(model_status, (None, BackendError))
-        # an LP stopped early has no usable point; a MIP has one if it has an incumbent
-        if not (status == "optimal" or status == "limit" and self._is_mip
-                and info.objective_function_value != highs.kHighsInf):
-            raise error(f"model {self._model.name!r} ended without a point: "
-                        f"{self._highs.modelStatusToString(model_status)}")
         values = self._highs.getSolution().col_value
         objective = self._sign * info.objective_function_value
         # LPs report no MIP bound: their optimum is its own bound
         dual_bound = self._sign * info.mip_dual_bound if self._is_mip else objective
         gap = abs(objective - dual_bound) / max(1e-12, abs(objective))
         return SolveResult(status, objective, values, dual_bound, gap)
+
+    def solve_each(self, cols, lo, hi) -> np.ndarray:
+        """Re-solve the LP once per row of `lo`/`hi` (broadcast together to
+        2-D), each row setting `lo <= x <= hi` on `cols`, and each solve
+        starting from the basis the one before left.  Returns the optima's
+        values, one row per solve, with one more column, always 0, that the
+        id `PAD` reads.  A solve without an optimum raises as `solve` does;
+        a MIP is refused."""
+        self._sync()
+        if self._is_mip:
+            raise ValueError(f"model {self._model.name!r} has integer columns; "
+                             "solve_each re-solves LPs only")
+        cols = np.asarray(cols, dtype=np.int32).ravel()
+        lo, hi = np.broadcast_arrays(np.atleast_2d(lo), np.atleast_2d(hi))
+        shape = (lo.shape[0], cols.size)
+        lo, hi = (np.ascontiguousarray(np.broadcast_to(a, shape), dtype=float) for a in (lo, hi))
+        values = np.zeros((lo.shape[0], self._model.num_vars + 1))
+        for row, row_lo, row_hi in zip(values, lo, hi):
+            self._checked(self._highs.changeColsBounds(cols.size, cols, row_lo, row_hi),
+                          "column-bound edit")
+            self._run()
+            row[:-1] = self._highs.getSolution().col_value
+        return values
 
 
 def solve(model: Model, *, mip_gap: float | None = None,

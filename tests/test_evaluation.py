@@ -13,7 +13,13 @@ from scipy.optimize import linprog
 from edgeplan import evaluation, milp
 from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
-from edgeplan.core import FirstStagePlan, Scenario, instance_to_json, second_stage_cost
+from edgeplan.core import (
+    FirstStagePlan,
+    Scenario,
+    ScenarioError,
+    instance_to_json,
+    second_stage_cost,
+)
 from edgeplan.evaluation import (
     METHODS,
     EvaluationConfig,
@@ -200,15 +206,17 @@ def test_recourse_batch_keeps_no_row_of_its_first_scenario(monkeypatch):
         built.append(real_model(name, **kwargs))
         return built[-1]
 
+    # the binding's column-bound edit, which `milp.Handle.solve_each` calls
+    # once per scenario
     edits = []
-    real_edit = milp.Handle.change_col_bounds
+    real_edit = milp.highs._Highs.changeColsBounds
 
-    def recorded_edit(handle, cols, lo, hi):
-        edits.append(len(cols))
-        real_edit(handle, cols, lo, hi)
+    def recorded_edit(h, num_cols, cols, lo, hi):
+        edits.append(num_cols)
+        return real_edit(h, num_cols, cols, lo, hi)
 
     monkeypatch.setattr(milp, "Model", recorded_model)
-    monkeypatch.setattr(milp.Handle, "change_col_bounds", recorded_edit)
+    monkeypatch.setattr(milp.highs._Highs, "changeColsBounds", recorded_edit)
     outs = solve_recourse_batch(inst, plan, scenarios)
     # one row per node and one cover row per area, over x on the served
     # pairs, q, and the level columns w and r; one edit of the J + I level
@@ -275,6 +283,26 @@ def test_recourse_batch_is_deterministic():
                       for out in solve_recourse_batch(inst, plan, scenarios[::-1])][::-1]
     for a, cost in zip(first, reversed_costs):
         assert abs(a.second_stage_cost - cost) <= 1e-9 * max(1.0, abs(cost))
+
+
+@pytest.mark.parametrize("areas,nodes,bad", [(3, 4, "scenario 1 has 3 area demands and 4"),
+                                               (4, 5, "scenario 1 has 4 area demands and 5")])
+def test_replay_refuses_a_scenario_sized_for_another_instance(monkeypatch, areas, nodes, bad):
+    # a 4-area, 4-node instance; the second scenario has the wrong size, and
+    # no model is built
+    inst = random_instance(np.random.default_rng(3), 4, 4)
+    plan = random_plan(np.random.default_rng(4), inst)
+    scenarios = [_nominal(inst), Scenario(np.ones(areas), np.zeros(nodes, dtype=np.int8))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no model for a wrongly sized scenario")
+
+    monkeypatch.setattr(milp, "Model", refuse)
+    want = f"{bad} node failures; the instance has 4 areas and 4 nodes"
+    with pytest.raises(ScenarioError, match=want):
+        solve_recourse_batch(inst, plan, scenarios)
+    with pytest.raises(ScenarioError, match=want):
+        monte_carlo(inst, plan, scenarios, certify=False)
 
 
 def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):
@@ -531,6 +559,34 @@ def test_sweep_cell_stopped_at_a_limit_keeps_its_numbers(monkeypatch):
         for key in ("objective", "provisioning", "average_cost", "worst_cost",
                     "certified_worst"):
             assert row[key] == ref[key], key
+
+
+def test_sweep_cell_scores_each_distinct_plan_once(monkeypatch):
+    # on generated 3x3 both CCG oracles return one plan, and det and heu
+    # another: the cell certifies and replays each of the two once
+    inst = generate_instance(3, 3, seed=0)
+    methods = ("ccg-duality", "det", "ccg-kkt", "heu")
+    alone = [row for m in methods
+             for row in sensitivity_sweep(inst, "K", [1], methods=(m,), num_test_scenarios=20)]
+    calls = {"certify": 0, "replay": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(evaluation, "certify_worst_case",
+                        counted("certify", evaluation.certify_worst_case))
+    # heu's planner replays its nominal scenario too; count the scoring replays
+    monkeypatch.setattr(evaluation, "monte_carlo", counted("replay", evaluation.monte_carlo))
+    rows = sensitivity_sweep(inst, "K", [1], methods=methods, num_test_scenarios=20)
+    assert calls == {"certify": 2, "replay": 2}
+    assert [r["method"] for r in rows] == list(methods)
+    for row, ref in zip(rows, alone):
+        assert not row["error"]
+        assert {k: v for k, v in row.items() if k != "wall_seconds"} == \
+            {k: v for k, v in ref.items() if k != "wall_seconds"}
 
 
 def test_certify_rejects_unknown_oracle():

@@ -268,6 +268,63 @@ def test_handle_edits_match_fresh_solve():
         handle.change_col_bounds(6, 0.0, 1.0)
 
 
+def _level_model():
+    # the GE row's level is column c, the LE row's column k; their bounds
+    # carry the edits
+    m = milp.Model("levels")
+    x = m.add_vars(4, ub=10.0)
+    c = m.add_var()
+    k = m.add_var()
+    m.add_constr(np.append(x, c), [2.0, 0.5, 1.0, 3.0, -1.0], milp.GE, 0.0)
+    m.add_constr([x[0], x[1], k], [1.0, 1.0, -1.0], milp.LE, 0.0)
+    m.add_constr(x[1:], [1.0, 2.0, 1.0], milp.GE, 2.0)
+    m.set_objective(x, [1.3, 1.1, 1.7, 1.9])
+    return m, [c, k]
+
+
+# (lower bound of c, upper bound of k) per solve, each taken to zero and back
+_LEVEL_ROWS = [(7.0, 6.0), (4.0, 0.0), (0.0, 3.0), (0.0, 0.0), (9.0, 2.5), (5.0, 6.0)]
+
+
+def test_solve_each_matches_edit_then_solve():
+    lo = [[cover, 0.0] for cover, _ in _LEVEL_ROWS]
+    hi = [[np.inf, cap] for _, cap in _LEVEL_ROWS]
+    model, edited = _level_model()
+    each = milp.Handle(model).solve_each(edited, lo, hi)
+    assert each.shape == (len(_LEVEL_ROWS), model.num_vars + 1)
+    # the same edits and solves on one handle give the same bits, row by row
+    handle = milp.Handle(_level_model()[0])
+    for row, row_lo, row_hi in zip(each, lo, hi):
+        handle.change_col_bounds(edited, row_lo, row_hi)
+        assert row[:-1].tobytes() == handle.solve().values.tobytes()
+    # the last column is the one PAD reads, 0 in every row
+    assert np.all(each[:, milp.PAD] == 0.0)
+    assert np.array_equal(each[:, [0, milp.PAD]][:, 1], np.zeros(len(_LEVEL_ROWS)))
+
+
+def test_solve_each_of_no_rows_solves_nothing():
+    model, edited = _level_model()
+    values = milp.Handle(model).solve_each(edited, np.empty((0, 2)), np.empty((0, 2)))
+    assert values.shape == (0, model.num_vars + 1)
+
+
+def test_solve_each_raises_on_an_infeasible_row():
+    # c >= 100 asks the GE row for more than x's boxes can give (65)
+    model, edited = _level_model()
+    with pytest.raises(milp.InfeasibleModelError, match="'levels' ended without a point"):
+        milp.Handle(model).solve_each(edited, [[5.0, 0.0], [100.0, 0.0]],
+                                      [[np.inf, 6.0], [np.inf, 6.0]])
+
+
+def test_solve_each_refuses_a_mip():
+    m = milp.Model("mip")
+    y = m.add_var(kind=milp.INTEGER, ub=3.0)
+    m.add_constr([y], [1.0], milp.GE, 1.5)
+    m.set_objective([y], [1.0])
+    with pytest.raises(ValueError, match="'mip' has integer columns"):
+        milp.Handle(m).solve_each([y], [[0.0]], [[2.0]])
+
+
 def test_handle_passes_what_its_model_gained():
     # columns (priced, some integer) and rows (over old and new columns, with
     # a PAD term) added after a solve reach HiGHS at the next one
