@@ -92,9 +92,9 @@ def _replay(instance: ProblemInstance, plan: FirstStagePlan, scenarios: list[Sce
     for k, scenario in enumerate(scenarios):
         if scenario.demand.shape != (ni,) or scenario.failures.shape != (nj,):
             raise ScenarioError(
-                f"scenario {k} has {scenario.demand.size} area demands and "
-                f"{scenario.failures.size} node failures; the instance has {ni} areas "
-                f"and {nj} nodes")
+                f"scenario {k} has demands for {scenario.demand.size} areas and failures "
+                f"for {scenario.failures.size} nodes; the instance has {ni} areas and "
+                f"{nj} nodes")
     cap = instance.served_capacity
     model = milp.Model("recourse")
     x = model.add_masked_vars(cap > 0, ub=cap)
