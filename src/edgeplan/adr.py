@@ -184,9 +184,11 @@ def assemble_adr_milp(instance: ProblemInstance) -> tuple[milp.Model, dict]:
 def solve_adr(instance: ProblemInstance, *, mip_gap: float | None = None,
               time_limit: float | None = None) -> AdrSolution:
     """Solve the affine-policy MILP; objective is an upper bound on the
-    exact two-stage optimum (equal on simplex uncertainty sets)."""
+    exact two-stage optimum (equal on simplex uncertainty sets).  HiGHS
+    solves it without presolve, which on this model costs more than it
+    saves (the 6x6 model: about 57 ms with it, 22 ms without, same plan)."""
     model, index = assemble_adr_milp(instance)
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
+    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit, presolve=False)
     plan = _extract_plan(instance, result, index["t"], index["y"])
     policy = AffinePolicy(
         A=result.value(index["A"]), B=result.value(index["B"]), D=result.value(index["D"]),

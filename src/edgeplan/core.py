@@ -171,8 +171,8 @@ class ProblemInstance:
 
     def scaled_penalty(self, psi: float) -> "ProblemInstance":
         """The instance with every unmet-demand penalty multiplied by psi."""
-        if psi <= 0:
-            raise ValueError("psi must be positive")
+        if not (0 < psi < math.inf):
+            raise ValueError(f"psi must be positive and finite, got {psi}")
         return self.replace(unmet_penalty=psi * self.unmet_penalty)
 
     @property

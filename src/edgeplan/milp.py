@@ -21,7 +21,9 @@ results carry no dual values.  Every HiGHS instance gets its options from
 `check_options`, which also turns off HiGHS's feasibility-jump heuristic
 (`mip_heuristic_run_feasibility_jump`): on HiGHS 1.12 it took most of the
 time of the package's small MIPs (the 10x10 duality oracle took 3.6 ms
-with it and 0.9 ms without, at the same optimum).
+with it and 0.9 ms without, at the same optimum).  A handle opened with
+`presolve=False` runs without HiGHS's presolve; only the ADR MILP asks
+for that, because on it presolve costs more than it saves.
 """
 
 from __future__ import annotations
@@ -304,15 +306,21 @@ class Handle:
     sets the gap of later solves.  An LP re-solve starts from the previous
     basis.  `time_limit` bounds each solve on its own: HiGHS's
     run time adds up over the solves of one handle, but every solve gets
-    the whole limit.  A handle belongs to the call that opened it: sweeps
-    run cells on threads, so never cache or share one.
+    the whole limit.  `presolve=False` turns HiGHS's presolve off for
+    every solve of the handle: presolve pays for itself on most models,
+    but on the ADR MILP it, and the root restarts and RENS sub-MIP that
+    follow it, took about two thirds of the solve.  A handle belongs to
+    the call that opened it: sweeps run cells on threads, so never cache
+    or share one.
     """
 
     def __init__(self, model: Model, *, mip_gap: float | None = None,
-                 time_limit: float | None = None):
+                 time_limit: float | None = None, presolve: bool = True):
         self._model = model
         self._sign = -1.0 if model.maximize else 1.0
         self._highs = check_options(mip_gap=mip_gap, time_limit=time_limit)
+        if not presolve:
+            self._checked(self._highs.setOptionValue("presolve", "off"), "presolve option")
         self._seen = (0, 0, 0, 0)
         self._is_mip = False
         self._sync()
@@ -426,10 +434,11 @@ class Handle:
 
 
 def solve(model: Model, *, mip_gap: float | None = None,
-          time_limit: float | None = None) -> SolveResult:
+          time_limit: float | None = None, presolve: bool = True) -> SolveResult:
     """Solve the model once; see `Handle.solve` for what it returns or raises.
 
     `mip_gap` is the relative optimality gap demanded from MIP solves
-    (default 1e-6); `time_limit` is in seconds.
+    (default 1e-6); `time_limit` is in seconds; `presolve=False` runs HiGHS
+    without its presolve (see `Handle`).
     """
-    return Handle(model, mip_gap=mip_gap, time_limit=time_limit).solve()
+    return Handle(model, mip_gap=mip_gap, time_limit=time_limit, presolve=presolve).solve()

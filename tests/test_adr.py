@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edgeplan import milp
 from edgeplan.adr import (
     AffinePolicy,
     assemble_adr_milp,
@@ -14,6 +15,7 @@ from edgeplan.adr import (
 )
 from edgeplan.ccg import run_ccg
 from edgeplan.core import Scenario, provisioning_cost
+from edgeplan.evaluation import METHODS, plan_with_method
 from edgeplan.topology import generate_instance
 from helpers import random_instance, sparse_eligibility, tiny_instance, vertex_scenarios
 
@@ -148,3 +150,22 @@ def test_solved_policy_feasible_at_all_vertices(shape, masked, gamma, k):
         assert cost <= sol.phi + 1e-5
     assert sol.objective == pytest.approx(provisioning_cost(inst, sol.plan) + sol.phi,
                                           abs=1e-6)
+
+
+def test_only_adr_solves_without_presolve(monkeypatch):
+    # presolve halves the ADR MILP and then costs more than it saves; every
+    # other model keeps it
+    solves = []
+    solve = milp.Handle.solve
+
+    def recording(handle):
+        solves.append((handle._model.name, handle._highs.getOptionValue("presolve")[1]))
+        return solve(handle)
+
+    monkeypatch.setattr(milp.Handle, "solve", recording)
+    inst = generate_instance(3, 3, seed=0)
+    for method in METHODS:
+        plan_with_method(inst, method, num_training=5)
+    assert {name for name, _ in solves} >= {"adr", "stochastic", "ccg-master"}
+    assert {name for name, value in solves if value == "off"} == {"adr"}
+    assert all(value == "choose" for name, value in solves if name != "adr")

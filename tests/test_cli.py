@@ -529,6 +529,25 @@ def test_evaluate_rejects_nonpositive_psi(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+@pytest.mark.parametrize("psi", ["nan", "inf"])
+def test_non_finite_psi_is_refused_by_name(tmp_path, capsys, command, psi):
+    gen = _small(tmp_path, "gen")
+    inst = str(gen / "instance.json")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        plan = tmp_path / "plan.json"
+        save_plan(FirstStagePlan(np.zeros(2, dtype=np.int8), np.zeros(2)), str(plan),
+                  method="empty", objective=0.0)
+        argv = ["evaluate", "--instance", inst, "--plan", str(plan), "--psi", psi]
+    else:
+        argv = ["sweep", "--instance", inst, "--axis", "psi", "--values", psi,
+                "--methods", "det"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--scenarios", "5", "--out", str(out)]) == 3
+    assert f"psi must be positive and finite, got {psi}" in _stderr_doc(capsys)["message"]
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

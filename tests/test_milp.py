@@ -81,14 +81,20 @@ def test_bad_bounds_rejected():
     assert np.array_equal(milp.solve(m).value(b), [1.0, 0.0])
 
 
-def test_integer_bounds_round_inward():
-    # min h t + p y, y <= C t, with y integer in [0, C] and C fractional: HiGHS
-    # 1.12's presolve answers t = 1 unless the bound on y is integral
+def _fractional_bound_mip():
+    """min h t + p y, y <= C t, with y integer in [0, C] and C fractional; the
+    model and the id of t."""
     m = milp.Model("fractional-bound")
     t = m.add_var(kind=milp.BINARY)
     y = m.add_var(kind=milp.INTEGER, lb=0.0, ub=8.32978316069114)
     m.add_constr([y, t], [1.0, -8.32978316069114], milp.LE, 0.0)
     m.set_objective([t, y], [0.139881653011999, 0.20158537951791])
+    return m, t
+
+
+def test_integer_bounds_round_inward():
+    # HiGHS 1.12's presolve answers t = 1 unless the bound on y is integral
+    m, t = _fractional_bound_mip()
     r = milp.solve(m)
     assert r.objective == 0.0 and r.value(t) == 0.0
     m.add_vars(2, kind=milp.INTEGER, lb=[-1.5, 0.2], ub=[2.5, 3.0])
@@ -446,3 +452,22 @@ def test_feasibility_jump_option_is_optional(monkeypatch, capfd):
         milp.check_options(time_limit=-1.0)
     with pytest.raises(ValueError, match="mip_rel_gap"):
         milp.Handle(_knapsack()).set_mip_gap(math.nan)
+
+
+def _presolve(handle: milp.Handle) -> str:
+    status, value = handle._highs.getOptionValue("presolve")
+    assert status == milp.highs.HighsStatus.kOk
+    return value
+
+
+def test_presolve_switch():
+    assert _presolve(milp.Handle(_knapsack())) == "choose"
+    assert _presolve(milp.Handle(_knapsack(), presolve=False)) == "off"
+    # another option set later leaves it off
+    handle = milp.Handle(_knapsack(), presolve=False)
+    handle.set_mip_gap(1e-2)
+    assert _presolve(handle) == "off"
+    results = [milp.solve(_fractional_bound_mip()[0], presolve=p) for p in (True, False)]
+    for r in results:
+        assert r.status == "optimal" and r.objective == 0.0
+    assert np.array_equal(results[0].values, results[1].values)

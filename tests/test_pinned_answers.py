@@ -14,6 +14,15 @@ from edgeplan.topology import generate_instance
 # blocks at n = 6 take seconds.  Objectives agree within the default MIP
 # gap, since another HiGHS build may stop at another point within it.
 PINNED = {
+    # the ADR pins date from just before its MILP stopped using HiGHS presolve
+    ("adr", 5, 0): (44.40175336703425,
+        "deb43bb7e153574cde5ad5915c3cee524d66f6724ab9a0e3384362fc8bf28b92"),
+    ("adr", 5, 1): (33.971128002858556,
+        "7379f478d92aae36021eda661b6ae2661a18e88f70416c1ca812c9bde3413cd7"),
+    ("adr", 6, 0): (51.313594298220735,
+        "65a9a4cf2f9a79da46b5330e59f0299d1b589ece60b645ba34b617437271d725"),
+    ("adr", 6, 1): (74.82320967697703,
+        "81ce24a333ae49a90ed0de5da4584f81c8c492e8d26e6c41af9c2df4ccdae475"),
     ("ccg-duality", 5, 0): (44.401753367034274,
         "deb43bb7e153574cde5ad5915c3cee524d66f6724ab9a0e3384362fc8bf28b92"),
     ("ccg-duality", 5, 1): (33.971128002858556,
