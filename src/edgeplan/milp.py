@@ -308,10 +308,9 @@ class Handle:
     run time adds up over the solves of one handle, but every solve gets
     the whole limit.  `presolve=False` turns HiGHS's presolve off for
     every solve of the handle: presolve pays for itself on most models,
-    but on the ADR MILP it, and the root restarts and RENS sub-MIP that
-    follow it, took about two thirds of the solve.  A handle belongs to
-    the call that opened it: sweeps run cells on threads, so never cache
-    or share one.
+    but on the ADR MILP it, and the root restarts that follow it, took
+    about two thirds of the solve.  A handle belongs to the call that
+    opened it: sweeps run cells on threads, so never cache or share one.
     """
 
     def __init__(self, model: Model, *, mip_gap: float | None = None,
