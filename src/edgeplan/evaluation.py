@@ -1,11 +1,12 @@
 """Out-of-sample evaluation: recourse replay, certification, sweeps.
 
 Plans from any method are scored the same way: draw test scenarios, solve
-the recourse LP of every scenario (one LP per plan, re-solved per scenario
-from the previous basis: one matrix of column bounds goes in, one matrix of
-values comes out), and aggregate average and worst empirical cost next to
-the exact certified worst case from the subproblem oracle.  A sweep cell
-certifies and replays each distinct plan once.
+the recourse LP of every scenario (one LP per plan and one matrix of column
+bounds in, one matrix of values out; most scenarios are read off the
+optimal basis of an earlier one, and only the rest go to HiGHS), and
+aggregate average and worst empirical cost next to the exact certified
+worst case from the subproblem oracle.  A sweep cell certifies and replays
+each distinct plan once.
 """
 
 from __future__ import annotations
@@ -129,10 +130,15 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     sets area i's cover row sum_j x_ij + q_i - r_i >= 0; q is unbounded
     above.  The plan and the scenario enter only through the bounds of w
     and r: every scenario's bounds are laid out in one matrix up front, and
-    `milp.Handle.solve_each` sets them and re-solves from the previous
-    basis, scenario by scenario.  Always feasible (x=0, q=lambda);
-    scenarios may lie outside the planning uncertainty set, but a scenario
-    sized for another instance raises `ScenarioError`.
+    `milp.Handle.solve_each` bunches them.  A scenario that the optimal
+    basis of an earlier one still solves is read off that basis without a
+    HiGHS run; every other scenario is re-solved, in order, from the basis
+    the last HiGHS solve left.  A single scenario always goes to HiGHS.
+    Where a scenario has several optimal allocations, the batch may return
+    another one than a batch of one would, at the same cost.  Always
+    feasible (x=0, q=lambda); scenarios may lie outside the planning
+    uncertainty set, but a scenario sized for another instance raises
+    `ScenarioError`.
     """
     scenarios = list(scenarios)
     if not scenarios:

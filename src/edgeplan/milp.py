@@ -12,10 +12,12 @@ rows the model gained since the handle last saw it, the whole model when
 the handle opens and its growth at each solve, so a model can grow between
 solves (CCG's master); `solve` opens a handle and solves once.  A handle
 stays live: it re-solves after column-bound and cost edits or a new MIP
-gap, an LP from the previous basis.  An LP handle also re-solves a whole
+gap, an LP from the previous basis.  An LP handle also solves a whole
 batch of column bounds in one call (`Handle.solve_each`: one bound matrix
-in, one value matrix out), so a replay of many scenarios pays for little
-beyond the binding's own calls.  A solve returns a point (the optimum,
+in, one value matrix out), and bunches the batch: a row whose optimum the
+basis of an earlier row already gives is read off that basis, with one
+dense solve shared by all such rows and no HiGHS run (bunching, as in
+Wets 1988 and Birge & Louveaux 2011).  A solve returns a point (the optimum,
 or a MIP incumbent at a limit) or raises an error naming the model;
 results carry no dual values.  Every HiGHS instance gets its options from
 `check_options`, which also turns off HiGHS's feasibility-jump heuristic
@@ -39,8 +41,9 @@ from scipy import sparse
 _SCIPY_FLOOR = "1.15"
 # every method of the binding's `_Highs` that this module calls
 _HIGHS_METHODS = ("addCols", "addRows", "changeColsBounds", "changeColsCost",
-                 "changeColsIntegrality", "getInfo", "getModelStatus", "getSolution",
-                 "modelStatusToString", "run", "setOptionValue")
+                 "changeColsIntegrality", "getBasicVariables", "getInfo", "getInfoValue",
+                 "getModelStatus", "getSolution", "modelStatusToString", "run",
+                 "setOptionValue")
 
 
 def _old_scipy(lacking: str) -> ImportError:
@@ -282,16 +285,21 @@ def _set_option(h: highs._Highs, name: str, value: float) -> None:
         raise ValueError(f"invalid solver option {name}={value!r}")
 
 
+def _terms(model: Model, row_block: int, num_rows: int) -> tuple[np.ndarray, ...]:
+    """The coefficients, row numbers and column ids of the `num_rows` rows
+    the model gained from its `row_block`-th `add_constr` call on."""
+    sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes[row_block:]])
+    # the empty heads let a model without rows assemble too
+    return (np.concatenate([np.empty(0), *model._row_coeffs[row_block:]]),
+            np.repeat(np.arange(num_rows, dtype=np.int64), sizes),
+            np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids[row_block:]]))
+
+
 def _matrix(model: Model, row_block: int, shape: tuple[int, int]) -> sparse.coo_matrix:
     """The model's rows from its `row_block`-th `add_constr` call on, as a
     sparse matrix of `shape`."""
-    sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes[row_block:]])
-    # the empty heads let a model without rows assemble too
-    return sparse.coo_matrix(
-        (np.concatenate([np.empty(0), *model._row_coeffs[row_block:]]),
-         (np.repeat(np.arange(shape[0], dtype=np.int64), sizes),
-          np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids[row_block:]]))),
-        shape=shape)
+    coeffs, rows, ids = _terms(model, row_block, shape[0])
+    return sparse.coo_matrix((coeffs, (rows, ids)), shape=shape)
 
 
 class Handle:
@@ -302,9 +310,10 @@ class Handle:
     the handle last saw it (at the opening, all of them), new columns
     priced by the model's objective.  An existing column's cost changes
     only through `change_costs`, its bounds through `change_col_bounds`
-    (or, one set of bounds per LP re-solve, `solve_each`); `set_mip_gap`
+    (or, one set of bounds per LP solved, `solve_each`); `set_mip_gap`
     sets the gap of later solves.  An LP re-solve starts from the previous
-    basis.  `time_limit` bounds each solve on its own: HiGHS's
+    basis, and `solve_each` runs HiGHS only on the rows that no basis it
+    kept solves.  `time_limit` bounds each solve on its own: HiGHS's
     run time adds up over the solves of one handle, but every solve gets
     the whole limit.  `presolve=False` turns HiGHS's presolve off for
     every solve of the handle: presolve pays for itself on most models,
@@ -322,6 +331,8 @@ class Handle:
             self._checked(self._highs.setOptionValue("presolve", "off"), "presolve option")
         self._seen = (0, 0, 0, 0)
         self._is_mip = False
+        # the column bounds HiGHS holds, which `solve_each` checks read-off rows against
+        self._col_lo = self._col_hi = np.empty(0)
         self._sync()
 
     @staticmethod
@@ -342,10 +353,10 @@ class Handle:
         n, m = model.num_vars, model.num_constraints
         if n > n0:
             empty = np.empty(0, dtype=np.int32)
-            self._checked(self._highs.addCols(n - n0, self._costs(n0),
-                                              np.concatenate(model._lb[col_blocks:]),
-                                              np.concatenate(model._ub[col_blocks:]),
+            lo, hi = (np.concatenate(b[col_blocks:]) for b in (model._lb, model._ub))
+            self._checked(self._highs.addCols(n - n0, self._costs(n0), lo, hi,
                                               0, empty, empty, np.empty(0)), "added columns")
+            self._col_lo, self._col_hi = np.append(self._col_lo, lo), np.append(self._col_hi, hi)
             integer = np.concatenate(model._integer[col_blocks:]).astype(bool)
             if integer.any():
                 self._is_mip = True
@@ -368,6 +379,7 @@ class Handle:
         self._checked(self._highs.changeColsBounds(cols.size, cols.astype(np.int32),
                                                    lo.astype(float), hi.astype(float)),
                       "column-bound edit")
+        self._col_lo[cols], self._col_hi[cols] = lo, hi
 
     def change_costs(self, cols, costs) -> None:
         """Set the objective coefficients of the given columns, in the
@@ -409,12 +421,23 @@ class Handle:
         return SolveResult(status, objective, values, dual_bound, gap)
 
     def solve_each(self, cols, lo, hi) -> np.ndarray:
-        """Re-solve the LP once per row of `lo`/`hi` (broadcast together to
-        2-D), each row setting `lo <= x <= hi` on `cols`, and each solve
-        starting from the basis the one before left.  Returns the optima's
-        values, one row per solve, with one more column, always 0, that the
-        id `PAD` reads.  A solve without an optimum raises as `solve` does;
-        a MIP is refused."""
+        """Solve the LP once per row of `lo`/`hi` (broadcast together to
+        2-D), each row setting `lo <= x <= hi` on `cols`.  Returns the
+        optima's values, one row per row of bounds, with one more column,
+        always 0, that the id `PAD` reads.  A MIP is refused.
+
+        The batch is bunched.  After its first HiGHS solve, and after every
+        later one that took no simplex iteration (that basis survived a
+        bound change, so later rows likely share it), one pass
+        (`_Bunch.read_off`) reads off that basis every row still unsolved
+        that it solves.  The other rows go to HiGHS in input order, each
+        starting from the basis the last HiGHS solve left, and one without
+        an optimum raises as `solve` does.  A row with a crossed bound always
+        goes to HiGHS, and a batch of one row never takes a pass.  Where a
+        row has several optima, the one read off may differ from the one
+        HiGHS would return.  Afterwards HiGHS holds the bounds of the last
+        row it solved.
+        """
         self._sync()
         if self._is_mip:
             raise ValueError(f"model {self._model.name!r} has integer columns; "
@@ -424,12 +447,96 @@ class Handle:
         shape = (lo.shape[0], cols.size)
         lo, hi = (np.ascontiguousarray(np.broadcast_to(a, shape), dtype=float) for a in (lo, hi))
         values = np.zeros((lo.shape[0], self._model.num_vars + 1))
-        for row, row_lo, row_hi in zip(values, lo, hi):
-            self._checked(self._highs.changeColsBounds(cols.size, cols, row_lo, row_hi),
-                          "column-bound edit")
-            self._run()
-            row[:-1] = self._highs.getSolution().col_value
+        read = np.zeros(lo.shape[0], dtype=bool)
+        # a row with a crossed bound is never read off a basis
+        crossed = (lo > hi).any(axis=1)
+        bunch, held = None, None
+        try:
+            for t in range(lo.shape[0]):
+                if read[t]:
+                    continue
+                self._checked(self._highs.changeColsBounds(cols.size, cols, lo[t], hi[t]),
+                              "column-bound edit")
+                held = t
+                self._run()
+                solution = self._highs.getSolution()
+                values[t, :-1] = solution.col_value
+                if t + 1 == lo.shape[0] or (bunch is not None and self._highs.getInfoValue(
+                        "simplex_iteration_count")[1]):
+                    continue
+                rows = t + 1 + np.flatnonzero(~(read[t + 1:] | crossed[t + 1:]))
+                bunch = bunch or _Bunch(self, cols, lo, hi)
+                status, basic = self._highs.getBasicVariables()
+                self._checked(status, "basis query")
+                passed, block = bunch.read_off(basic, solution, t, rows)
+                values[rows[passed], :-1] = block
+                read[rows[passed]] = True
+        finally:
+            if held is not None:
+                self._col_lo[cols], self._col_hi[cols] = lo[held], hi[held]
         return values
+
+
+class _Bunch:
+    """What the passes of one `Handle.solve_each` batch share: the LP's
+    `[A, -I]` as a dense array, whose columns hold every basis (the model's
+    columns, then its rows' activities), the bounds HiGHS holds on every
+    variable, and the batch's bounds on `cols`, one column per row."""
+
+    def __init__(self, handle: Handle, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        model = handle._model
+        n, m = model.num_vars, model.num_constraints
+        # built without scipy.sparse, whose assembly took five times as long
+        # on the 6x6 replay LP
+        coeffs, rows, ids = _terms(model, 0, m)
+        self.a = np.bincount(rows * (n + m) + ids, weights=coeffs,
+                             minlength=m * (n + m)).reshape(m, n + m)
+        self.a[np.arange(m), n + np.arange(m)] = -1.0
+        # HiGHS numbers basic row i as -1 - i, which indexes entry n + i here
+        self.order = np.concatenate([np.arange(n), np.arange(n + m - 1, n - 1, -1)])
+        self.var_lo = np.concatenate([handle._col_lo, model._row_lo])[:, None]
+        self.var_hi = np.concatenate([handle._col_hi, model._row_hi])[:, None]
+        # each variable's place in `cols`, -1 outside it
+        self.slot = np.full(n + m, -1)
+        self.slot[cols] = np.arange(cols.size)
+        self.n, self.cols, self.lo, self.hi = n, cols, lo.T.copy(), hi.T.copy()
+
+    def read_off(self, basic, solution, t: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of `rows` the basis HiGHS found for row `t` solves (`basic`,
+        its `getBasicVariables`; `solution`, its optimum), and their values.
+
+        Each nonbasic column of `cols` stays at the bound it sits at; one
+        fixed in row `t` takes its upper bound if and only if its reduced
+        cost is negative, which keeps the basis dual feasible in every row.
+        The basic variables come from one dense solve.  A row is read off
+        when they lie within its bounds to 1e-9 relative and every nonbasic
+        bound taken is finite: the basis is then optimal for that row too.
+        """
+        basic = self.order[basic]
+        z = np.concatenate([solution.col_value, solution.row_value])
+        nonbasic = np.ones(z.size, dtype=bool)
+        nonbasic[basic] = False
+        moved = nonbasic[self.cols]
+        j = self.cols[moved]
+        lo_t, hi_t, z_j = self.lo[moved, t], self.hi[moved, t], z[j]
+        upper = np.where(lo_t == hi_t, np.asarray(solution.col_dual)[j] < 0,
+                         hi_t - z_j < z_j - lo_t)
+        lo, hi = self.lo[:, rows], self.hi[:, rows]
+        at = np.where(upper[:, None], hi[moved], lo[moved])
+        # z keeps the values of the nonbasic variables that stay put
+        z[basic] = z[j] = 0.0
+        values = np.linalg.solve(self.a[:, basic], -(self.a @ z)[:, None] - self.a[:, j] @ at)
+        k = self.slot[basic]
+        edited = (k >= 0)[:, None]
+        tol = 1e-9 * np.maximum(1.0, np.abs(values))
+        inside = ((np.where(edited, lo[k], self.var_lo[basic]) - tol <= values)
+                  & (values <= np.where(edited, hi[k], self.var_hi[basic]) + tol))
+        read = np.isfinite(at).all(axis=0) & inside.all(axis=0)
+        block = np.tile(z[:self.n], (np.count_nonzero(read), 1))
+        block[:, j] = at[:, read].T
+        is_col = basic < self.n
+        block[:, basic[is_col]] = values[is_col][:, read].T
+        return read, block
 
 
 def solve(model: Model, *, mip_gap: float | None = None,

@@ -285,6 +285,22 @@ def test_recourse_batch_is_deterministic():
         assert abs(a.second_stage_cost - cost) <= 1e-9 * max(1.0, abs(cost))
 
 
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replay_matches_one_scenario_at_a_time(n, seed):
+    # a batch reads most rows off a kept basis instead of re-solving them;
+    # each must agree with a batch of one, which HiGHS solves
+    inst = generate_instance(n, n, seed=seed)
+    plan = solve_deterministic(inst).plan
+    scenarios = generate_test_scenarios(inst, EvaluationConfig(num_scenarios=200, seed=seed))
+    assert any(s.failures.any() for s in scenarios)
+    report = monte_carlo(inst, plan, scenarios, certify=False)
+    for cost, unmet, s in zip(report.recourse_costs, report.unmet_totals, scenarios):
+        alone = solve_recourse(inst, plan, s)
+        assert cost == pytest.approx(alone.second_stage_cost, rel=1e-12, abs=1e-12)
+        assert unmet == pytest.approx(alone.unmet.sum(), rel=0, abs=1e-9)
+
+
 @pytest.mark.parametrize("areas,nodes", [(3, 4), (4, 5)])
 def test_replay_refuses_a_scenario_sized_for_another_instance(monkeypatch, areas, nodes):
     # a 4-area, 4-node instance; the second scenario has the wrong size, and

@@ -292,20 +292,49 @@ def _level_model():
 _LEVEL_ROWS = [(7.0, 6.0), (4.0, 0.0), (0.0, 3.0), (0.0, 0.0), (9.0, 2.5), (5.0, 6.0)]
 
 
+def _assert_optima(model, edited, lo, hi, each):
+    """Each row of `each` is an optimum of `model` under that row's bounds on
+    `edited`: the objective within 1e-12 relative of a fresh edit and solve,
+    every column and row activity within its bounds to 1e-9, and PAD 0."""
+    n, m = model.num_vars, model.num_constraints
+    a = milp._matrix(model, 0, (m, n)).toarray()
+    ids, coeffs = model._obj
+    for row, row_lo, row_hi in zip(each, lo, hi):
+        handle = milp.Handle(model)
+        handle.change_col_bounds(edited, row_lo, row_hi)
+        want = handle.solve().objective
+        x = row[:-1]
+        assert x[ids] @ coeffs == pytest.approx(want, rel=1e-12, abs=1e-12)
+        col_lo, col_hi = np.concatenate(model._lb), np.concatenate(model._ub)
+        col_lo[edited], col_hi[edited] = row_lo, row_hi
+        assert np.all(x >= col_lo - 1e-9) and np.all(x <= col_hi + 1e-9)
+        assert np.all(a @ x >= np.array(model._row_lo) - 1e-9)
+        assert np.all(a @ x <= np.array(model._row_hi) + 1e-9)
+    assert np.all(each[:, milp.PAD] == 0.0)
+
+
+def _recorded_runs(monkeypatch) -> list:
+    """A list that gains one entry per HiGHS run from now on."""
+    runs = []
+    real_run = milp.highs._Highs.run
+
+    def recorded_run(h):
+        runs.append(h)
+        return real_run(h)
+
+    monkeypatch.setattr(milp.highs._Highs, "run", recorded_run)
+    return runs
+
+
 def test_solve_each_matches_edit_then_solve():
     lo = [[cover, 0.0] for cover, _ in _LEVEL_ROWS]
     hi = [[np.inf, cap] for _, cap in _LEVEL_ROWS]
     model, edited = _level_model()
     each = milp.Handle(model).solve_each(edited, lo, hi)
     assert each.shape == (len(_LEVEL_ROWS), model.num_vars + 1)
-    # the same edits and solves on one handle give the same bits, row by row
-    handle = milp.Handle(_level_model()[0])
-    for row, row_lo, row_hi in zip(each, lo, hi):
-        handle.change_col_bounds(edited, row_lo, row_hi)
-        assert row[:-1].tobytes() == handle.solve().values.tobytes()
-    # the last column is the one PAD reads, 0 in every row
-    assert np.all(each[:, milp.PAD] == 0.0)
-    assert np.array_equal(each[:, [0, milp.PAD]][:, 1], np.zeros(len(_LEVEL_ROWS)))
+    # a row read off a basis may be another optimum than HiGHS's (k costs
+    # nothing), so each row is held to what an optimum is
+    _assert_optima(model, edited, lo, hi, each)
 
 
 def test_solve_each_of_no_rows_solves_nothing():
@@ -320,6 +349,73 @@ def test_solve_each_raises_on_an_infeasible_row():
     with pytest.raises(milp.InfeasibleModelError, match="'levels' ended without a point"):
         milp.Handle(model).solve_each(edited, [[5.0, 0.0], [100.0, 0.0]],
                                       [[np.inf, 6.0], [np.inf, 6.0]])
+
+
+def test_solve_each_runs_highs_once_for_identical_rows(monkeypatch):
+    runs = _recorded_runs(monkeypatch)
+    model, edited = _level_model()
+    lo, hi = [[5.0, 0.0]] * 4, [[np.inf, 6.0]] * 4
+    each = milp.Handle(model).solve_each(edited, lo, hi)
+    assert len(runs) == 1
+    _assert_optima(model, edited, lo, hi, each)
+
+
+def test_solve_each_raises_on_an_infeasible_row_after_read_rows(monkeypatch):
+    # the first basis solves rows 1 and 2; row 3 goes to HiGHS and fails
+    runs = _recorded_runs(monkeypatch)
+    model, edited = _level_model()
+    with pytest.raises(milp.InfeasibleModelError, match="'levels' ended without a point"):
+        milp.Handle(model).solve_each(edited, [[5.0, 0.0]] * 3 + [[100.0, 0.0]],
+                                      [[np.inf, 6.0]] * 4)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("crossed", [([5.0, 0.0], [4.0, 6.0]), ([5.0, 7.0], [np.inf, 6.0])])
+def test_solve_each_reads_no_row_with_crossed_bounds(crossed):
+    # at (5, 6) c sits at its lower bound and k at its upper one, both
+    # nonbasic: the first basis would give the crossed row the same point
+    model, edited = _level_model()
+    with pytest.raises(milp.InfeasibleModelError, match="'levels' ended without a point"):
+        milp.Handle(model).solve_each(edited, [[5.0, 0.0], crossed[0]],
+                                      [[np.inf, 6.0], crossed[1]])
+
+
+def test_solve_each_reads_rows_off_within_earlier_bound_edits():
+    # x_3 <= 1.5 set on the handle before the batch; the basis of (4, 0)
+    # gives x_3 = 1.6 at (5, 6), inside the model's box of 10 but not 1.5
+    model, edited = _level_model()
+    handle = milp.Handle(model)
+    handle.change_col_bounds(3, 0.0, 1.5)
+    rows = [(4.0, 0.0), (5.0, 6.0), (4.0, 6.0), (4.0, 6.0)]
+    lo, hi = [[cover, 0.0] for cover, _ in rows], [[np.inf, cap] for _, cap in rows]
+    each = handle.solve_each(edited, lo, hi)
+    assert np.all(each[:, 3] <= 1.5 + 1e-9)
+    for row, row_lo, row_hi in zip(each, lo, hi):
+        fresh = milp.Handle(model)
+        fresh.change_col_bounds([3, *edited], [0.0, *row_lo], [1.5, *row_hi])
+        want = fresh.solve().objective
+        assert row[:4] @ [1.3, 1.1, 1.7, 1.9] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_solve_each_moves_a_fixed_column_by_its_reduced_cost():
+    # one area, two nodes: serving from node 0 costs 1, from node 1 costs 3,
+    # dropping costs 10, and the demand is 4.  Row 0 fails node 0 (w_0 in
+    # [0, 0]), so its optimum, 12, leaves w_0 nonbasic with a negative
+    # reduced cost.  Left at 0 in row 1, where both nodes live, w_0 would
+    # read row 1 off that basis at 12; at its upper bound it forces HiGHS
+    m = milp.Model("two-nodes")
+    x = m.add_vars(2)
+    q = m.add_var()
+    w = m.add_vars(2)
+    r = m.add_var()
+    m.add_constr(np.column_stack([x, w]), [1.0, -1.0], milp.LE, 0.0)
+    m.add_constr(np.append(x, [q, r]), [1.0, 1.0, 1.0, -1.0], milp.GE, 0.0)
+    m.set_objective(np.append(x, q), [1.0, 3.0, 10.0])
+    levels = np.append(w, r)
+    lo, hi = [[0.0, 0.0, 4.0]] * 2, [[0.0, 5.0, np.inf], [5.0, 5.0, np.inf]]
+    each = milp.Handle(m).solve_each(levels, lo, hi)
+    assert each[:, np.append(x, q)] @ [1.0, 3.0, 10.0] == pytest.approx([12.0, 4.0])
+    _assert_optima(m, levels, lo, hi, each)
 
 
 def test_solve_each_refuses_a_mip():
