@@ -130,10 +130,11 @@ def solve_recourse_batch(instance: ProblemInstance, plan: FirstStagePlan,
     sets area i's cover row sum_j x_ij + q_i - r_i >= 0; q is unbounded
     above.  The plan and the scenario enter only through the bounds of w
     and r: every scenario's bounds are laid out in one matrix up front, and
-    `milp.Handle.solve_each` bunches them.  A scenario that the optimal
-    basis of an earlier one still solves is read off that basis without a
-    HiGHS run; every other scenario is re-solved, in order, from the basis
-    the last HiGHS solve left.  A single scenario always goes to HiGHS.
+    `milp.Handle.solve_each` bunches them: a scenario whose optimum the
+    kept optimal basis of an earlier one gives is read off that basis
+    without a HiGHS run, and every other scenario is re-solved, in order,
+    from the basis the last HiGHS solve left.  A single scenario always
+    goes to HiGHS.
     Where a scenario has several optimal allocations, the batch may return
     another one than a batch of one would, at the same cost.  Always
     feasible (x=0, q=lambda); scenarios may lie outside the planning

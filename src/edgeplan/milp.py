@@ -312,10 +312,10 @@ class Handle:
     only through `change_costs`, its bounds through `change_col_bounds`
     (or, one set of bounds per LP solved, `solve_each`); `set_mip_gap`
     sets the gap of later solves.  An LP re-solve starts from the previous
-    basis, and `solve_each` runs HiGHS only on the rows that no basis it
-    kept solves.  `time_limit` bounds each solve on its own: HiGHS's
-    run time adds up over the solves of one handle, but every solve gets
-    the whole limit.  `presolve=False` turns HiGHS's presolve off for
+    basis; `solve_each` reads what rows it can off an earlier row's
+    optimal basis and runs HiGHS on the others.  `time_limit` bounds each
+    solve on its own: HiGHS's run time adds up over the solves of one
+    handle, but every solve gets the whole limit.  `presolve=False` turns HiGHS's presolve off for
     every solve of the handle: presolve pays for itself on most models,
     but on the ADR MILP it, and the root restarts that follow it, took
     about two thirds of the solve.  A handle belongs to the call that
