@@ -10,8 +10,9 @@ system that complements the node, cover, x-column and q-column rows only.
 Neither prices the box x_ij <= a_ij C_j, which the node row implies.  The
 extensive-form MILP over the full vertex set serves as the exactness
 oracle for both.  Each `run_ccg` call keeps its models live in HiGHS: one
-master, grown by a recourse block per pooled vertex, and one duality-oracle
-model, re-priced for each plan.
+master, grown by a recourse block per pooled vertex, and one oracle model,
+edited for each plan (the duality oracle's costs, the KKT oracle's column
+bounds).
 """
 
 from __future__ import annotations
@@ -339,29 +340,27 @@ def _add_complement(model: milp.Model, a: np.ndarray, a_big, ids: np.ndarray, co
     model.add_constr(np.column_stack([a, b]), np.column_stack([np.ones(n), -a_big]), milp.LE, 0.0)
 
 
-def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
-                         mip_gap: float | None = None, time_limit: float | None = None,
-                         kept: dict | None = None) -> SubproblemSolution:
-    """Worst-case second-stage cost via the inner LP's optimality system.
+def _build_kkt_model(instance: ProblemInstance, plan: FirstStagePlan):
+    """Optimality system of the inner LP the duality oracle dualizes, the
+    replay's (see `evaluation.solve_recourse_batch`, its w and r at their
+    bounds): one row per node caps sum_i x_ij at the live stock
+    min(y_j, C_j t_j)(1 - z_j), and one cover row per area.
 
-    Built anew on every call, so it keeps nothing in `kept`: the live stock
-    sits in matrix coefficients, where a zero stock leaves its entries out,
-    so an edited model could differ from a fresh build.
-
-    The inner LP is the one the duality oracle dualizes, the replay's (see
-    `evaluation.solve_recourse_batch`, its w and r at their bounds): one row
-    per node caps sum_i x_ij at the live stock min(y_j, C_j t_j)(1 - z_j),
-    and one cover row per area.  As in the replay, only the served pairs of
+    The plan enters only through the bounds of one column L_j per node,
+    fixed at live_j = `FirstStagePlan.live_stock`.  The stock a failure
+    takes, e_j = L_j z_j, is linearized with big-M C_j (live_j <= C_j), so
+    the node row is sum_i x_ij + e_j - L_j <= 0, and at a binary z its right
+    side is live_j (1 - z_j).  As in the replay, only the served pairs of
     `ProblemInstance.served_capacity` get an x_ij, which keeps the inner
     optimum (a dead pair is 0 in every one).  The model is primal
     feasibility (node and cover rows), dual feasibility (x-column rows
     s_i - u_j <= beta d_ij) and four complementarity blocks, built by
     `_add_complement`: u with the node rows, s with the cover rows, x with
     the x-column rows and q with the q-column rows s_i <= P_i.  The node
-    row implies the box x_ij <= a_ij C_j (live_j <= C_j), which is
-    therefore only a column bound, with no complementarity.  Primal-side
-    big-Ms come from capacities and demand ceilings, dual-side ones from
-    max P, which bounds every dual vertex (see the duality oracle).
+    row implies the box x_ij <= a_ij C_j, which is therefore only a column
+    bound, with no complementarity.  Primal-side big-Ms come from
+    capacities and demand ceilings, dual-side ones from max P, which bounds
+    every dual vertex (see the duality oracle).
     """
     ni, nj = instance.num_areas, instance.num_nodes
     lam_bar, lam_tilde = instance.nominal_demand, instance.demand_deviation
@@ -379,11 +378,15 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     u = model.add_vars(nj, lb=0.0, ub=p_max)
     g = model.add_vars(ni, kind=milp.BINARY)
     z = model.add_vars(nj, kind=milp.BINARY)
+    stock = model.add_vars(nj, lb=live, ub=live)
+    lost = model.add_vars(nj, lb=0.0, ub=cap)
     model.add_constr(g, np.ones(ni), milp.LE, instance.uncertainty.gamma)
     model.add_constr(z, np.ones(nj), milp.LE, instance.uncertainty.failure_budget)
+    _add_product(model, lost, stock, z, cap)
 
-    # node row: sum_i x_ij + live_j z_j <= live_j
-    node = (np.column_stack([x.T, z]), np.column_stack([np.ones((nj, ni)), live]), live)
+    # node row: sum_i x_ij + e_j - L_j <= 0
+    node = (np.column_stack([x.T, lost, stock]),
+            np.column_stack([np.ones((nj, ni + 1)), -np.ones(nj)]), 0.0)
     # cover row: sum_j x_ij + q_i >= lam_bar_i + lam_tilde_i g_i, as a <= row
     cover = (np.column_stack([x, q, g]),
              np.column_stack([-np.ones((ni, nj + 1)), lam_tilde]), -lam_bar)
@@ -399,9 +402,29 @@ def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
     _add_complement(model, q, demand_top, s[:, None], 1.0, pen, pen)
 
     model.set_objective(*_recourse_cost(instance, x, q))
+    return model, dict(L=stock, g=g, z=z)
 
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
-    return _worst_case_answer(instance, result, g, z)
+
+def solve_subproblem_kkt(instance: ProblemInstance, plan: FirstStagePlan, *,
+                         mip_gap: float | None = None, time_limit: float | None = None,
+                         kept: dict | None = None) -> SubproblemSolution:
+    """Worst-case second-stage cost via the inner LP's optimality system.
+
+    The plan enters only through the bounds of L (see `_build_kkt_model`).
+    The model is built once per `kept`, the models of one `run_ccg` call,
+    with its first call's `time_limit`; every call, the first included,
+    fixes L at its plan's live stock and solves.
+    """
+    kept = {} if kept is None else kept
+    if "subproblem-kkt" not in kept:
+        model, blocks = _build_kkt_model(instance, plan)
+        kept["subproblem-kkt"] = milp.Handle(model, time_limit=time_limit), blocks
+    handle, blocks = kept["subproblem-kkt"]
+    live = plan.live_stock(instance)
+    handle.change_col_bounds(blocks["L"], live, live)
+    handle.set_mip_gap(mip_gap)
+    result = handle.solve()
+    return _worst_case_answer(instance, result, blocks["g"], blocks["z"])
 
 
 _ORACLES = {"duality": solve_subproblem_duality, "kkt": solve_subproblem_kkt}

@@ -308,48 +308,52 @@ def test_live_master_is_the_master_a_fresh_build_gives(case):
             fresh.lower_bound, fresh.objective), f"pool of {r}"
 
 
-def test_repriced_duality_oracle_answers_as_a_fresh_build():
-    # one model, its U and u re-priced per plan: the cut-free plan (no stock),
+@pytest.mark.parametrize("oracle", ["duality", "kkt"])
+def test_kept_oracle_answers_as_a_fresh_build(oracle):
+    # one model per oracle, edited per plan (the duality oracle's U and u
+    # re-priced, the KKT oracle's L re-bounded): the cut-free plan (no stock),
     # random plans, a repeat, at two gaps.  The reference is a one-shot solve
-    # of a model priced by Model.set_objective, not through change_costs
+    # of a model built for the plan, with no edit through the handle
     rng = np.random.default_rng(31)
     inst = generate_instance(6, 6, seed=1)
     m_u = float(inst.unmet_penalty.max())
+    solve, build = {
+        "duality": (solve_subproblem_duality,
+                    lambda plan: ccg._build_duality_model(inst, plan, m_u)),
+        "kkt": (solve_subproblem_kkt, lambda plan: ccg._build_kkt_model(inst, plan)),
+    }[oracle]
     plans = [FirstStagePlan(np.zeros(6), np.zeros(6))]
     plans += [random_plan(rng, inst) for _ in range(5)]
     plans.append(plans[2])
     kept = {}
     for k, plan in enumerate(plans):
         gap = 1e-2 if k % 3 == 1 else 1e-7
-        live = solve_subproblem_duality(inst, plan, mip_gap=gap, kept=kept)
-        model, blocks = ccg._build_duality_model(inst, plan, m_u)
+        live = solve(inst, plan, mip_gap=gap, kept=kept)
+        model, blocks = build(plan)
         fresh = ccg._worst_case_answer(inst, milp.solve(model, mip_gap=gap),
                                        blocks["g"], blocks["z"])
         assert (live.worst_scenario.key(), live.value, live.bound, live.status) == (
             fresh.worst_scenario.key(), fresh.value, fresh.bound, fresh.status), f"plan {k}"
-    assert list(kept) == ["subproblem-duality"]
+    assert list(kept) == [f"subproblem-{oracle}"]
 
 
-def test_kkt_model_complements_four_row_blocks(monkeypatch):
-    # x, b_x per served pair; q, s, g, b_s, b_q per area; u, z, b_u per node.
-    # Rows: node, cover and x-column feasibility, two per complementarity
-    # pair (u-node, s-cover, x-column, q-column) and the two budget rows
+def test_kkt_model_complements_four_row_blocks():
+    # x, b_x per served pair; q, s, g, b_s, b_q per area; u, z, b_u, the
+    # stock L the plan fixes and e = L z per node.  Rows: node, cover and
+    # x-column feasibility, two per complementarity pair (u-node, s-cover,
+    # x-column, q-column), three McCormick rows for e and the two budget rows
     inst = generate_instance(10, 10, seed=0)
     plan = plan_with_method(inst, "det").plan
-    sizes = []
-    solve = milp.solve
-
-    def recorded(model, **kwargs):
-        sizes.append((model.num_vars, model.num_constraints,
-                      int(np.concatenate(model._integer).sum())))
-        return solve(model, **kwargs)
-
-    monkeypatch.setattr(milp, "solve", recorded)
-    solve_subproblem_kkt(inst, plan)
+    kept = {}
+    solve_subproblem_kkt(inst, plan, kept=kept)
+    handle, blocks = kept["subproblem-kkt"]
+    model = handle._model
     n_pairs, ni, nj = np.count_nonzero(inst.served_capacity), 10, 10
     assert n_pairs == 10
-    assert sizes == [(2 * n_pairs + 5 * ni + 3 * nj, 3 * n_pairs + 5 * ni + 3 * nj + 2,
-                      n_pairs + 3 * ni + 2 * nj)] == [(100, 112, 60)]
+    sizes = (model.num_vars, model.num_constraints, int(np.concatenate(model._integer).sum()))
+    assert sizes == (2 * n_pairs + 5 * ni + 5 * nj, 3 * n_pairs + 5 * ni + 6 * nj + 2,
+                     n_pairs + 3 * ni + 2 * nj) == (120, 142, 60)
+    assert sorted(blocks) == ["L", "g", "z"]
 
 
 def _oracles_match_brute_force(inst, plan):

@@ -505,6 +505,52 @@ def _knapsack(seed: int = 11) -> milp.Model:
     return m
 
 
+class _NoGetInfo:
+    """A HiGHS instance that refuses `getInfo` and reports a stop at its
+    solution limit as a time limit, a status the handle reads as a limit."""
+
+    def __init__(self, h):
+        self._h = h
+
+    def __getattr__(self, name):
+        if name == "getInfo":
+            raise AssertionError("getInfo called")
+        return getattr(self._h, name)
+
+    def getModelStatus(self):
+        status = self._h.getModelStatus()
+        stopped = milp.highs.HighsModelStatus.kSolutionLimit
+        return milp.highs.HighsModelStatus.kTimeLimit if status == stopped else status
+
+
+@pytest.mark.parametrize("case", ["lp", "mip", "mip-at-limit"])
+def test_solve_reads_the_info_it_needs_without_get_info(case):
+    # the handle reads its objective and bound one info value at a time; its
+    # result is what getInfo() reports of the same run
+    if case == "lp":
+        model = milp.Model("lp")
+        v = model.add_vars(5)
+        model.add_constr(v, np.arange(1.0, 6.0), milp.GE, 3.0)
+        model.set_objective(v, [1.0, 1.5, 2.0, 3.0, 4.5])
+    else:
+        model = _knapsack()
+    handle = milp.Handle(model)
+    real = handle._highs
+    if case == "mip-at-limit":
+        # HiGHS stops at its first incumbent, short of the optimum
+        real.setOptionValue("mip_max_improving_sols", 1)
+    handle._highs = _NoGetInfo(real)
+    result = handle.solve()
+    info = real.getInfo()
+    objective = -info.objective_function_value if model.maximize else info.objective_function_value
+    bound = -info.mip_dual_bound if case != "lp" else objective
+    status = "limit" if case == "mip-at-limit" else "optimal"
+    assert (result.status, result.objective, result.dual_bound) == (status, objective, bound)
+    assert result.values.tolist() == list(real.getSolution().col_value)
+    assert result.gap == abs(objective - bound) / abs(objective)
+    assert (result.gap > 1e-3) == (case == "mip-at-limit")
+
+
 def _feasibility_jump(h) -> bool | None:
     """The feasibility-jump setting of a HiGHS instance, or None where its
     HiGHS (before 1.10) has no such option."""
