@@ -47,7 +47,7 @@ def _solve_weighted(instance: ProblemInstance, scenarios: tuple[Scenario, ...], 
         obj_ids.append(ids)
         obj_coeffs.append(coeffs)
     model.set_objective(np.concatenate(obj_ids), np.concatenate(obj_coeffs))
-    result = milp.solve(model, mip_gap=mip_gap, time_limit=time_limit)
+    result = milp.Handle(model, mip_gap=mip_gap, time_limit=time_limit).solve()
     return BaselineSolution(plan=_extract_plan(instance, result, t, y), objective=result.objective,
                             status=result.status)
 

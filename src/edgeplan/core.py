@@ -221,14 +221,20 @@ class FirstStagePlan:
             raise InstanceError("placement entries must be bits")
         _check_nonneg("procurement", self.procurement)
 
+    def _check_size(self, instance: ProblemInstance) -> None:
+        """Raise `InstanceError` unless the plan has one entry per node of `instance`."""
+        if self.placement.size != instance.num_nodes:
+            raise InstanceError(f"plan length does not match the instance: the plan has "
+                                f"{self.placement.size} nodes, the instance {instance.num_nodes}")
+
     def live_stock(self, instance: ProblemInstance) -> np.ndarray:
         """Units node j can serve while it is up: min(y_j, C_j t_j)."""
+        self._check_size(instance)
         return np.minimum(self.procurement, instance.capacity * self.placement)
 
     def validate(self, instance: ProblemInstance) -> None:
         """Check the coupling y <= C t and the budget row (y may be fractional)."""
-        if self.placement.shape[0] != instance.num_nodes:
-            raise InstanceError("plan length does not match the instance")
+        self._check_size(instance)
         tol = 1e-6
         if np.any(self.procurement > instance.capacity * self.placement + tol):
             raise InstanceError("procurement exceeds placed capacity")
@@ -338,6 +344,7 @@ def sample_failures(num_nodes: int, budget: int, size: int,
 
 def provisioning_cost(instance: ProblemInstance, plan: FirstStagePlan) -> float:
     """First-stage spend: unit prices times procurement plus node charges."""
+    plan._check_size(instance)
     return float(instance.price @ plan.procurement + instance.node_cost @ plan.placement)
 
 

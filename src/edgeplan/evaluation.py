@@ -58,6 +58,13 @@ class EvaluationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # whole numbers, by the rule `UncertaintyModel` applies to its budgets
+        for name in ("num_scenarios", "k_test", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                if not float(value).is_integer():
+                    raise ValueError(f"{name} must be a whole number, got {value}")
+                object.__setattr__(self, name, int(value))
         if self.num_scenarios < 1:
             raise ValueError("need at least one scenario")
         if self.distribution not in DISTRIBUTIONS:

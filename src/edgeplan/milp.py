@@ -6,26 +6,28 @@ integrality stored per `add_vars` block; `add_masked_vars` numbers a block
 only on the true entries of a mask, with the id `PAD` elsewhere.  Rows are
 `lo <= a.x <= hi`, added one at a time or as a block of rows (a 2-D id
 array) in which `PAD` leaves a term out, so that a block's rows may differ
-in length.  A `Handle` passes a model to HiGHS through scipy's bundled
-binding, the package's one HiGHS call site, by one path: the columns and
-rows the model gained since the handle last saw it, the whole model when
-the handle opens and its growth at each solve, so a model can grow between
-solves (CCG's master); `solve` opens a handle and solves once.  A handle
-stays live: it re-solves after column-bound and cost edits or a new MIP
-gap, an LP from the previous basis.  An LP handle also solves a whole
-batch of column bounds in one call (`Handle.solve_each`: one bound matrix
-in, one value matrix out), and bunches the batch: a row whose optimum the
-basis of an earlier row already gives is read off that basis, with one
-dense solve shared by all such rows and no HiGHS run (bunching, as in
-Wets 1988 and Birge & Louveaux 2011).  A solve returns a point (the optimum,
-or a MIP incumbent at a limit) or raises an error naming the model;
-results carry no dual values.  Every HiGHS instance gets its options from
-`check_options`, which also turns off HiGHS's feasibility-jump heuristic
-(`mip_heuristic_run_feasibility_jump`): on HiGHS 1.12 it took most of the
-time of the package's small MIPs (the 10x10 duality oracle took 3.6 ms
-with it and 0.9 ms without, at the same optimum).  A handle opened with
-`presolve=False` runs without HiGHS's presolve; only the ADR MILP asks
-for that, because on it presolve costs more than it saves.
+in length.  A `Handle` is the one way a model reaches HiGHS, through
+scipy's bundled binding, the package's one HiGHS call site: it passes the
+columns and rows the model gained since the handle last saw it, the whole
+model when the handle opens and its growth at each solve, so a model can
+grow between solves (CCG's master).  Rows reach HiGHS's `addRows` as the
+model stores them, each row's ids and coefficients in the order
+`add_constr` took them.  A handle stays live: it re-solves after
+column-bound and cost edits or a new MIP gap, an LP from the previous
+basis.  An LP handle also solves a whole batch of column bounds in one
+call (`Handle.solve_each`: one bound matrix in, one value matrix out), and
+bunches the batch: a row whose optimum the basis of an earlier row already
+gives is read off that basis, with one dense solve shared by all such rows
+and no HiGHS run (bunching, as in Wets 1988 and Birge & Louveaux 2011).  A
+solve returns a point (the optimum, or a MIP incumbent at a limit) or
+raises an error naming the model; results carry no dual values.  Every
+HiGHS instance gets its options from `check_options`, which also turns off
+HiGHS's feasibility-jump heuristic (`mip_heuristic_run_feasibility_jump`):
+on HiGHS 1.12 it took most of the time of the package's small MIPs (the
+10x10 duality oracle took 3.6 ms with it and 0.9 ms without, at the same
+optimum).  A handle opened with `presolve=False` runs without HiGHS's
+presolve; only the ADR MILP asks for that, because on it presolve costs
+more than it saves.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-from scipy import sparse
 
 # the oldest scipy whose HiGHS binding has every method called below
 _SCIPY_FLOOR = "1.15"
@@ -184,7 +185,10 @@ class Model:
 
         A 2-D `ids` adds one row per line, in order: `coeffs` broadcasts
         against the block and `rhs` against the row count.  A `PAD` id
-        leaves its term out of the row.
+        leaves its term out of the row.  A row may name each column at most
+        once: its terms go to HiGHS as given, and a `Handle` passing a row
+        that repeats an id raises `BackendError` ("HiGHS rejected the added
+        rows").
         """
         if sense not in (LE, GE):
             raise ValueError(f"unknown sense {sense!r}")
@@ -285,21 +289,15 @@ def _set_option(h: highs._Highs, name: str, value: float) -> None:
         raise ValueError(f"invalid solver option {name}={value!r}")
 
 
-def _terms(model: Model, row_block: int, num_rows: int) -> tuple[np.ndarray, ...]:
-    """The coefficients, row numbers and column ids of the `num_rows` rows
-    the model gained from its `row_block`-th `add_constr` call on."""
-    sizes = np.concatenate([np.empty(0, dtype=np.int64), *model._row_sizes[row_block:]])
+def _terms(model: Model, row_block: int) -> tuple[np.ndarray, ...]:
+    """The coefficients, per-row term counts and column ids of the rows the
+    model gained from its `row_block`-th `add_constr` call on, each row's
+    terms in the order `add_constr` stored them."""
     # the empty heads let a model without rows assemble too
+    head = np.empty(0, dtype=np.int64)
     return (np.concatenate([np.empty(0), *model._row_coeffs[row_block:]]),
-            np.repeat(np.arange(num_rows, dtype=np.int64), sizes),
-            np.concatenate([np.empty(0, dtype=np.int64), *model._row_ids[row_block:]]))
-
-
-def _matrix(model: Model, row_block: int, shape: tuple[int, int]) -> sparse.coo_matrix:
-    """The model's rows from its `row_block`-th `add_constr` call on, as a
-    sparse matrix of `shape`."""
-    coeffs, rows, ids = _terms(model, row_block, shape[0])
-    return sparse.coo_matrix((coeffs, (rows, ids)), shape=shape)
+            np.concatenate([head, *model._row_sizes[row_block:]]),
+            np.concatenate([head, *model._row_ids[row_block:]]))
 
 
 class Handle:
@@ -316,10 +314,12 @@ class Handle:
     basis; `solve_each` reads what rows it can off an earlier row's
     optimal basis and runs HiGHS on the others.  `time_limit` bounds each
     solve on its own: HiGHS's run time adds up over the solves of one
-    handle, but every solve gets the whole limit.  `presolve=False` turns HiGHS's presolve off for
-    every solve of the handle: presolve pays for itself on most models,
-    but on the ADR MILP it, and the root restarts that follow it, took
-    about two thirds of the solve.  A handle belongs to the call that
+    handle, but every solve gets the whole limit.  `mip_gap` is the
+    relative optimality gap demanded from MIP solves (default 1e-6) and
+    `time_limit` is in seconds.  `presolve=False` turns HiGHS's presolve
+    off for every solve of the handle: presolve pays for itself on most
+    models, but on the ADR MILP it, and the root restarts that follow it,
+    took about two thirds of the solve.  A handle belongs to the call that
     opened it: sweeps run cells on threads, so never cache or share one.
     """
 
@@ -366,11 +366,12 @@ class Handle:
                 self._checked(self._highs.changeColsIntegrality(cols.size, cols, kinds),
                               "added integer columns")
         if m > m0:
-            a = _matrix(model, row_blocks, (m - m0, n)).tocsr()
+            coeffs, sizes, ids = _terms(model, row_blocks)
+            starts = np.cumsum(sizes) - sizes
             self._checked(self._highs.addRows(m - m0, np.array(model._row_lo[m0:]),
-                                              np.array(model._row_hi[m0:]), a.nnz,
-                                              a.indptr[:-1].astype(np.int32),
-                                              a.indices.astype(np.int32), a.data), "added rows")
+                                              np.array(model._row_hi[m0:]), coeffs.size,
+                                              starts.astype(np.int32), ids.astype(np.int32),
+                                              coeffs), "added rows")
         self._seen = (n, m, len(model._lb), len(model._row_ids))
 
     def change_col_bounds(self, cols, lo, hi) -> None:
@@ -491,7 +492,8 @@ class _Bunch:
         n, m = model.num_vars, model.num_constraints
         # built without scipy.sparse, whose assembly took five times as long
         # on the 6x6 replay LP
-        coeffs, rows, ids = _terms(model, 0, m)
+        coeffs, sizes, ids = _terms(model, 0)
+        rows = np.repeat(np.arange(m, dtype=np.int64), sizes)
         self.a = np.bincount(rows * (n + m) + ids, weights=coeffs,
                              minlength=m * (n + m)).reshape(m, n + m)
         self.a[np.arange(m), n + np.arange(m)] = -1.0
@@ -540,14 +542,3 @@ class _Bunch:
         is_col = basic < self.n
         block[:, basic[is_col]] = values[is_col][:, read].T
         return read, block
-
-
-def solve(model: Model, *, mip_gap: float | None = None,
-          time_limit: float | None = None, presolve: bool = True) -> SolveResult:
-    """Solve the model once; see `Handle.solve` for what it returns or raises.
-
-    `mip_gap` is the relative optimality gap demanded from MIP solves
-    (default 1e-6); `time_limit` is in seconds; `presolve=False` runs HiGHS
-    without its presolve (see `Handle`).
-    """
-    return Handle(model, mip_gap=mip_gap, time_limit=time_limit, presolve=presolve).solve()

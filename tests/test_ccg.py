@@ -95,7 +95,7 @@ def test_master_linking_rows_keep_the_optimum(seed, ni, nj, pool_size):
             y = model.add_vars(nj, lb=plan.procurement, ub=plan.procurement)
             x, q = ccg._add_recourse_block(model, inst, scenario, t, y, None)
             model.set_objective(*ccg._recourse_cost(inst, x, q))
-            block = milp.solve(model).objective
+            block = milp.Handle(model).solve().objective
             replay = solve_recourse(inst, plan, scenario).second_stage_cost
             assert block == pytest.approx(replay, rel=1e-7, abs=1e-9)
     master = solve_master(inst, pool, mip_gap=1e-9)
@@ -132,7 +132,7 @@ def test_recourse_block_row_count(with_eta):
     else:
         cost_ids, cost_coeffs = ccg._recourse_cost(inst, x, q)
         model.set_objective(np.append(ids, cost_ids), np.append(coeffs, cost_coeffs))
-    result = milp.solve(model)
+    result = milp.Handle(model).solve()
     allocation = result.value(x)
     assert np.all(allocation[~live] == 0.0) and np.all(allocation >= 0.0)
     assert allocation.sum() + result.value(q).sum() == pytest.approx(inst.nominal_demand.sum())
@@ -243,7 +243,7 @@ def test_duality_box_at_max_penalty_is_exact():
         objectives = []
         for m_u in (p_max, 10.0 * max(p_max, 1.0)):
             model, blocks = ccg._build_duality_model(inst, plan, m_u)
-            result = milp.solve(model)
+            result = milp.Handle(model).solve()
             objectives.append(result.objective)
             if m_u == p_max:
                 tight += bool(np.any(result.value(blocks["u"]) >= p_max - 1e-6))
@@ -330,7 +330,7 @@ def test_kept_oracle_answers_as_a_fresh_build(oracle):
         gap = 1e-2 if k % 3 == 1 else 1e-7
         live = solve(inst, plan, mip_gap=gap, kept=kept)
         model, blocks = build(plan)
-        fresh = ccg._worst_case_answer(inst, milp.solve(model, mip_gap=gap),
+        fresh = ccg._worst_case_answer(inst, milp.Handle(model, mip_gap=gap).solve(),
                                        blocks["g"], blocks["z"])
         assert (live.worst_scenario.key(), live.value, live.bound, live.status) == (
             fresh.worst_scenario.key(), fresh.value, fresh.bound, fresh.status), f"plan {k}"

@@ -15,6 +15,7 @@ from edgeplan.baselines import solve_deterministic
 from edgeplan.ccg import run_ccg
 from edgeplan.core import (
     FirstStagePlan,
+    InstanceError,
     Scenario,
     ScenarioError,
     instance_to_json,
@@ -321,6 +322,23 @@ def test_replay_refuses_a_scenario_sized_for_another_instance(monkeypatch, areas
         monte_carlo(inst, plan, scenarios, certify=False)
 
 
+@pytest.mark.parametrize("nodes", [3, 5])
+def test_scoring_refuses_a_plan_sized_for_another_instance(nodes):
+    # a 4-node instance: every scorer names both node counts, rather than
+    # failing inside numpy
+    inst = random_instance(np.random.default_rng(3), 4, 4)
+    plan = _plan(np.ones(nodes), np.ones(nodes))
+    want = f"the plan has {nodes} nodes, the instance 4"
+    scorers = [lambda: solve_recourse(inst, plan, _nominal(inst)),
+               lambda: monte_carlo(inst, plan, [_nominal(inst)], certify=False),
+               lambda: monte_carlo(inst, plan, [], certify=True),
+               lambda: certify_worst_case(inst, plan, oracle="duality"),
+               lambda: certify_worst_case(inst, plan, oracle="kkt")]
+    for score in scorers:
+        with pytest.raises(InstanceError, match=want):
+            score()
+
+
 def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):
     inst = tiny_instance()
 
@@ -328,7 +346,6 @@ def test_recourse_batch_of_nothing_solves_nothing(monkeypatch):
         raise AssertionError("no model for an empty batch")
 
     monkeypatch.setattr(milp, "Model", refuse)
-    monkeypatch.setattr(milp, "solve", refuse)
     assert solve_recourse_batch(inst, _plan([1], [5.0]), []) == []
 
 
@@ -359,6 +376,13 @@ def test_config_validation():
         EvaluationConfig(k_test=-1)
     with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
         EvaluationConfig(seed=-1)
+    # a count or seed that is not whole is refused here, not later inside numpy
+    for name in ("num_scenarios", "k_test", "seed"):
+        for value in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number, got {value}"):
+                EvaluationConfig(**{name: value})
+    config = EvaluationConfig(num_scenarios=4.0, k_test=np.int64(1), seed=2.0)
+    assert [type(v) for v in (config.num_scenarios, config.k_test, config.seed)] == [int] * 3
 
 
 @pytest.mark.parametrize("distribution", evaluation.DISTRIBUTIONS)

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from edgeplan import milp
+from edgeplan.adr import assemble_adr_milp
+from edgeplan.ccg import solve_master, solve_subproblem_kkt
+from edgeplan.evaluation import plan_with_method
+from edgeplan.topology import generate_instance
+from helpers import vertex_scenarios
 
 
 def test_min_over_ge_row():
@@ -13,7 +18,7 @@ def test_min_over_ge_row():
     x = m.add_var()
     m.add_constr([x], [1.0], milp.GE, 3.0)
     m.set_objective([x], [1.0])
-    r = milp.solve(m)
+    r = milp.Handle(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(3.0, abs=1e-9)
     assert r.value(x) == pytest.approx(3.0, abs=1e-9)
@@ -26,7 +31,7 @@ def test_integer_rounding():
     x = m.add_var(kind=milp.INTEGER)
     m.add_constr([x], [1.0], milp.LE, 2.5)
     m.set_objective([x], [1.0])
-    r = milp.solve(m)
+    r = milp.Handle(m).solve()
     assert r.status == "optimal"
     assert r.objective == pytest.approx(2.0, abs=1e-9)
 
@@ -38,7 +43,7 @@ def test_infeasible_status():
     m.add_constr([x], [1.0], milp.LE, 0.0)
     m.set_objective([x], [0.0])
     with pytest.raises(milp.InfeasibleModelError, match="'bad'"):
-        milp.solve(m)
+        milp.Handle(m).solve()
 
 
 def test_unbounded_status():
@@ -46,7 +51,7 @@ def test_unbounded_status():
     x = m.add_var()
     m.set_objective([x], [1.0])
     with pytest.raises(milp.UnboundedModelError, match="'unb'"):
-        milp.solve(m)
+        milp.Handle(m).solve()
 
 
 def test_resolve_determinism():
@@ -57,16 +62,16 @@ def test_resolve_determinism():
     m.add_constr(x, np.ones(6), milp.GE, 17.0)
     m.add_constr(x[:3], rng.uniform(0.5, 1.5, 3), milp.LE, 11.0)
     m.set_objective(x, c)
-    first = milp.solve(m).objective
+    first = milp.Handle(m).solve().objective
     for _ in range(3):
-        assert abs(milp.solve(m).objective - first) < 1e-9
+        assert abs(milp.Handle(m).solve().objective - first) < 1e-9
 
 
 def test_variable_bounds_respected():
     m = milp.Model("bounds", maximize=True)
     x = m.add_vars(3, lb=[0, 1, 2], ub=[5, 5, 2.5])
     m.set_objective(x, np.ones(3))
-    r = milp.solve(m)
+    r = milp.Handle(m).solve()
     assert np.allclose(r.value(x), [5, 5, 2.5])
 
 
@@ -78,7 +83,7 @@ def test_bad_bounds_rejected():
         m.add_vars(3, lb=[0.0, 2.0, 0.0], ub=1.0)
     b = m.add_vars(2, kind=milp.BINARY, lb=-1.0, ub=[5.0, 0.5])
     m.set_objective(b, [-1.0, 1.0])
-    assert np.array_equal(milp.solve(m).value(b), [1.0, 0.0])
+    assert np.array_equal(milp.Handle(m).solve().value(b), [1.0, 0.0])
 
 
 def _fractional_bound_mip():
@@ -95,7 +100,7 @@ def _fractional_bound_mip():
 def test_integer_bounds_round_inward():
     # HiGHS 1.12's presolve answers t = 1 unless the bound on y is integral
     m, t = _fractional_bound_mip()
-    r = milp.solve(m)
+    r = milp.Handle(m).solve()
     assert r.objective == 0.0 and r.value(t) == 0.0
     m.add_vars(2, kind=milp.INTEGER, lb=[-1.5, 0.2], ub=[2.5, 3.0])
     assert np.array_equal(m._lb[-1], [-1.0, 1.0]) and np.array_equal(m._ub[-1], [2.0, 3.0])
@@ -108,7 +113,7 @@ def test_set_objective_sums_repeated_ids():
     x = m.add_var()
     m.add_constr([x], [1.0], milp.GE, 2.0)
     m.set_objective([x, x], [1.0, 2.5])
-    assert milp.solve(m).objective == pytest.approx(7.0, abs=1e-9)
+    assert milp.Handle(m).solve().objective == pytest.approx(7.0, abs=1e-9)
 
 
 def test_constraint_references_checked():
@@ -121,6 +126,30 @@ def test_constraint_references_checked():
     with pytest.raises(ValueError):
         m.add_constr(np.stack([x, x]), 1.0, milp.LE, [1.0, 2.0, 3.0])
     assert m.num_constraints == 0
+
+
+def test_row_naming_a_column_twice_is_refused():
+    # a row passes HiGHS its terms as stored, so it may name each column at
+    # most once; HiGHS refuses a repeat when the handle opens or grows
+    for block in (False, True):
+        m = milp.Model("twice")
+        x = m.add_vars(2)
+        m.set_objective(x, [1.0, 1.0])
+        if block:
+            m.add_constr([[x[0], x[1]], [x[1], x[1]]], 1.0, milp.GE, 1.0)
+        else:
+            m.add_constr([x[0], x[1], x[0]], [1.0, 1.0, 1.0], milp.GE, 1.0)
+        with pytest.raises(milp.BackendError, match="added rows"):
+            milp.Handle(m)
+    m = milp.Model("twice-grown")
+    x = m.add_vars(2)
+    m.set_objective(x, [1.0, 1.0])
+    m.add_constr(x, [1.0, 1.0], milp.GE, 1.0)
+    handle = milp.Handle(m)
+    assert handle.solve().objective == pytest.approx(1.0, abs=1e-9)
+    m.add_constr([x[1], x[1]], [1.0, 2.0], milp.GE, 3.0)
+    with pytest.raises(milp.BackendError, match="added rows"):
+        handle.solve()
 
 
 def test_non_finite_rows_rejected():
@@ -156,7 +185,7 @@ def test_block_rows_match_single_rows():
         m.add_constr(x[:2], np.ones(2), milp.LE, 7.0)
         m.set_objective(x, cost)
         assert m.num_constraints == 4
-        optima.append(milp.solve(m).objective)
+        optima.append(milp.Handle(m).solve().objective)
     assert optima[0] == optima[1]
 
 
@@ -176,7 +205,7 @@ def test_pad_leaves_terms_out():
             m.add_constr([x[1]], [1.0], milp.GE, 3.0)
         m.set_objective(np.append(x, milp.PAD), np.append(cost, 9.0))
         assert m.num_constraints == 2
-        result = milp.solve(m)
+        result = milp.Handle(m).solve()
         optima.append(result.objective)
     assert optima[0] == optima[1]
     assert result.value(np.array([[x[1], milp.PAD]])).tolist() == [[result.value(x[1]), 0.0]]
@@ -205,8 +234,8 @@ def test_mip_gap_is_honored_loosely():
     w = rng.uniform(1, 4, 12)
     m.add_constr(x, rng.uniform(1, 3, 12), milp.LE, 9.0)
     m.set_objective(x, w)
-    exact = milp.solve(m).objective
-    loose = milp.solve(m, mip_gap=0.1)
+    exact = milp.Handle(m).solve().objective
+    loose = milp.Handle(m, mip_gap=0.1).solve()
     assert loose.objective <= exact + 1e-9
     assert loose.dual_bound >= exact - 1e-9
 
@@ -224,18 +253,18 @@ def test_time_limit_reports_limit():
     lp.set_objective(v, rng.uniform(1, 2, 5))
     for model in (m, lp):
         with pytest.raises(milp.SolverLimitError, match=f"'{model.name}'.*[Tt]ime limit"):
-            milp.solve(model, time_limit=0.0)
+            milp.Handle(model, time_limit=0.0).solve()
     # an out-of-range or NaN limit or gap is refused, not silently dropped;
     # an infinite limit is no limit
-    assert milp.solve(lp, time_limit=math.inf).status == "optimal"
+    assert milp.Handle(lp, time_limit=math.inf).solve().status == "optimal"
     with pytest.raises(ValueError, match="time_limit"):
-        milp.solve(lp, time_limit=-1.0)
+        milp.Handle(lp, time_limit=-1.0).solve()
     with pytest.raises(ValueError, match="mip_rel_gap"):
-        milp.solve(m, mip_gap=-0.5)
+        milp.Handle(m, mip_gap=-0.5).solve()
     with pytest.raises(ValueError, match="time_limit"):
-        milp.solve(lp, time_limit=math.nan)
+        milp.Handle(lp, time_limit=math.nan).solve()
     with pytest.raises(ValueError, match="mip_rel_gap"):
-        milp.solve(m, mip_gap=math.nan)
+        milp.Handle(m, mip_gap=math.nan).solve()
 
 
 def test_handle_edits_match_fresh_solve():
@@ -263,7 +292,7 @@ def test_handle_edits_match_fresh_solve():
                        (5.0, 6.0)):
         handle.change_col_bounds(edited, [cover, 0.0], [np.inf, cap])
         got = handle.solve()
-        want = milp.solve(build(cover, cap)[0])
+        want = milp.Handle(build(cover, cap)[0]).solve()
         assert got.status == want.status == "optimal"
         assert got.objective == pytest.approx(want.objective, rel=1e-12, abs=1e-12)
         # x is unique; the levels c and k need only respect their new bounds
@@ -292,12 +321,19 @@ def _level_model():
 _LEVEL_ROWS = [(7.0, 6.0), (4.0, 0.0), (0.0, 3.0), (0.0, 0.0), (9.0, 2.5), (5.0, 6.0)]
 
 
+def _dense_rows(model: milp.Model) -> np.ndarray:
+    """The model's rows as a dense matrix, from the terms `add_constr` stored."""
+    coeffs, sizes, ids = milp._terms(model, 0)
+    a = np.zeros((model.num_constraints, model.num_vars))
+    a[np.repeat(np.arange(model.num_constraints), sizes), ids] = coeffs
+    return a
+
+
 def _assert_optima(model, edited, lo, hi, each):
     """Each row of `each` is an optimum of `model` under that row's bounds on
     `edited`: the objective within 1e-12 relative of a fresh edit and solve,
     every column and row activity within its bounds to 1e-9, and PAD 0."""
-    n, m = model.num_vars, model.num_constraints
-    a = milp._matrix(model, 0, (m, n)).toarray()
+    a = _dense_rows(model)
     ids, coeffs = model._obj
     for row, row_lo, row_hi in zip(each, lo, hi):
         handle = milp.Handle(model)
@@ -447,14 +483,15 @@ def test_handle_passes_what_its_model_gained():
 
     model = build(False)
     handle = milp.Handle(model)
-    assert handle.solve().objective == pytest.approx(milp.solve(model).objective, rel=1e-12)
+    want = milp.Handle(model).solve()
+    assert handle.solve().objective == pytest.approx(want.objective, rel=1e-12)
     grown = build(True)
     y = model.add_vars(2, kind=milp.INTEGER, ub=5.0)
     w = model.add_var(lb=0.5)
     model.add_constr(np.array([[0, y[0], milp.PAD], [2, y[1], w]]),
                      [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]], milp.GE, [2.5, 1.2])
     model.set_objective(np.arange(6), [1.0, 1.5, 2.0, 0.7, 0.4, 0.1])
-    got, want = handle.solve(), milp.solve(grown)
+    got, want = handle.solve(), milp.Handle(grown).solve()
     assert got.objective == pytest.approx(want.objective, rel=1e-12)
     # y is integral: the LP relaxation would buy 1.7 of y[1]
     assert np.allclose(got.values, want.values) and got.values[3:5].tolist() == [0.0, 2.0]
@@ -462,11 +499,67 @@ def test_handle_passes_what_its_model_gained():
     costs = rng.uniform(0.5, 2.0, 6)
     handle.change_costs(np.arange(6), costs)
     grown.set_objective(np.arange(6), costs)
-    assert handle.solve().objective == pytest.approx(milp.solve(grown).objective, rel=1e-12)
+    want = milp.Handle(grown).solve()
+    assert handle.solve().objective == pytest.approx(want.objective, rel=1e-12)
     with pytest.raises(milp.BackendError, match="cost edit"):
         handle.change_costs(6, 1.0)
     with pytest.raises(ValueError, match="mip_rel_gap"):
         handle.set_mip_gap(math.nan)
+
+
+def _held_rows(handle: milp.Handle) -> np.ndarray:
+    """The rows HiGHS holds for a solved handle, as a dense matrix."""
+    lp = handle._highs.getLp()
+    matrix = lp.a_matrix_
+    # HiGHS holds the matrix column-wise once it has solved
+    assert matrix.format_ == milp.highs.MatrixFormat.kColwise
+    cols = np.repeat(np.arange(lp.num_col_), np.diff(matrix.start_))
+    a = np.zeros((lp.num_row_, lp.num_col_))
+    a[np.asarray(matrix.index_, dtype=np.int64), cols] = matrix.value_
+    return a
+
+
+def _kkt_handle() -> milp.Handle:
+    inst = generate_instance(4, 4, seed=0)
+    kept = {}
+    solve_subproblem_kkt(inst, plan_with_method(inst, "det").plan, kept=kept)
+    handle = kept["subproblem-kkt"][0]
+    # `_add_product` lists [lost, stock], and lost has the higher ids
+    coeffs, sizes, ids = milp._terms(handle._model, 0)
+    starts = np.cumsum(sizes) - sizes
+    assert any(np.any(np.diff(ids[a:a + k]) < 0) for a, k in zip(starts, sizes))
+    return handle
+
+
+def _grown_master_handle() -> milp.Handle:
+    inst = generate_instance(3, 3, seed=1)
+    pool = vertex_scenarios(inst)[:3]
+    kept = {}
+    solve_master(inst, pool[:1], kept=kept)
+    rows = kept["ccg-master"].model.num_constraints
+    solve_master(inst, pool, kept=kept)
+    assert kept["ccg-master"].model.num_constraints > rows
+    return kept["ccg-master"].handle
+
+
+def _adr_handle() -> milp.Handle:
+    model, _ = assemble_adr_milp(generate_instance(3, 3, seed=0))
+    assert np.any(milp._terms(model, 0)[0] == 0.0)
+    handle = milp.Handle(model, presolve=False)
+    handle.solve()
+    return handle
+
+
+@pytest.mark.parametrize("build", [_kkt_handle, _grown_master_handle, _adr_handle],
+                         ids=["kkt-unsorted-ids", "master-grown", "adr-zero-coefficients"])
+def test_highs_holds_exactly_the_model_rows(build):
+    # the rows go to HiGHS as stored: out of id order, in blocks added after
+    # a solve, and with zero coefficients HiGHS drops
+    handle = build()
+    model = handle._model
+    assert np.array_equal(_held_rows(handle), _dense_rows(model))
+    lp = handle._highs.getLp()
+    assert lp.row_lower_ == model._row_lo and lp.row_upper_ == model._row_hi
 
 
 def test_time_limit_bounds_each_solve_of_a_live_handle():
@@ -490,7 +583,8 @@ def test_time_limit_bounds_each_solve_of_a_live_handle():
         handle.change_costs(x, values)
         got = handle.solve()
         assert got.status == "optimal"
-        assert got.objective == pytest.approx(milp.solve(build(values)[0]).objective, rel=1e-9)
+        want = milp.Handle(build(values)[0]).solve()
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
         if handle._highs.getRunTime() > 3 * limit:
             break
     assert handle._highs.getRunTime() > 3 * limit
@@ -581,15 +675,15 @@ def test_feasibility_jump_is_off_in_every_highs_instance():
 def test_feasibility_jump_option_is_optional(monkeypatch, capfd):
     # a HiGHS without the option (before 1.10) refuses its name silently;
     # every instance still opens, solves and refuses bad options
-    exact = milp.solve(_knapsack())
+    exact = milp.Handle(_knapsack()).solve()
     monkeypatch.setattr(milp, "_FEASIBILITY_JUMP", "no_such_option_in_any_highs")
     capfd.readouterr()
     milp.check_options(mip_gap=0.1, time_limit=5.0)
     assert capfd.readouterr() == ("", "")
-    got = milp.solve(_knapsack())
+    got = milp.Handle(_knapsack()).solve()
     assert got.status == "optimal" and got.objective == pytest.approx(exact.objective, rel=1e-9)
     with pytest.raises(ValueError, match="mip_rel_gap"):
-        milp.solve(_knapsack(), mip_gap=-0.5)
+        milp.Handle(_knapsack(), mip_gap=-0.5).solve()
     with pytest.raises(ValueError, match="time_limit"):
         milp.check_options(time_limit=-1.0)
     with pytest.raises(ValueError, match="mip_rel_gap"):
@@ -609,7 +703,7 @@ def test_presolve_switch():
     handle = milp.Handle(_knapsack(), presolve=False)
     handle.set_mip_gap(1e-2)
     assert _presolve(handle) == "off"
-    results = [milp.solve(_fractional_bound_mip()[0], presolve=p) for p in (True, False)]
+    results = [milp.Handle(_fractional_bound_mip()[0], presolve=p).solve() for p in (True, False)]
     for r in results:
         assert r.status == "optimal" and r.objective == 0.0
     assert np.array_equal(results[0].values, results[1].values)
