@@ -153,8 +153,10 @@ def _add_recourse_block(model: milp.Model, instance: ProblemInstance, scenario: 
     cost, and t_j = 1 already caps x_ij at C_j), so only the LP relaxation
     tightens.  Placed capacity, sum_i x_ij <= C_j t_j (1 - z_j), needs no
     row: the caller's coupling row y_j <= C_j t_j (`_build_first_stage`)
-    and the procurement row imply it.
+    and the procurement row imply it.  A scenario sized for another
+    instance raises `ScenarioError`.
     """
+    scenario._check_size(instance)
     ni = instance.num_areas
     cap = instance.served_capacity
     link = np.minimum(scenario.demand[:, None], cap) * (1.0 - scenario.failures)[None, :]

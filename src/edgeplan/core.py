@@ -259,6 +259,15 @@ class Scenario:
         if not np.all(np.isin(self.failures, (0, 1))):
             raise ScenarioError("failures entries must be bits")
 
+    def _check_size(self, instance: ProblemInstance, name: str = "scenario") -> None:
+        """Raise `ScenarioError`, calling the scenario `name`, unless it has one
+        demand per area and one failure bit per node of `instance`."""
+        ni, nj = instance.num_areas, instance.num_nodes
+        if self.demand.shape != (ni,) or self.failures.shape != (nj,):
+            raise ScenarioError(f"{name} has demands for {self.demand.size} areas and failures "
+                                f"for {self.failures.size} nodes; the instance has {ni} areas "
+                                f"and {nj} nodes")
+
     def key(self) -> tuple:
         """Hashable identity used for pool-membership tests."""
         return (tuple(np.round(self.demand, 9)), tuple(int(z) for z in self.failures))

@@ -33,7 +33,6 @@ from .core import (
     ProblemInstance,
     RecourseOutcome,
     Scenario,
-    ScenarioError,
     UncertaintyModel,
     csv_text,
     provisioning_cost,
@@ -50,6 +49,14 @@ METHODS = ("ccg-duality", "ccg-kkt", "adr", "extensive", "det", "so", "heu")
 SIGMA = 0.25
 
 
+def _whole(name: str, value) -> int:
+    """`value` as an int; `ValueError` unless it is a whole number (2.5, NaN
+    and inf are not), by the rule `UncertaintyModel` applies to its budgets."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EvaluationConfig:
     num_scenarios: int = 1000
@@ -58,13 +65,10 @@ class EvaluationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # whole numbers, by the rule `UncertaintyModel` applies to its budgets
         for name in ("num_scenarios", "k_test", "seed"):
             value = getattr(self, name)
             if value is not None:
-                if not float(value).is_integer():
-                    raise ValueError(f"{name} must be a whole number, got {value}")
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, _whole(name, value))
         if self.num_scenarios < 1:
             raise ValueError("need at least one scenario")
         if self.distribution not in DISTRIBUTIONS:
@@ -96,13 +100,9 @@ def _replay(instance: ProblemInstance, plan: FirstStagePlan, scenarios: list[Sce
     1-D dot product.  A scenario whose demand or failure vector does not
     match the instance raises `ScenarioError` before any model is built.
     """
-    ni, nj = instance.num_areas, instance.num_nodes
     for k, scenario in enumerate(scenarios):
-        if scenario.demand.shape != (ni,) or scenario.failures.shape != (nj,):
-            raise ScenarioError(
-                f"scenario {k} has demands for {scenario.demand.size} areas and failures "
-                f"for {scenario.failures.size} nodes; the instance has {ni} areas and "
-                f"{nj} nodes")
+        scenario._check_size(instance, f"scenario {k}")
+    ni, nj = instance.num_areas, instance.num_nodes
     cap = instance.served_capacity
     model = milp.Model("recourse")
     x = model.add_masked_vars(cap > 0, ub=cap)
@@ -387,13 +387,18 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     row whose plan an earlier method of the cell returned reuses its
     scores, and its `wall_seconds` covers the planning only.  With
     `workers` > 1 the values run on that many threads; every value's cell
-    is computed the same way either way, so the rows do not depend on it.  A `workers` below 1, a
-    negative `num_test_scenarios` or `seed`, a solver option or a planner
-    input that a listed method cannot use is refused before any cell runs.
+    is computed the same way either way, so the rows do not depend on it.
+    A `workers`, `num_test_scenarios` or `seed` that is not a whole number
+    (`EvaluationConfig`'s rule), a `workers` below 1, a negative
+    `num_test_scenarios` or `seed`, a solver option or a planner input that
+    a listed method cannot use is refused before any cell runs.
     """
     axis = normalize_axis(axis)
     if psi_mode not in ("both", "evaluation"):
         raise ValueError("psi_mode must be 'both' or 'evaluation'")
+    workers = _whole("workers", workers)
+    num_test_scenarios = _whole("num_test_scenarios", num_test_scenarios)
+    seed = _whole("seed", seed)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if num_test_scenarios < 0:
@@ -407,7 +412,7 @@ def sensitivity_sweep(instance: ProblemInstance, axis: str, values, methods=("cc
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    if "so" in methods and num_training_scenarios < 1:
+    if "so" in methods and _whole("num_training_scenarios", num_training_scenarios) < 1:
         raise ValueError(f"so needs num_training_scenarios >= 1, got {num_training_scenarios}")
     if {"ccg-duality", "ccg-kkt"} & set(methods) and not eps > 0:
         raise ValueError(f"a CCG method needs a positive eps, got {eps}")

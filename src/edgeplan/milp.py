@@ -42,7 +42,7 @@ import scipy
 _SCIPY_FLOOR = "1.15"
 # every method of the binding's `_Highs` that this module calls
 _HIGHS_METHODS = ("addCols", "addRows", "changeColsBounds", "changeColsCost",
-                 "changeColsIntegrality", "getBasicVariables", "getInfoValue",
+                 "changeColsIntegrality", "getBasicVariables", "getInfoValue", "getLp",
                  "getModelStatus", "getSolution", "modelStatusToString", "run",
                  "setOptionValue")
 
@@ -312,9 +312,10 @@ class Handle:
     bounds per LP solved, `solve_each` (the replay); `set_mip_gap`
     sets the gap of later solves.  An LP re-solve starts from the previous
     basis; `solve_each` reads what rows it can off an earlier row's
-    optimal basis and runs HiGHS on the others.  `time_limit` bounds each
-    solve on its own: HiGHS's run time adds up over the solves of one
-    handle, but every solve gets the whole limit.  `mip_gap` is the
+    optimal basis, checked against the column bounds it reads from HiGHS,
+    which alone holds them, and runs HiGHS on the others.  `time_limit`
+    bounds each solve on its own: HiGHS's run time adds up over the solves
+    of one handle, but every solve gets the whole limit.  `mip_gap` is the
     relative optimality gap demanded from MIP solves (default 1e-6) and
     `time_limit` is in seconds.  `presolve=False` turns HiGHS's presolve
     off for every solve of the handle: presolve pays for itself on most
@@ -332,8 +333,6 @@ class Handle:
             self._checked(self._highs.setOptionValue("presolve", "off"), "presolve option")
         self._seen = (0, 0, 0, 0)
         self._is_mip = False
-        # the column bounds HiGHS holds, which `solve_each` checks read-off rows against
-        self._col_lo = self._col_hi = np.empty(0)
         self._sync()
 
     @staticmethod
@@ -357,7 +356,6 @@ class Handle:
             lo, hi = (np.concatenate(b[col_blocks:]) for b in (model._lb, model._ub))
             self._checked(self._highs.addCols(n - n0, self._costs(n0), lo, hi,
                                               0, empty, empty, np.empty(0)), "added columns")
-            self._col_lo, self._col_hi = np.append(self._col_lo, lo), np.append(self._col_hi, hi)
             integer = np.concatenate(model._integer[col_blocks:]).astype(bool)
             if integer.any():
                 self._is_mip = True
@@ -381,7 +379,6 @@ class Handle:
         self._checked(self._highs.changeColsBounds(cols.size, cols.astype(np.int32),
                                                    lo.astype(float), hi.astype(float)),
                       "column-bound edit")
-        self._col_lo[cols], self._col_hi[cols] = lo, hi
 
     def change_costs(self, cols, costs) -> None:
         """Set the objective coefficients of the given columns, in the
@@ -434,9 +431,10 @@ class Handle:
         later one that took no simplex iteration (that basis survived a
         bound change, so later rows likely share it), one pass
         (`_Bunch.read_off`) reads off that basis every row still unsolved
-        that it solves.  The other rows go to HiGHS in input order, each
-        starting from the basis the last HiGHS solve left, and one without
-        an optimum raises as `solve` does.  A row with a crossed bound always
+        that it solves, checking the columns outside `cols` against the
+        bounds it reads from HiGHS.  The other rows go to HiGHS in input
+        order, each starting from the basis the last HiGHS solve left, and
+        one without an optimum raises as `solve` does.  A row with a crossed bound always
         goes to HiGHS, and a batch of one row never takes a pass.  Where a
         row has several optima, the one read off may differ from the one
         HiGHS would return.  Afterwards HiGHS holds the bounds of the last
@@ -454,38 +452,35 @@ class Handle:
         read = np.zeros(lo.shape[0], dtype=bool)
         # a row with a crossed bound is never read off a basis
         crossed = (lo > hi).any(axis=1)
-        bunch, held = None, None
-        try:
-            for t in range(lo.shape[0]):
-                if read[t]:
-                    continue
-                self._checked(self._highs.changeColsBounds(cols.size, cols, lo[t], hi[t]),
-                              "column-bound edit")
-                held = t
-                self._run()
-                solution = self._highs.getSolution()
-                values[t, :-1] = solution.col_value
-                if t + 1 == lo.shape[0] or (bunch is not None and self._highs.getInfoValue(
-                        "simplex_iteration_count")[1]):
-                    continue
-                rows = t + 1 + np.flatnonzero(~(read[t + 1:] | crossed[t + 1:]))
-                bunch = bunch or _Bunch(self, cols, lo, hi)
-                status, basic = self._highs.getBasicVariables()
-                self._checked(status, "basis query")
-                passed, block = bunch.read_off(basic, solution, t, rows)
-                values[rows[passed], :-1] = block
-                read[rows[passed]] = True
-        finally:
-            if held is not None:
-                self._col_lo[cols], self._col_hi[cols] = lo[held], hi[held]
+        bunch = None
+        for t in range(lo.shape[0]):
+            if read[t]:
+                continue
+            self._checked(self._highs.changeColsBounds(cols.size, cols, lo[t], hi[t]),
+                          "column-bound edit")
+            self._run()
+            solution = self._highs.getSolution()
+            values[t, :-1] = solution.col_value
+            if t + 1 == lo.shape[0] or (bunch is not None and self._highs.getInfoValue(
+                    "simplex_iteration_count")[1]):
+                continue
+            rows = t + 1 + np.flatnonzero(~(read[t + 1:] | crossed[t + 1:]))
+            bunch = bunch or _Bunch(self, cols, lo, hi)
+            status, basic = self._highs.getBasicVariables()
+            self._checked(status, "basis query")
+            passed, block = bunch.read_off(basic, solution, t, rows)
+            values[rows[passed], :-1] = block
+            read[rows[passed]] = True
         return values
 
 
 class _Bunch:
     """What the passes of one `Handle.solve_each` batch share: the LP's
     `[A, -I]` as a dense array, whose columns hold every basis (the model's
-    columns, then its rows' activities), the bounds HiGHS holds on every
-    variable, and the batch's bounds on `cols`, one column per row."""
+    columns, then its rows' activities), the bounds on every variable, and
+    the batch's bounds on `cols`, one column per row.  The column bounds
+    are read from HiGHS (`getLp`) when the batch's first pass is built, the
+    row bounds from the model, since a handle never edits a row."""
 
     def __init__(self, handle: Handle, cols: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         model = handle._model
@@ -499,8 +494,9 @@ class _Bunch:
         self.a[np.arange(m), n + np.arange(m)] = -1.0
         # HiGHS numbers basic row i as -1 - i, which indexes entry n + i here
         self.order = np.concatenate([np.arange(n), np.arange(n + m - 1, n - 1, -1)])
-        self.var_lo = np.concatenate([handle._col_lo, model._row_lo])[:, None]
-        self.var_hi = np.concatenate([handle._col_hi, model._row_hi])[:, None]
+        lp = handle._highs.getLp()
+        self.var_lo = np.concatenate([lp.col_lower_, model._row_lo])[:, None]
+        self.var_hi = np.concatenate([lp.col_upper_, model._row_hi])[:, None]
         # each variable's place in `cols`, -1 outside it
         self.slot = np.full(n + m, -1)
         self.slot[cols] = np.arange(cols.size)

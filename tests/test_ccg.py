@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from edgeplan import ccg, milp
 from edgeplan.adr import solve_adr
+from edgeplan.baselines import solve_stochastic
 from edgeplan.ccg import (
     run_ccg,
     solve_extensive_form,
@@ -23,6 +24,7 @@ from edgeplan.core import (
     EnumerationCapError,
     FirstStagePlan,
     Scenario,
+    ScenarioError,
     UncertaintyModel,
     demand_from_g,
     provisioning_cost,
@@ -39,6 +41,20 @@ from helpers import (
     unit_example,
     vertex_scenarios,
 )
+
+
+@pytest.mark.parametrize("areas,nodes", [(1, 1), (3, 4), (4, 3)])
+def test_planning_blocks_refuse_a_scenario_sized_for_another_instance(areas, nodes):
+    # a 4-area, 4-node instance: a 1-area scenario must not stand for demand
+    # 5 in every area
+    inst = generate_instance(4, 4, seed=0, graph_nodes=12)
+    scenario = Scenario(np.full(areas, 5.0), np.zeros(nodes, dtype=np.int8))
+    want = (f"scenario has demands for {areas} areas and failures for {nodes} nodes; "
+            "the instance has 4 areas and 4 nodes")
+    with pytest.raises(ScenarioError, match=want):
+        solve_stochastic(inst, [scenario])
+    with pytest.raises(ScenarioError, match=want):
+        solve_master(inst, [scenario])
 
 
 def test_master_empty_pool_stays_home():

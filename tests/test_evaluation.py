@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -715,6 +716,22 @@ def test_sweep_refuses_bad_workers_or_scenarios_before_any_cell(monkeypatch, kwa
     cells = []
     monkeypatch.setattr(evaluation, "plan_with_method", lambda *a, **k: cells.append(a))
     with pytest.raises(ValueError, match="workers|num_test_scenarios|num_training|eps"):
+        sensitivity_sweep(inst, "K", [0, 1], **{"methods": ("det",), **kwargs})
+    assert cells == []
+
+
+@pytest.mark.parametrize("kwargs,want", [
+    (dict(num_test_scenarios=2.5), "num_test_scenarios must be a whole number, got 2.5"),
+    (dict(seed=1.5), "seed must be a whole number, got 1.5"),
+    (dict(methods=("so",), num_training_scenarios=2.5),
+     "num_training_scenarios must be a whole number, got 2.5"),
+    (dict(workers=1.5), "workers must be a whole number, got 1.5"),
+], ids=["num_test_scenarios", "seed", "num_training_scenarios", "workers"])
+def test_sweep_refuses_non_whole_inputs_before_any_cell(monkeypatch, kwargs, want):
+    inst = random_instance(np.random.default_rng(149), 2, 2, gamma=1, k=1)
+    cells = []
+    monkeypatch.setattr(evaluation, "plan_with_method", lambda *a, **k: cells.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         sensitivity_sweep(inst, "K", [0, 1], **{"methods": ("det",), **kwargs})
     assert cells == []
 

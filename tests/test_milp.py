@@ -433,6 +433,18 @@ def test_solve_each_reads_rows_off_within_earlier_bound_edits():
         assert row[:4] @ [1.3, 1.1, 1.7, 1.9] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_solve_each_reads_rows_off_within_bounds_an_earlier_batch_left():
+    # a one-row batch leaves x_3 <= 1.5 in HiGHS; the basis of (4, 0) gives
+    # x_3 = 1.6 at (5, 6), inside the model's box of 10 but not 1.5
+    model, edited = _level_model()
+    handle = milp.Handle(model)
+    handle.solve_each([3], [[0.0]], [[1.5]])
+    rows = [(4.0, 0.0), (5.0, 6.0), (4.0, 6.0), (4.0, 6.0)]
+    lo, hi = [[cover, 0.0] for cover, _ in rows], [[np.inf, cap] for _, cap in rows]
+    each = handle.solve_each(edited, lo, hi)
+    assert np.all(each[:, 3] <= 1.5 + 1e-9)
+
+
 def test_solve_each_moves_a_fixed_column_by_its_reduced_cost():
     # one area, two nodes: serving from node 0 costs 1, from node 1 costs 3,
     # dropping costs 10, and the demand is 4.  Row 0 fails node 0 (w_0 in
